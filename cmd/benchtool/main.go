@@ -41,6 +41,7 @@ package main
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,6 +58,12 @@ import (
 	"adelie/internal/service"
 	"adelie/internal/workload"
 )
+
+// badOverrides marks a -p override rejected before anything ran (a
+// usage error: exit status 2).
+type badOverrides struct{ error }
+
+func (e badOverrides) Unwrap() error { return e.error }
 
 // paramFlags collects repeated -p key=val overrides.
 type paramFlags []string
@@ -130,6 +137,10 @@ func main() {
 	// Anything else: experiment names directly (the historical spelling).
 	if err := runExperiments(args, overrides, *quick, *jsonPath, *csvPath, *reps, *parallel, *tracePath, *profPath); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtool: %v\n", err)
+		var bad badOverrides
+		if errors.As(err, &bad) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -214,7 +225,7 @@ func runExperiments(names []string, overrides paramFlags, quick bool, jsonPath, 
 	// selected experiment — catching a typo'd key or value up front
 	// beats silently running everything at defaults.
 	if err := workload.Experiments.CheckOverrides(names, overrides); err != nil {
-		return err
+		return badOverrides{err}
 	}
 	var obsSess *workload.ObsSession
 	if tracePath != "" || profPath != "" {

@@ -14,23 +14,36 @@ import "adelie/internal/mm"
 // host-side accelerators whose population is invisible to cycle
 // accounting (the same documented equivalence that lets ADELIE_NOCHAIN=1
 // disable chaining without changing results).
+//
+// The clone is built directly rather than through New, so it allocates
+// only the TLB it keeps.
 func (c *CPU) CloneFor(as *mm.AddressSpace, natives map[uint64]*Native) *CPU {
-	n := New(c.ID, as)
-	n.Regs = c.Regs
-	n.RIP = c.RIP
-	n.ZF, n.SF, n.CF = c.ZF, c.SF, c.CF
-	n.TLB = c.TLB.CloneFor(as)
-	n.natives = natives
-	n.nativeLo, n.nativeHi = c.nativeLo, c.nativeHi
-	n.Cycles = c.Cycles
-	n.Insts = c.Insts
-	n.Blocks = c.Blocks
-	n.ChainedBlocks = c.ChainedBlocks
-	n.IndirectChained = c.IndirectChained
-	n.chainOn = c.chainOn
-	n.indirectOn = c.indirectOn
-	n.decodeHits, n.decodeMisses = c.decodeHits, c.decodeMisses
-	n.blockHits, n.blockMisses = c.blockHits, c.blockMisses
-	n.chainMisses = c.chainMisses
-	return n
+	return &CPU{
+		ID:              c.ID,
+		Regs:            c.Regs,
+		RIP:             c.RIP,
+		ZF:              c.ZF,
+		SF:              c.SF,
+		CF:              c.CF,
+		AS:              as,
+		TLB:             c.TLB.CloneFor(as),
+		natives:         natives,
+		nativeLo:        c.nativeLo,
+		nativeHi:        c.nativeHi,
+		Cycles:          c.Cycles,
+		Insts:           c.Insts,
+		Blocks:          c.Blocks,
+		ChainedBlocks:   c.ChainedBlocks,
+		IndirectChained: c.IndirectChained,
+		decoded:         make(map[mm.FrameID]*pageDecode),
+		blocks:          make(map[mm.FrameID]*pageBlocks),
+		lastBlockFrame:  mm.NoFrame,
+		chainOn:         c.chainOn,
+		indirectOn:      c.indirectOn,
+		decodeHits:      c.decodeHits,
+		decodeMisses:    c.decodeMisses,
+		blockHits:       c.blockHits,
+		blockMisses:     c.blockMisses,
+		chainMisses:     c.chainMisses,
+	}
 }

@@ -223,6 +223,12 @@ func (e *Engine) Run(cfg RunConfig, op OpFunc) (RunResult, error) {
 		lanes = cfg.Ops
 	}
 
+	// A fork clones its vCPUs on first use. Clone every lane's vCPU now,
+	// while nothing runs, so no lane goroutine ever does it mid-round.
+	for l := 0; l < lanes; l++ {
+		e.K.CPU(l)
+	}
+
 	var res RunResult
 	res.Lanes = lanes
 	if e.Bus != nil {
@@ -564,8 +570,7 @@ func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 			err     error
 		}
 		dels := make([]delivery, len(pending))
-		dispatch := func(vcpu, lo, hi int) {
-			c := e.K.CPU(vcpu)
+		dispatch := func(c *cpu.CPU, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				before := c.Cycles
 				handled, err := e.K.DispatchIRQ(c, pending[i].Line)
@@ -579,7 +584,7 @@ func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 			// Single target lane — every legacy machine routes here (all
 			// vectors on vCPU 0): sequential dispatch on the calling
 			// goroutine, bit-identical to the pre-vector-table engine.
-			dispatch(pending[0].VCPU, 0, len(pending))
+			dispatch(e.K.CPU(pending[0].VCPU), 0, len(pending))
 		} else {
 			var wg sync.WaitGroup
 			for lo := 0; lo < len(pending); {
@@ -587,11 +592,14 @@ func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 				for hi < len(pending) && pending[hi].VCPU == pending[lo].VCPU {
 					hi++
 				}
+				// The target vCPU resolves here, before its goroutine
+				// starts, so an untouched vCPU of a fork is cloned at
+				// the barrier rather than concurrently.
 				wg.Add(1)
-				go func(vcpu, lo, hi int) {
+				go func(c *cpu.CPU, lo, hi int) {
 					defer wg.Done()
-					dispatch(vcpu, lo, hi)
-				}(pending[lo].VCPU, lo, hi)
+					dispatch(c, lo, hi)
+				}(e.K.CPU(pending[lo].VCPU), lo, hi)
 				lo = hi
 			}
 			wg.Wait()

@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"adelie/internal/cpu"
 	"adelie/internal/mm"
@@ -14,7 +15,9 @@ import (
 // vCPU running, no SMR critical section live, no retired-but-unfreed
 // address range (a pending retire closure captures the template's
 // address space and could never run against the fork's). sim.Machine
-// enforces this by freezing the template at Snapshot.
+// enforces this by freezing the template at Snapshot. The fork's vCPUs
+// clone from the template's on first use, so the template's vCPUs must
+// also stay unmodified for as long as the fork lives.
 //
 // Everything addressed by VA or FrameID carries over verbatim — the
 // fork's address space maps the same frames at the same addresses, so
@@ -89,8 +92,18 @@ func (k *Kernel) Fork() (*Kernel, error) {
 	for name, m := range k.modules {
 		nk.modules[name] = m.cloneFor(nk)
 	}
-	for _, c := range k.cpus {
-		nk.cpus = append(nk.cpus, c.CloneFor(nk.AS, nk.natives))
+	// vCPUs clone lazily (Kernel.CPU): a run that touches one vCPU of a
+	// 20-vCPU machine pays for one clone. The template hands over its
+	// own vCPU where it exists and its template's where it does not, so
+	// a fork of a fork still clones from frozen state.
+	nk.cpus = make([]atomic.Pointer[cpu.CPU], len(k.cpus))
+	nk.cpuTmpl = make([]*cpu.CPU, len(k.cpus))
+	for i := range k.cpus {
+		if c := k.cpus[i].Load(); c != nil {
+			nk.cpuTmpl[i] = c
+		} else {
+			nk.cpuTmpl[i] = k.cpuTmpl[i]
+		}
 	}
 	return nk, nil
 }

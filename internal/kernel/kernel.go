@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"adelie/internal/cpu"
 	"adelie/internal/mm"
@@ -104,8 +105,13 @@ type Kernel struct {
 	// randomized placement.
 	regions []vaRegion
 
-	modules   map[string]*Module
-	cpus      []*cpu.CPU
+	modules map[string]*Module
+
+	// cpus holds the vCPUs. A booted kernel fills every slot; a fork
+	// fills slot i on first access by cloning cpuTmpl[i] (see CPU).
+	cpus    []atomic.Pointer[cpu.CPU]
+	cpuTmpl []*cpu.CPU
+
 	workqueue []workItem
 	isrs      map[int]isrEntry // IRQ line → {handler VA, affinity vCPU} (see irq.go)
 
@@ -219,7 +225,8 @@ func New(cfg Config) (*Kernel, error) {
 
 	k.registerCoreNatives()
 
-	for i := 0; i < cfg.NumCPUs; i++ {
+	k.cpus = make([]atomic.Pointer[cpu.CPU], cfg.NumCPUs)
+	for i := range k.cpus {
 		c := cpu.New(i, k.AS)
 		c.SetNatives(k.natives)
 		// All natives — including ones defined after boot — live inside
@@ -230,7 +237,7 @@ func New(cfg Config) (*Kernel, error) {
 			return nil, err
 		}
 		c.Regs[4] = stack // RSP
-		k.cpus = append(k.cpus, c)
+		k.cpus[i].Store(c)
 	}
 	return k, nil
 }
@@ -331,8 +338,32 @@ func (k *Kernel) Symbols() []string {
 	return out
 }
 
-// CPU returns vCPU i.
-func (k *Kernel) CPU(i int) *cpu.CPU { return k.cpus[i] }
+// CPU returns vCPU i. On a fork the vCPU is cloned from the frozen
+// template on first access; the fast path is a load and a nil check,
+// written to fit the compiler's inlining budget.
+func (k *Kernel) CPU(i int) (c *cpu.CPU) {
+	if c = k.cpus[i].Load(); c == nil {
+		return k.materializeCPU(i)
+	}
+	return
+}
+
+// materializeCPU clones vCPU i from its template. The clone is a pure
+// function of the frozen template and this kernel's address space, so
+// when two callers race the loser's copy is dropped and both see the
+// winner's.
+func (k *Kernel) materializeCPU(i int) *cpu.CPU {
+	c := k.cpuTmpl[i].CloneFor(k.AS, k.natives)
+	if k.cpus[i].CompareAndSwap(nil, c) {
+		return c
+	}
+	return k.cpus[i].Load()
+}
+
+// LoadedCPU returns vCPU i if it already exists, or nil if it is a
+// fork's vCPU that nothing has touched yet. Callers that only reset
+// per-vCPU state a fresh clone never has use it to avoid cloning.
+func (k *Kernel) LoadedCPU(i int) *cpu.CPU { return k.cpus[i].Load() }
 
 // NumCPUs returns the configured CPU count.
 func (k *Kernel) NumCPUs() int { return len(k.cpus) }

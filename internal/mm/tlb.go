@@ -179,6 +179,13 @@ func (t *TLB) Translate(va uint64, access Access) (FrameID, PageFlags, bool, err
 // front cache starts empty (it is a pure lookup accelerator and never
 // affects accounting). If a shootdown invalidated the cached set, the
 // clone starts empty like the template would at its next access.
+//
+// A fork clones its vCPUs lazily, so as may have moved on since the
+// fork. Cloning later is equivalent to cloning at the fork and running
+// on: translations of resident pages change only by Unmap or Protect,
+// both bump the generation, and a clone whose generation is stale
+// starts empty with the template's generation, so its first Entry
+// flushes and counts exactly as the earlier copy's would.
 func (t *TLB) CloneFor(as *AddressSpace) *TLB {
 	nt := &TLB{
 		as:      as,

@@ -260,6 +260,10 @@ func TestBadParams400(t *testing.T) {
 		{"non-integer", RunRequest{Experiment: "fig9", Params: map[string]any{"ops": "many"}}, "/v1/run", "not an integer"},
 		{"fractional", RunRequest{Experiment: "fig9", Params: map[string]any{"ops": 1.5}}, "/v1/run", "not an integer"},
 		{"sweep without range", RunRequest{Experiment: "fig9", Params: map[string]any{"ops": "100"}}, "/v1/sweep", "needs exactly one range"},
+		{"ops below 1", RunRequest{Experiment: "server", Params: map[string]any{"ops": -5}}, "/v1/run", `\"ops\": -5 is out of range`},
+		{"queues above max", RunRequest{Experiment: "server", Params: map[string]any{"queues": 100}}, "/v1/run", `\"queues\": 100 is out of range`},
+		{"workers above vCPUs", RunRequest{Experiment: "server", Params: map[string]any{"workers": 21}}, "/v1/run", `\"workers\": 21 is out of range`},
+		{"sweep point out of range", RunRequest{Experiment: "fig9", Params: map[string]any{"ops": "0..50:25"}}, "/v1/sweep", `\"ops\": 0 is out of range`},
 	} {
 		status, body := post(t, ts.URL+tc.path, tc.req)
 		if status != http.StatusBadRequest {

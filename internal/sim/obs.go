@@ -26,14 +26,19 @@ func (m *Machine) AttachObs(tr *obs.Tracer, prof *obs.Profiler) {
 
 // installProfiler points every vCPU's sample hook at p's lanes (or
 // clears the hooks when p is nil). Each vCPU gets its own single-writer
-// lane, so concurrent sampling needs no locks on the hot path.
+// lane, so concurrent sampling needs no locks on the hot path. Clearing
+// skips a fork's untouched vCPUs: a fresh clone has no sampler, so
+// cloning one only to clear it would be wasted work. Installing covers
+// every vCPU, so vCPUs that only run ISRs are sampled too.
 func (m *Machine) installProfiler(p *obs.Profiler) {
 	for i := 0; i < m.K.NumCPUs(); i++ {
-		c := m.K.CPU(i)
 		if p == nil {
-			c.SetSampler(0, nil)
+			if c := m.K.LoadedCPU(i); c != nil {
+				c.SetSampler(0, nil)
+			}
 			continue
 		}
+		c := m.K.CPU(i)
 		lane := p.NewLane()
 		c.SetSampler(p.Period(), func(va uint64) {
 			if n, ok := c.NativeTable()[va]; ok {

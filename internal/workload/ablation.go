@@ -255,7 +255,7 @@ var expAblation = &Experiment{
 	Figure: "Fig. 4 / §3.4 / §4.1",
 	Doc:    "design ablations: loader patching, SMR scheme, per-mechanism cost",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "ioctl calls per patching measurement", Default: 2000, Quick: 500},
+		{Name: "ops", Doc: "ioctl calls per patching measurement", Default: 2000, Quick: 500, Min: 1},
 		{Name: "mechops", Doc: "ioctl calls per mechanism measurement", Default: 6000, Quick: 1500},
 		{Name: "seed", Doc: "kernel seed for the patching ablation", Default: seedAblationPatching},
 		{Name: "smrseed", Doc: "kernel seed for the SMR ablation", Default: seedAblationSMR},

@@ -92,7 +92,7 @@ var expFig5a = &Experiment{
 	Figure: "Fig. 5a",
 	Doc:    "module memory footprint, vanilla vs PIC+retpoline",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "synthetic corpus modules sized alongside the driver suite", Default: 8},
+		{Name: "ops", Doc: "synthetic corpus modules sized alongside the driver suite", Default: 8, Min: 1},
 		{Name: "seed", Doc: "kernel boot seed", Default: seedFig5a},
 	},
 	Run: func(p Params) (*Table, error) {
@@ -217,7 +217,7 @@ var expFig5b = &Experiment{
 	Figure: "Fig. 5b",
 	Doc:    "dd cached-read microbenchmark across the §5.1 configs",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "dd reads per configuration point", Default: 1600, Quick: 200},
+		{Name: "ops", Doc: "dd reads per configuration point", Default: 1600, Quick: 200, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedFig5b},
 	},
 	Run: func(p Params) (*Table, error) {
@@ -324,7 +324,7 @@ var expFig5c = &Experiment{
 	Figure: "Fig. 5c",
 	Doc:    "sysbench file_io cached reads, sequential and random",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "file_io requests per configuration point", Default: 1200, Quick: 150},
+		{Name: "ops", Doc: "file_io requests per configuration point", Default: 1200, Quick: 150, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedFig5c},
 	},
 	Run: func(p Params) (*Table, error) {
@@ -430,7 +430,7 @@ var expFig5d = &Experiment{
 	Figure: "Fig. 5d",
 	Doc:    "kernbench kernel-space time of a compile-like syscall mix",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "compile jobs per configuration point", Default: 160, Quick: 20},
+		{Name: "ops", Doc: "compile jobs per configuration point", Default: 160, Quick: 20, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedFig5d},
 		{Name: "conc", Doc: "cap on the -j concurrency sweep", Default: 40},
 	},

@@ -136,7 +136,7 @@ var expFig6 = &Experiment{
 	Figure: "Fig. 6",
 	Doc:    "NVMe O_DIRECT 512B read throughput under re-randomization",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "direct reads per configuration", Default: 2400, Quick: 300},
+		{Name: "ops", Doc: "direct reads per configuration", Default: 2400, Quick: 300, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedFig6},
 	},
 	Run: func(p Params) (*Table, error) {
@@ -310,7 +310,7 @@ var expFig7 = &Experiment{
 	Figure: "Fig. 7",
 	Doc:    "mySQL OLTP transactions/s with E1000E+NVMe re-randomized",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "transactions per configuration point", Default: 400, Quick: 50},
+		{Name: "ops", Doc: "transactions per configuration point", Default: 400, Quick: 50, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedFig7},
 		{Name: "conc", Doc: "cap on the client-concurrency sweep", Default: 100},
 	},
@@ -500,7 +500,7 @@ var expFig8 = &Experiment{
 	Figure: "Fig. 8",
 	Doc:    "ApacheBench static file serving, five modules re-randomized",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "requests per configuration point", Default: 240, Quick: 30},
+		{Name: "ops", Doc: "requests per configuration point", Default: 240, Quick: 30, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedFig8},
 		{Name: "block", Doc: "cap on the served-file block-size sweep (bytes)", Default: 8192},
 		{Name: "conc", Doc: "cap on the client-concurrency sweep", Default: 100},
@@ -610,7 +610,7 @@ var expFig9 = &Experiment{
 	Figure: "Fig. 9",
 	Doc:    "IOCTL null-op throughput per mechanism variant (CPU-bound worst case)",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "ioctl calls per variant", Default: 24000, Quick: 3000},
+		{Name: "ops", Doc: "ioctl calls per variant", Default: 24000, Quick: 3000, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedFig9},
 	},
 	Run: func(p Params) (*Table, error) {

@@ -169,7 +169,7 @@ var expCoalesce = &Experiment{
 	Figure: "NIC sweep",
 	Doc:    "NIC interrupt coalescing: RX latency / IRQ rate / drops vs max-frames",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "server ops per coalescing configuration", Default: 960, Quick: 120},
+		{Name: "ops", Doc: "server ops per coalescing configuration", Default: 960, Quick: 120, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedCoalesce},
 		{Name: "delay", Doc: "coalescing delay cap (µs)", Default: 100},
 	},

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,5 +104,63 @@ func TestCheckOverrides(t *testing.T) {
 		if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("CheckOverrides(%v) = %v, want mention of %q", tc.overrides, err, tc.want)
 		}
+	}
+}
+
+func TestOverrideBounds(t *testing.T) {
+	// Values outside a parameter's Min/Max are rejected by both the
+	// per-experiment resolution (strict or not) and benchtool's up-front
+	// check, for plain values and for every point of a range.
+	for _, tc := range []struct {
+		exp, override string
+		want          string // "" = accepted
+	}{
+		{"server", "ops=-5", `"ops": -5 is out of range (>= 1)`},
+		{"server", "ops=0", `"ops": 0 is out of range`},
+		{"server", "ops=1", ""},
+		{"server", "queues=0", `"queues": 0 is out of range (1..8)`},
+		{"server", "queues=100", `"queues": 100 is out of range (1..8)`},
+		{"server", "queues=8", ""},
+		{"server", "workers=0", `"workers": 0 is out of range (1..20)`},
+		{"server", "workers=21", `"workers": 21 is out of range (1..20)`},
+		{"server", "workers=20", ""},
+		{"server", "queues=1..16", `"queues": 9 is out of range`},
+		{"fig9", "ops=0..100:25", `"ops": 0 is out of range`},
+		{"fig9", "ops=25..100:25", ""},
+		{"fig9", "seed=-3", ""}, // unbounded
+	} {
+		exp, ok := Experiments.Lookup(tc.exp)
+		if !ok {
+			t.Fatalf("%s not registered", tc.exp)
+		}
+		for _, strict := range []bool{true, false} {
+			_, _, _, err := exp.ResolveOverrides(true, []string{tc.override}, strict)
+			checkBoundsErr(t, fmt.Sprintf("%s ResolveOverrides(%s, strict=%v)", tc.exp, tc.override, strict), err, tc.want)
+		}
+		err := Experiments.CheckOverrides([]string{tc.exp}, []string{tc.override})
+		checkBoundsErr(t, fmt.Sprintf("%s CheckOverrides(%s)", tc.exp, tc.override), err, tc.want)
+	}
+}
+
+func checkBoundsErr(t *testing.T, what string, err error, want string) {
+	t.Helper()
+	switch {
+	case want == "" && err != nil:
+		t.Errorf("%s: %v, want accepted", what, err)
+	case want != "" && err == nil:
+		t.Errorf("%s: accepted, want error mentioning %s", what, want)
+	case want != "" && !strings.Contains(err.Error(), want):
+		t.Errorf("%s: %v, want mention of %s", what, err, want)
+	}
+}
+
+func TestParamsSetEnforcesBounds(t *testing.T) {
+	exp, _ := Experiments.Lookup("server")
+	p := exp.Params(true)
+	if err := p.Set("queues", 9); err == nil {
+		t.Fatal("Set accepted queues=9")
+	}
+	if got := p.Int("queues"); got != 4 {
+		t.Fatalf("rejected Set changed queues to %d", got)
 	}
 }

@@ -21,6 +21,35 @@ type ParamSpec struct {
 	// Quick, when nonzero, replaces Default under -quick. Seeds and other
 	// value-like params leave it zero; only work-size knobs shrink.
 	Quick int64 `json:"quick,omitempty"`
+	// Min and Max, when nonzero, bound the values the parameter accepts,
+	// inclusive; zero leaves that side open. Overrides outside the bounds
+	// are rejected before anything runs, and Default and Quick must lie
+	// inside them (Register checks).
+	Min int64 `json:"min,omitempty"`
+	Max int64 `json:"max,omitempty"`
+}
+
+// check reports the first of vals outside the spec's bounds.
+func (s ParamSpec) check(vals ...int64) error {
+	for _, v := range vals {
+		if (s.Min != 0 && v < s.Min) || (s.Max != 0 && v > s.Max) {
+			return fmt.Errorf("parameter %q: %d is out of range (%s)", s.Name, v, s.bounds())
+		}
+	}
+	return nil
+}
+
+// bounds renders the accepted interval ("1..8", ">= 1", "<= 8").
+func (s ParamSpec) bounds() string {
+	switch {
+	case s.Min != 0 && s.Max != 0:
+		return fmt.Sprintf("%d..%d", s.Min, s.Max)
+	case s.Min != 0:
+		return fmt.Sprintf(">= %d", s.Min)
+	case s.Max != 0:
+		return fmt.Sprintf("<= %d", s.Max)
+	}
+	return "any"
 }
 
 // Params is a resolved set of parameter values for one experiment run.
@@ -32,11 +61,15 @@ type Params struct {
 }
 
 // Set overrides one parameter by name, as benchtool's -p key=val does.
-// Unknown names are an error that lists what the experiment accepts.
+// Unknown names are an error that lists what the experiment accepts, and
+// so is a value outside the parameter's bounds.
 func (p Params) Set(name string, v int64) error {
-	if _, ok := p.vals[name]; !ok {
-		return fmt.Errorf("experiment %q has no parameter %q (has: %s)",
-			p.exp.Name, name, strings.Join(p.exp.paramNames(), ", "))
+	s, err := p.exp.spec(name)
+	if err != nil {
+		return err
+	}
+	if err := s.check(v); err != nil {
+		return err
 	}
 	p.vals[name] = v
 	return nil
@@ -141,6 +174,18 @@ func (p Params) String() string {
 		fmt.Fprintf(&b, "%s=%d", s.Name, p.vals[s.Name])
 	}
 	return b.String()
+}
+
+// spec returns the named parameter's declaration; an unknown name is an
+// error that lists what the experiment accepts.
+func (e *Experiment) spec(name string) (ParamSpec, error) {
+	for _, s := range e.ParamSpecs {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return ParamSpec{}, fmt.Errorf("experiment %q has no parameter %q (has: %s)",
+		e.Name, name, strings.Join(e.paramNames(), ", "))
 }
 
 func (e *Experiment) paramNames() []string {

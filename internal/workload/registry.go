@@ -64,7 +64,8 @@ func NewRegistry(exps ...*Experiment) *Registry {
 
 // Register adds one experiment. Registration is infallible or loud:
 // a malformed descriptor (duplicate or empty name, missing Run, invalid
-// quick scaling) panics at init time rather than surfacing mid-sweep.
+// quick scaling, a default or quick value outside its bounds) panics at
+// init time rather than surfacing mid-sweep.
 func (r *Registry) Register(e *Experiment) {
 	if e.Name == "" || e.Run == nil {
 		panic("workload: experiment needs a name and a Run function")
@@ -81,6 +82,14 @@ func (r *Registry) Register(e *Experiment) {
 		if s.Quick < 0 || (s.Quick != 0 && s.Quick > s.Default) {
 			panic(fmt.Sprintf("workload: experiment %q: param %q quick value %d not in (0, %d]",
 				e.Name, s.Name, s.Quick, s.Default))
+		}
+		if err := s.check(s.Default); err != nil {
+			panic(fmt.Sprintf("workload: experiment %q: default: %v", e.Name, err))
+		}
+		if s.Quick != 0 {
+			if err := s.check(s.Quick); err != nil {
+				panic(fmt.Sprintf("workload: experiment %q: quick value: %v", e.Name, err))
+			}
 		}
 		if strings.HasSuffix(s.Name, "seed") && s.Quick != 0 {
 			panic(fmt.Sprintf("workload: experiment %q: seed param %q must not quick-scale", e.Name, s.Name))

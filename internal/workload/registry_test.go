@@ -103,6 +103,10 @@ func TestRegistryRegisterRejectsBadDescriptors(t *testing.T) {
 		ParamSpecs: []ParamSpec{{Name: "ops", Default: 10, Quick: 20}}}, NewRegistry())
 	expectPanic("quick-scaled seed", &Experiment{Name: "x", Run: run,
 		ParamSpecs: []ParamSpec{{Name: "seed", Default: 10, Quick: 5}}}, NewRegistry())
+	expectPanic("default above max", &Experiment{Name: "x", Run: run,
+		ParamSpecs: []ParamSpec{{Name: "queues", Default: 10, Max: 8}}}, NewRegistry())
+	expectPanic("quick below min", &Experiment{Name: "x", Run: run,
+		ParamSpecs: []ParamSpec{{Name: "ops", Default: 10, Quick: 2, Min: 5}}}, NewRegistry())
 }
 
 func TestRegistrySuggestion(t *testing.T) {

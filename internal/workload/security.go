@@ -129,7 +129,7 @@ var expFig10 = &Experiment{
 	Figure: "Fig. 10",
 	Doc:    "ROP gadget distribution per class across code populations",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "synthetic corpus size scanned", Default: 120, Quick: 60},
+		{Name: "ops", Doc: "synthetic corpus size scanned", Default: 120, Quick: 60, Min: 1},
 	},
 	Run: func(p Params) (*Table, error) {
 		rows, err := GadgetDistribution(p.Int("ops"))
@@ -222,7 +222,7 @@ var expTable2 = &Experiment{
 	Figure: "Table 2",
 	Doc:    "ROP chain quality (NX-disable chains) across the module corpus",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "corpus modules classified per code model", Default: 400, Quick: 100},
+		{Name: "ops", Doc: "corpus modules classified per code model", Default: 400, Quick: 100, Min: 1},
 	},
 	Run: func(p Params) (*Table, error) {
 		n := p.Int("ops")

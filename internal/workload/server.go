@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"adelie/internal/cpu"
+	"adelie/internal/devices"
 	"adelie/internal/engine"
 	"adelie/internal/sim"
 )
@@ -186,10 +187,10 @@ var expServer = &Experiment{
 	Figure: "§5 server",
 	Doc:    "request/response server: multi-queue RSS NIC + NVMe completion IRQs under re-randomization",
 	ParamSpecs: []ParamSpec{
-		{Name: "ops", Doc: "requests per queue-count configuration", Default: 480, Quick: 60},
+		{Name: "ops", Doc: "requests per queue-count configuration", Default: 480, Quick: 60, Min: 1},
 		{Name: "seed", Doc: "machine boot seed", Default: seedServer},
-		{Name: "queues", Doc: "max NIC RX queues (rows sweep 1,2,4,… up to this)", Default: 4},
-		{Name: "workers", Doc: "concurrent server lanes", Default: 4},
+		{Name: "queues", Doc: "max NIC RX queues (rows sweep 1,2,4,… up to this)", Default: 4, Min: 1, Max: devices.MaxNICQueues},
+		{Name: "workers", Doc: "concurrent server lanes", Default: 4, Min: 1, Max: testbedCPUs},
 		{Name: "period_us", Doc: "re-randomization period (µs)", Default: 1000},
 	},
 	Run: func(p Params) (*Table, error) {

@@ -94,8 +94,12 @@ func bootMachine(c Config, seed int64, driverNames ...string) (*sim.Machine, err
 	return bootMachineQ(c, seed, 1, driverNames...)
 }
 
+// testbedCPUs is the vCPU count of every machine bootMachineQ builds:
+// the 20-core Table-1 server.
+const testbedCPUs = 20
+
 func bootMachineQ(c Config, seed int64, queues int, driverNames ...string) (*sim.Machine, error) {
-	m, err := sim.NewMachine(sim.Config{NumCPUs: 20, Seed: seed, KASLR: kaslrFor(c), NICQueues: queues})
+	m, err := sim.NewMachine(sim.Config{NumCPUs: testbedCPUs, Seed: seed, KASLR: kaslrFor(c), NICQueues: queues})
 	if err != nil {
 		return nil, err
 	}
