@@ -39,7 +39,7 @@ func (k *Kernel) Fork() (*Kernel, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 
-	src := newCountingSource(k.Cfg.Seed, k.randSrc.n)
+	src := &countingSource{seed: k.randSrc.seed, n: k.randSrc.n}
 	nk := &Kernel{
 		Cfg:      k.Cfg,
 		AS:       k.AS.Fork(k.AS.Phys().Fork()),

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,5 +90,61 @@ func TestConcurrentFirstUseYieldsOneVCPU(t *testing.T) {
 	}
 	if nk.CPU(3) != got[0] {
 		t.Fatal("the slot holds a different vCPU than every racer got")
+	}
+}
+
+// draws returns the next n values of src.
+func draws(src interface{ Int63() int64 }, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = src.Int63()
+	}
+	return out
+}
+
+// coldDraws returns draws skip+1 .. skip+n of a fresh source seeded with
+// seed: what a machine at stream position skip must draw next.
+func coldDraws(seed int64, skip, n int) []int64 {
+	src := rand.NewSource(seed)
+	draws(src, skip)
+	return draws(src, n)
+}
+
+func TestForkContinuesRNGStream(t *testing.T) {
+	k := newKernel(t, KASLRFull64)
+	k.Rand.Int63n(1 << 20) // move past boot's draws
+	n := int(k.randSrc.n)
+	if n == 0 {
+		t.Fatal("the kernel drew nothing")
+	}
+	fork := func(k *Kernel) *Kernel {
+		nk, err := k.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nk.AS.Phys().Release() })
+		if nk.randSrc.src != nil {
+			t.Fatal("Fork seeded a generator before the first draw")
+		}
+		return nk
+	}
+	idle := fork(k) // never draws
+	mid := fork(k)
+	leaf := fork(mid) // forked from a fork that has not drawn either
+
+	want := coldDraws(k.Cfg.Seed, n, 3)
+	for name, f := range map[string]*Kernel{"fork": mid, "fork of fork": leaf, "template": k} {
+		if got := draws(f.Rand, 3); !slices.Equal(got, want) {
+			t.Errorf("%s draws %v, want %v", name, got, want)
+		}
+	}
+	// A fork taken after its parent drew continues from the parent's
+	// new position.
+	late := fork(mid)
+	if got, want := draws(late.Rand, 2), coldDraws(k.Cfg.Seed, n+3, 2); !slices.Equal(got, want) {
+		t.Errorf("fork of a fork that drew draws %v, want %v", got, want)
+	}
+	if idle.randSrc.src != nil || idle.randSrc.n != uint64(n) {
+		t.Fatal("a fork that never drew seeded a generator or moved its position")
 	}
 }

@@ -123,45 +123,51 @@ type Kernel struct {
 
 	moduleRangeLo, moduleRangeHi uint64 // placement window for modules
 
-	// randSrc is the counting source under Rand; Fork replays its call
-	// count against a fresh source so the clone's random stream continues
-	// bit-exactly where the template's stopped.
+	// randSrc is the counting source under Rand. Fork copies its seed
+	// and draw count, so the clone's random stream continues bit-exactly
+	// where the template's stopped; the clone seeds a generator only
+	// when it first draws.
 	randSrc *countingSource
 }
 
-// countingSource wraps the seeded math/rand source and counts every
-// draw. Both Int63 and Uint64 advance the underlying generator state by
-// exactly one step, so "number of calls" fully determines the stream
-// position — which is all a fork needs to clone mid-stream RNG state.
+// countingSource is a math/rand source that counts every draw. Both
+// Int63 and Uint64 advance the underlying generator state by exactly one
+// step, so (seed, draws) fully determines the stream position. The
+// generator is seeded — and advanced to that position — on the first
+// draw, so a source copied at a fork that never draws costs nothing.
 type countingSource struct {
-	src rand.Source64
-	n   uint64
+	seed int64
+	n    uint64
+	src  rand.Source64 // nil until the first draw
+}
+
+// gen returns the generator at stream position n, seeding it first if
+// this source has not drawn yet.
+func (s *countingSource) gen() rand.Source64 {
+	if s.src == nil {
+		src := rand.NewSource(s.seed).(rand.Source64)
+		for i := uint64(0); i < s.n; i++ {
+			src.Uint64()
+		}
+		s.src = src
+	}
+	return s.src
 }
 
 func (s *countingSource) Int63() int64 {
+	v := s.gen().Int63()
 	s.n++
-	return s.src.Int63()
+	return v
 }
 
 func (s *countingSource) Uint64() uint64 {
+	v := s.gen().Uint64()
 	s.n++
-	return s.src.Uint64()
+	return v
 }
 
 func (s *countingSource) Seed(seed int64) {
-	s.src.Seed(seed)
-	s.n = 0
-}
-
-// newCountingSource seeds a fresh source and fast-forwards it by skip
-// draws.
-func newCountingSource(seed int64, skip uint64) *countingSource {
-	s := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	for i := uint64(0); i < skip; i++ {
-		s.src.Uint64()
-	}
-	s.n = skip
-	return s
+	s.seed, s.n, s.src = seed, 0, nil
 }
 
 type vaRegion struct{ lo, hi uint64 }
@@ -174,7 +180,7 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.NumCPUs > MaxCPUs {
 		return nil, fmt.Errorf("kernel: NumCPUs %d exceeds MaxCPUs %d (per-CPU driver arrays are sized for MaxCPUs)", cfg.NumCPUs, MaxCPUs)
 	}
-	src := newCountingSource(cfg.Seed, 0)
+	src := &countingSource{seed: cfg.Seed}
 	k := &Kernel{
 		Cfg:       cfg,
 		AS:        mm.NewAddressSpace(mm.NewPhysMem()),

@@ -245,3 +245,208 @@ func TestCOWAllocRecycleDetaches(t *testing.T) {
 	}
 	fp.Release()
 }
+
+// Page tables are shared copy-on-write: Fork hands the clone the
+// parent's tree, and whichever side writes first copies the tables on
+// its path. These tests pin that a write on one side is never visible on
+// the other.
+
+// mapping is one Lookup result.
+type mapping struct {
+	frame FrameID
+	flags PageFlags
+	ok    bool
+}
+
+// lookupAll resolves every va through as.
+func lookupAll(as *AddressSpace, vas []uint64) []mapping {
+	out := make([]mapping, len(vas))
+	for i, va := range vas {
+		f, fl, ok := as.Lookup(va)
+		out[i] = mapping{f, fl, ok}
+	}
+	return out
+}
+
+func sameMappings(t *testing.T, who string, want, got []mapping, vas []uint64) {
+	t.Helper()
+	for i := range vas {
+		if want[i] != got[i] {
+			t.Errorf("%s: va %#x maps %+v, want %+v", who, vas[i], got[i], want[i])
+		}
+	}
+}
+
+// ptVAs are three mapped pages (two neighbours and one in a distant
+// subtree) plus one unmapped page every test below writes into.
+var ptVAs = []uint64{KernelBase, KernelBase + PageSize, KernelBase + 1<<40, KernelBase + 2*PageSize}
+
+// ptParent maps ptVAs[0] writable, ptVAs[1] executable and ptVAs[2]
+// writable.
+func ptParent(t *testing.T) *AddressSpace {
+	t.Helper()
+	as := NewAddressSpace(NewPhysMem())
+	for i, fl := range []PageFlags{FlagWrite, FlagExec, FlagWrite} {
+		if _, err := as.MapRegion(ptVAs[i], 1, fl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return as
+}
+
+// scribble maps ptVAs[3], unmaps ptVAs[0] and makes ptVAs[1] read-only.
+func scribble(t *testing.T, as *AddressSpace) {
+	t.Helper()
+	if err := as.Map(ptVAs[3], as.Phys().Alloc(), FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.Unmap(ptVAs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Protect(ptVAs[1], 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPageTableForkWritesIsolated(t *testing.T) {
+	for _, writer := range []string{"fork", "parent"} {
+		t.Run(writer, func(t *testing.T) {
+			parent := ptParent(t)
+			fork := parent.Fork(parent.Phys().Fork())
+			defer fork.Phys().Release()
+			before := lookupAll(parent, ptVAs)
+			w, r := fork, parent
+			if writer == "parent" {
+				w, r = parent, fork
+			}
+			gen := r.Generation()
+			scribble(t, w)
+			sameMappings(t, "reader", before, lookupAll(r, ptVAs), ptVAs)
+			if r.MappedPages() != 3 || w.MappedPages() != 3 {
+				t.Fatalf("mapped pages: reader %d, writer %d, want 3 and 3", r.MappedPages(), w.MappedPages())
+			}
+			if r.Generation() != gen {
+				t.Fatal("the writer's unmap/protect bumped the reader's generation")
+			}
+			got := lookupAll(w, ptVAs)
+			if got[0].ok || !got[3].ok || got[1].flags != 0 || got[2] != before[2] {
+				t.Fatalf("writer's own mappings after its writes: %+v", got)
+			}
+			// The reader can still write the pages the writer changed.
+			if err := r.Protect(ptVAs[1], FlagWrite); err != nil {
+				t.Fatal(err)
+			}
+			if _, fl, _ := w.Lookup(ptVAs[1]); fl != 0 {
+				t.Fatalf("reader's protect leaked into the writer: %v", fl)
+			}
+		})
+	}
+}
+
+func TestPageTableForkReclaimKeepsParentTable(t *testing.T) {
+	// ptVAs[2] is alone in its level-1 subtree: unmapping it in the fork
+	// empties and reclaims three interior tables of the fork's tree.
+	parent := ptParent(t)
+	fork := parent.Fork(parent.Phys().Fork())
+	defer fork.Phys().Release()
+	if _, err := fork.Unmap(ptVAs[2]); err != nil {
+		t.Fatal(err)
+	}
+	ix := indexes(ptVAs[2])
+	if e := fork.root.entries[ix[0]]; e == nil || e.child.entries[ix[1]] != nil {
+		t.Fatal("the fork did not reclaim the emptied subtree")
+	}
+	if f, _, ok := parent.Lookup(ptVAs[2]); !ok || f == NoFrame {
+		t.Fatal("the fork's reclaim removed the parent's mapping")
+	}
+	// The parent's interior tables are intact and still writable.
+	if err := parent.Map(ptVAs[2]+PageSize, parent.Phys().Alloc(), FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parent.Unmap(ptVAs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := fork.Lookup(ptVAs[2] + PageSize); ok {
+		t.Fatal("the parent's map in a shared subtree leaked into the fork")
+	}
+}
+
+func TestPageTableForkOfFork(t *testing.T) {
+	parent := ptParent(t)
+	mid := parent.Fork(parent.Phys().Fork())
+	defer mid.Phys().Release()
+	if err := mid.Protect(ptVAs[2], 0); err != nil {
+		t.Fatal(err)
+	}
+	leaf := mid.Fork(mid.Phys().Fork())
+	defer leaf.Phys().Release()
+	pBefore, mBefore := lookupAll(parent, ptVAs), lookupAll(mid, ptVAs)
+
+	scribble(t, leaf)
+	sameMappings(t, "parent after leaf writes", pBefore, lookupAll(parent, ptVAs), ptVAs)
+	sameMappings(t, "mid after leaf writes", mBefore, lookupAll(mid, ptVAs), ptVAs)
+	lBefore := lookupAll(leaf, ptVAs)
+
+	scribble(t, mid)
+	sameMappings(t, "parent after mid writes", pBefore, lookupAll(parent, ptVAs), ptVAs)
+	sameMappings(t, "leaf after mid writes", lBefore, lookupAll(leaf, ptVAs), ptVAs)
+	if _, fl, _ := leaf.Lookup(ptVAs[2]); fl != 0 {
+		t.Fatalf("leaf lost the protect mid made before the fork: %v", fl)
+	}
+}
+
+func TestPageTableConcurrentForks(t *testing.T) {
+	// Forks of one parent taken and written concurrently; run under -race.
+	parent := ptParent(t)
+	want := lookupAll(parent, ptVAs)
+	const forks = 8
+	var wg sync.WaitGroup
+	for n := 0; n < forks; n++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			f := parent.Fork(parent.Phys().Fork())
+			defer f.Phys().Release()
+			va := KernelBase + uint64(n+1)<<30 // a subtree of its own
+			for i := 0; i < 4; i++ {
+				if err := f.Map(va+uint64(i)*PageSize, f.Phys().Alloc(), FlagWrite); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := f.Protect(ptVAs[n%3], 0); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := f.Unmap(ptVAs[(n+1)%3]); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, fl, ok := f.Lookup(ptVAs[n%3]); !ok || fl != 0 {
+				t.Errorf("fork %d: protect not visible to itself", n)
+			}
+			if f.MappedPages() != 6 {
+				t.Errorf("fork %d maps %d pages, want 6", n, f.MappedPages())
+			}
+		}(n)
+	}
+	wg.Wait()
+	sameMappings(t, "parent", want, lookupAll(parent, ptVAs), ptVAs)
+	if parent.MappedPages() != 3 {
+		t.Fatalf("parent maps %d pages, want 3", parent.MappedPages())
+	}
+}
+
+func TestPageTableForkAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(npages int) float64 {
+		as := NewAddressSpace(NewPhysMem())
+		if _, err := as.MapRegion(KernelBase, npages, FlagWrite); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() { as.Fork(as.Phys()) })
+	}
+	small, large := allocs(1), allocs(4096)
+	if small != large {
+		t.Fatalf("AddressSpace.Fork allocates %v times with 1 page mapped, %v with 4096", small, large)
+	}
+}

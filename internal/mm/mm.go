@@ -403,10 +403,19 @@ type pte struct {
 	leaf  bool
 }
 
+// table is one page-table level. Tables are shared copy-on-write between
+// an address space and its forks: only the address space whose tag
+// equals owner may write one in place; every other sharer copies it first
+// (AddressSpace.writablePath). Ptes reachable from a shared table are
+// never written either — Protect installs a new leaf pte.
 type table struct {
 	entries [1 << levelBits]*pte
-	used    int // number of non-nil entries, for table reclamation
+	used    int    // number of non-nil entries, for table reclamation
+	owner   uint64 // tag of the address space that may write this table
 }
+
+// tags hands out address-space owner tags; 0 is never issued.
+var tags atomic.Uint64
 
 // AddressSpace is one virtual address space backed by 5-level page tables.
 // Mutating operations take the write lock; translations take the read
@@ -417,7 +426,8 @@ type AddressSpace struct {
 	root *table
 	phys *PhysMem
 	mmio []mmioRegion
-	cow  bool // forked machine: translations resolve frames via slots
+	cow  bool   // forked machine: translations resolve frames via slots
+	tag  uint64 // owner tag of the tables this address space writes in place
 
 	mapped     int           // currently mapped pages
 	gen        atomic.Uint64 // bumped on unmap/protect: TLB shootdown signal
@@ -426,7 +436,8 @@ type AddressSpace struct {
 
 // NewAddressSpace returns an empty address space over phys.
 func NewAddressSpace(phys *PhysMem) *AddressSpace {
-	return &AddressSpace{root: &table{}, phys: phys}
+	tag := tags.Add(1)
+	return &AddressSpace{root: &table{owner: tag}, phys: phys, tag: tag}
 }
 
 // Phys returns the physical memory this address space maps.
@@ -483,6 +494,52 @@ func (as *AddressSpace) walk(va uint64) *pte {
 	return e
 }
 
+// writablePath returns the tables on the path to the leaf for ix, root
+// first, each owned by as so the caller may write it in place. A table
+// as does not own is shared with a fork (or with the address space this
+// one was forked from): it is copied — one table per level, never the
+// subtree below it — and the copy installed in its parent. Missing
+// interior tables are created. Copying changes no translation, so it
+// bumps no generation. Caller holds as.mu for writing.
+func (as *AddressSpace) writablePath(ix *[numLevels]int) [numLevels]*table {
+	var path [numLevels]*table
+	if as.root.owner != as.tag {
+		as.root = as.root.copyFor(as.tag)
+	}
+	t := as.root
+	for i := 0; i < numLevels-1; i++ {
+		path[i] = t
+		e := t.entries[ix[i]]
+		switch {
+		case e == nil:
+			e = &pte{child: &table{owner: as.tag}}
+			t.entries[ix[i]] = e
+			t.used++
+		case e.child.owner != as.tag:
+			e = &pte{child: e.child.copyFor(as.tag)}
+			t.entries[ix[i]] = e
+		}
+		t = e.child
+	}
+	path[numLevels-1] = t
+	return path
+}
+
+// copyFor returns a copy of t owned by tag. The copy shares t's ptes and,
+// through them, its child tables. Tables are sparse, so it copies only
+// the used entries into a zeroed table: a whole-array copy would pay a
+// GC write barrier on every one of the 512 slots while a cycle runs.
+func (t *table) copyFor(tag uint64) *table {
+	nt := &table{used: t.used, owner: tag}
+	for i, n := 0, 0; n < t.used; i++ {
+		if e := t.entries[i]; e != nil {
+			nt.entries[i] = e
+			n++
+		}
+	}
+	return nt
+}
+
 // Map installs a translation for the page containing va. The address must
 // be page-aligned and not already mapped. W^X is enforced: requesting
 // Write|Exec together is rejected, mirroring the kernel policy Adelie
@@ -499,20 +556,11 @@ func (as *AddressSpace) Map(va uint64, frame FrameID, flags PageFlags) error {
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	t := as.root
-	ix := indexes(va)
-	for i := 0; i < numLevels-1; i++ {
-		e := t.entries[ix[i]]
-		if e == nil {
-			e = &pte{child: &table{}}
-			t.entries[ix[i]] = e
-			t.used++
-		}
-		t = e.child
-	}
-	if t.entries[ix[numLevels-1]] != nil {
+	if as.walk(va) != nil {
 		return fmt.Errorf("mm: Map: va %#x already mapped", va)
 	}
+	ix := indexes(va)
+	t := as.writablePath(&ix)[numLevels-1]
 	t.entries[ix[numLevels-1]] = &pte{frame: frame, flags: flags, leaf: true}
 	t.used++
 	as.mapped++
@@ -532,21 +580,13 @@ func (as *AddressSpace) Unmap(va uint64) (FrameID, error) {
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	t := as.root
-	ix := indexes(va)
-	var path [numLevels - 1]*table
-	for i := 0; i < numLevels-1; i++ {
-		path[i] = t
-		e := t.entries[ix[i]]
-		if e == nil || e.child == nil {
-			return NoFrame, fmt.Errorf("mm: Unmap: va %#x not mapped", va)
-		}
-		t = e.child
-	}
-	e := t.entries[ix[numLevels-1]]
-	if e == nil || !e.leaf {
+	e := as.walk(va)
+	if e == nil {
 		return NoFrame, fmt.Errorf("mm: Unmap: va %#x not mapped", va)
 	}
+	ix := indexes(va)
+	path := as.writablePath(&ix)
+	t := path[numLevels-1]
 	t.entries[ix[numLevels-1]] = nil
 	t.used--
 	as.mapped--
@@ -575,7 +615,9 @@ func (as *AddressSpace) Protect(va uint64, flags PageFlags) error {
 	if e == nil {
 		return fmt.Errorf("mm: Protect: va %#x not mapped", va)
 	}
-	e.flags = flags
+	// The leaf pte may be shared with a fork: install a new one.
+	ix := indexes(va)
+	as.writablePath(&ix)[numLevels-1].entries[ix[numLevels-1]] = &pte{frame: e.frame, flags: flags, leaf: true}
 	if flags&FlagExec != 0 {
 		as.phys.MarkExec(e.frame)
 	}
@@ -857,42 +899,30 @@ func (as *AddressSpace) RegisterMMIO(base uint64, npages int, handler MMIOHandle
 
 // Fork returns a copy-on-write clone of this address space over phys
 // (which must be the matching PhysMem.Fork result: the FrameID namespace
-// carries over verbatim). The clone gets deep-copied page tables — so
-// Map/Unmap/Protect diverge freely — and runs in COW mode: translations
+// carries over verbatim). Fork is O(1): the clone starts on the parent's
+// page-table tree, and parent and clone both take fresh owner tags, so
+// neither may write a table of the shared tree in place any more — the
+// first Map, Unmap or Protect on either side copies just the tables on
+// its path (writablePath). The clone runs in COW mode: translations
 // resolve frames through slots so post-fork writes are visible to every
 // cached entry. MMIO regions are copied with their handlers still
 // pointing at the template's devices; the bus clone rebinds them via
 // RebindMMIO.
 func (as *AddressSpace) Fork(phys *PhysMem) *AddressSpace {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	as.tag = tags.Add(1)
 	nas := &AddressSpace{
-		root:   cloneTable(as.root, numLevels-1),
+		root:   as.root,
 		phys:   phys,
 		mmio:   append([]mmioRegion(nil), as.mmio...),
 		cow:    true,
+		tag:    tags.Add(1),
 		mapped: as.mapped,
 	}
 	nas.gen.Store(as.gen.Load())
 	nas.shootdowns.Store(as.shootdowns.Load())
 	return nas
-}
-
-// cloneTable deep-copies a page-table subtree (depth counts the interior
-// levels remaining below this table).
-func cloneTable(t *table, depth int) *table {
-	nt := &table{used: t.used}
-	for i, e := range t.entries {
-		if e == nil {
-			continue
-		}
-		ne := &pte{frame: e.frame, flags: e.flags, leaf: e.leaf}
-		if depth > 0 && e.child != nil {
-			ne.child = cloneTable(e.child, depth-1)
-		}
-		nt.entries[i] = ne
-	}
-	return nt
 }
 
 // RebindMMIO replaces the handler of the MMIO region registered at base —

@@ -159,3 +159,23 @@ func TestForkLatency(t *testing.T) {
 		t.Fatalf("fork latency %v, want well under boot cost", per)
 	}
 }
+
+// BenchmarkFork measures the fork layer alone: one Fork plus Release of
+// the Fig. 9 machine shape (20 vCPUs, re-randomizable dummy driver with
+// stack re-randomization), the shape the sweep and service forks take.
+func BenchmarkFork(b *testing.B) {
+	m := newMachine(b)
+	loadDummy(b, m, true)
+	if err := m.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := m.Fork()
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Release()
+	}
+}

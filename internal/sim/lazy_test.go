@@ -258,7 +258,7 @@ func TestLazyCPUForkAllocBudget(t *testing.T) {
 	lazy := forkRunAlloc(t, tmpl, 10, false)
 	eager := forkRunAlloc(t, tmpl, 10, true)
 	t.Logf("bytes per fork+run: lazy %d, eager %d", lazy, eager)
-	const budget = 320 << 10
+	const budget = 160 << 10
 	if lazy > budget {
 		t.Fatalf("fork + one-worker run allocates %d bytes, budget %d (eager cloning: %d)", lazy, budget, eager)
 	}

@@ -10,7 +10,7 @@ import (
 	"adelie/internal/sim"
 )
 
-func newMachine(t *testing.T) *sim.Machine {
+func newMachine(t testing.TB) *sim.Machine {
 	t.Helper()
 	m, err := sim.NewMachine(sim.Config{NumCPUs: 20, Seed: 5, KASLR: kernel.KASLRFull64})
 	if err != nil {
@@ -19,7 +19,7 @@ func newMachine(t *testing.T) *sim.Machine {
 	return m
 }
 
-func loadDummy(t *testing.T, m *sim.Machine, rerand bool) {
+func loadDummy(t testing.TB, m *sim.Machine, rerand bool) {
 	t.Helper()
 	o := drivers.BuildOpts{PIC: true, Retpoline: true}
 	if rerand {
