@@ -261,14 +261,6 @@ func (c *CPU) RegisterNative(va uint64, n *Native) {
 	c.invalidateBlocks()
 }
 
-// ShareNatives makes this CPU dispatch to the same native table as other —
-// all vCPUs of a machine see one kernel.
-func (c *CPU) ShareNatives(other *CPU) {
-	c.natives = other.natives
-	c.nativeLo, c.nativeHi = other.nativeLo, other.nativeHi
-	c.invalidateBlocks()
-}
-
 // SetNatives installs a shared native dispatch table (the kernel's).
 // Natives the owner defines in the shared table later must fall inside
 // the range declared via SetNativeRange (the kernel's text region

@@ -152,18 +152,12 @@ func SetChaining(on bool) (was bool) {
 	return chainingEnabled.Swap(on)
 }
 
-// ChainingEnabled reports the current package-wide default.
-func ChainingEnabled() bool { return chainingEnabled.Load() }
-
 // SetIndirect sets the package-wide indirect-target-cache default for
 // subsequently created CPUs and reports the previous value. Like
 // SetChaining, existing vCPUs keep the mode they were created with.
 func SetIndirect(on bool) (was bool) {
 	return indirectEnabled.Swap(on)
 }
-
-// IndirectEnabled reports the current package-wide default.
-func IndirectEnabled() bool { return indirectEnabled.Load() }
 
 // chainLink records one resolved successor of a superblock exit (or of
 // the dispatch entry cache). It comes in two kinds:

@@ -164,14 +164,6 @@ func (n *NIC) ConnectVectors(lines []*bus.Line, now func() uint64) {
 	}
 }
 
-// ConnectIRQ wires a single line to queue 0 — the legacy IRQDevice
-// shape, kept for direct (non-bus) wiring in tests.
-func (n *NIC) ConnectIRQ(l *bus.Line, now func() uint64) {
-	n.mu.Lock()
-	n.queues[0].irq, n.clock = l, now
-	n.mu.Unlock()
-}
-
 // IRQLine returns the bus line number wired to queue 0 (-1 if none).
 func (n *NIC) IRQLine() int { return n.QueueIRQLine(0) }
 

@@ -276,10 +276,10 @@ func TestTLBHitMissFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	tlb := NewTLB(as)
-	if _, _, hit, err := tlb.Translate(va, AccessRead); err != nil || hit {
+	if _, hit, err := tlb.Entry(va, AccessRead); err != nil || hit {
 		t.Fatalf("first access: hit=%v err=%v, want miss", hit, err)
 	}
-	if _, _, hit, err := tlb.Translate(va+8, AccessRead); err != nil || !hit {
+	if _, hit, err := tlb.Entry(va+8, AccessRead); err != nil || !hit {
 		t.Fatalf("second access: hit=%v err=%v, want hit", hit, err)
 	}
 	// Unmapping elsewhere bumps the generation → next access flushes.
@@ -289,7 +289,7 @@ func TestTLBHitMissFlush(t *testing.T) {
 	if _, err := as.Unmap(va + PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, hit, err := tlb.Translate(va, AccessRead); err != nil || hit {
+	if _, hit, err := tlb.Entry(va, AccessRead); err != nil || hit {
 		t.Fatalf("post-shootdown access: hit=%v err=%v, want miss", hit, err)
 	}
 	hits, misses, flushes := tlb.Stats()
@@ -305,11 +305,11 @@ func TestTLBPermissionCheckOnHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	tlb := NewTLB(as)
-	if _, _, _, err := tlb.Translate(va, AccessRead); err != nil {
+	if _, _, err := tlb.Entry(va, AccessRead); err != nil {
 		t.Fatal(err)
 	}
 	// A cached translation must still reject a write.
-	if _, _, _, err := tlb.Translate(va, AccessWrite); err == nil {
+	if _, _, err := tlb.Entry(va, AccessWrite); err == nil {
 		t.Fatal("TLB hit must not bypass write protection")
 	}
 }
@@ -324,7 +324,7 @@ func TestTLBCapacityEviction(t *testing.T) {
 		if err := as.Map(va, as.Phys().Alloc(), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := tlb.Translate(va, AccessRead); err != nil {
+		if _, _, err := tlb.Entry(va, AccessRead); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,7 +457,7 @@ func BenchmarkTLBTranslate(b *testing.B) {
 	tlb := NewTLB(as)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := tlb.Translate(va, AccessRead); err != nil {
+		if _, _, err := tlb.Entry(va, AccessRead); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -162,13 +162,6 @@ func (t *TLB) StorePage(va uint64) ([]byte, bool) {
 	return fd.data[:], true
 }
 
-// Translate resolves va for the given access kind, returning the frame
-// and flags (compatibility form of Entry).
-func (t *TLB) Translate(va uint64, access Access) (FrameID, PageFlags, bool, error) {
-	e, hit, err := t.Entry(va, access)
-	return e.Frame, e.Flags, hit, err
-}
-
 // CloneFor returns a copy of this TLB resolving against as (the forked
 // address space of the machine the clone belongs to). The resident set,
 // FIFO insertion order and hit/miss/flush counters carry over, so the

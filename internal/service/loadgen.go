@@ -16,9 +16,8 @@ import (
 // The load generator: hammer a running adelie-simd with many concurrent
 // /v1/run requests over a pool of worker connections and report
 // throughput and tail latency — the stress_test companion the lease
-// servers in the roadmap's related repos ship. cmd/simload is the CLI
-// wrapper; benchtool's selfbench drives RunLoad in-process against an
-// httptest server to record service_rps / service_p99_us.
+// servers in related lease-server projects ship. cmd/simload is the CLI
+// wrapper.
 
 // LoadOpts configures one load run.
 type LoadOpts struct {

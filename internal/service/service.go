@@ -24,8 +24,7 @@
 //
 // The load generator in loadgen.go (cmd/simload) closes the loop: it
 // hammers a running daemon with thousands of concurrent requests and
-// reports rps and tail latency, the numbers benchtool's selfbench
-// records as service_rps / service_p99_us.
+// reports rps and tail latency.
 package service
 
 import (

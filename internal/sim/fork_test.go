@@ -136,9 +136,9 @@ func TestForkDriverStateIndependent(t *testing.T) {
 }
 
 func TestForkLatency(t *testing.T) {
-	// The tentpole perf target: forking is orders of magnitude cheaper
-	// than booting. The hard ≤1ms number is tracked by benchtool's
-	// selfbench (fork_us); here we only guard against gross regression.
+	// Forking is orders of magnitude cheaper than booting. Host fork
+	// time is measured by the repository benchmark (bench/, sim.fork_us);
+	// here we only guard against gross regression.
 	tmpl := newMachine(t)
 	loadDummy(t, tmpl, true)
 	if err := tmpl.Snapshot(); err != nil {

@@ -257,6 +257,33 @@ func TestISRDeliveryUnaffectedByChaining(t *testing.T) {
 	}
 }
 
+// TestDDChainRate pins the dd hot path's trace-link rates: nearly every
+// retired basic block must be entered through a followed link, and a
+// share of them through the monomorphic indirect target cache. The
+// figures stay identical with linking off, so only these counters show
+// the hot path falling back to the dispatch loop. Both rates are
+// simulator counts, the same on every host (measured: 99.98% chained,
+// 8.86% via the indirect cache).
+func TestDDChainRate(t *testing.T) {
+	wasChain, wasIndirect := cpu.SetChaining(true), cpu.SetIndirect(true)
+	t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
+	dd, err := DD(CfgPICRet, 64, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dd.Blocks == 0 {
+		t.Fatal("dd retired no superblocks")
+	}
+	chain := 100 * float64(dd.ChainedBlocks) / float64(dd.Blocks)
+	ichain := 100 * float64(dd.IndirectChained) / float64(dd.Blocks)
+	if chain < 99.9 {
+		t.Errorf("chained blocks = %.2f%% of %d, want >= 99.9%%", chain, dd.Blocks)
+	}
+	if ichain < 5 {
+		t.Errorf("indirect-chained blocks = %.2f%% of %d, want >= 5%%", ichain, dd.Blocks)
+	}
+}
+
 // TestCoalescingSweepDistinct: the acceptance property — the max-frames
 // sweep produces *distinct* RX-latency/IRQ/drop curves, not one curve
 // relabeled. Latency must rise monotonically with the threshold and the

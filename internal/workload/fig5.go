@@ -128,9 +128,9 @@ var expFig5a = &Experiment{
 // Fig. 5b — dd buffer-cache read microbenchmark.
 
 // DDRow is one point of Fig. 5b. Blocks/ChainedBlocks/IndirectChained
-// report the interpreter's superblock counters for the run (selfbench's
-// chain-rate metrics); they ride along and are not part of the rendered
-// figure.
+// report the interpreter's superblock counters for the run (the chain
+// rates TestDDChainRate pins); they ride along and are not part of the
+// rendered figure.
 type DDRow struct {
 	Config          Config
 	BlockKB         int

@@ -45,14 +45,10 @@ const (
 	seedFig9 int64 = 901
 )
 
-// NVMeDirectRead reproduces the §5.2 NVMe experiment: the same 512-byte
+// nvmeDirectRead reproduces the §5.2 NVMe experiment: the same 512-byte
 // block is read through the driver in a tight loop with O_DIRECT/O_SYNC
 // semantics, hitting the controller's DRAM cache to minimize I/O wait.
 // vanilla=true runs the non-rerandomizable (plain Linux) driver build.
-func NVMeDirectRead(period RerandPeriod, vanilla bool, ops int) (NVMeRow, error) {
-	return nvmeDirectRead(seedFig6, period, vanilla, ops)
-}
-
 func nvmeDirectRead(seed int64, period RerandPeriod, vanilla bool, ops int) (NVMeRow, error) {
 	cfg := CfgRerandStack
 	if vanilla {

@@ -137,12 +137,6 @@ func nicCoalesceSeeded(seed int64, maxFrames int, delayUs float64, ops int) (Coa
 	return row, res, m, nil
 }
 
-// NICCoalesce measures one coalescing configuration.
-func NICCoalesce(maxFrames int, delayUs float64, ops int) (CoalesceRow, error) {
-	row, _, _, err := nicCoalesceRun(maxFrames, delayUs, ops)
-	return row, err
-}
-
 // CoalesceMaxFrames is the sweep of the acceptance experiment.
 var CoalesceMaxFrames = []int{1, 4, 16}
 

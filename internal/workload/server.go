@@ -161,8 +161,7 @@ func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRo
 	return row, res, m, nil
 }
 
-// Server measures one server configuration (benchtool selfbench rides
-// this for the request/response wall-clock and headline metrics).
+// Server measures one server configuration.
 func Server(queues, workers, ops int, periodUs float64) (ServerRow, error) {
 	row, _, _, err := serverRun(seedServer, queues, workers, ops, periodUs)
 	return row, err

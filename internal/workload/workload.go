@@ -81,14 +81,6 @@ func newMachineQ(c Config, seed int64, queues int, driverNames ...string) (*sim.
 	return m, err
 }
 
-// NewBenchMachine is the exported machine factory for harness
-// benchmarks (benchtool selfbench measures snapshot/fork latency on the
-// same machine shape the figures boot). It behaves exactly like the
-// experiments' internal factory, fork pool included.
-func NewBenchMachine(c Config, seed int64, driverNames ...string) (*sim.Machine, error) {
-	return newMachine(c, seed, driverNames...)
-}
-
 // bootMachine cold-boots a testbed and loads the listed drivers.
 func bootMachine(c Config, seed int64, driverNames ...string) (*sim.Machine, error) {
 	return bootMachineQ(c, seed, 1, driverNames...)
