@@ -14,6 +14,8 @@
 //	benchtool -json FILE run all       # structured Table JSON per figure
 //	benchtool -csv FILE run all        # long-form CSV, one line per cell
 //	benchtool validate FILE            # parse-check a -json record
+//	benchtool -cpuprofile cpu.pprof -memprofile mem.pprof run server
+//	                                   # host pprof profiles of the run
 //
 // A -p value may be a range "lo..hi[:step]" (step defaults to 1): the
 // experiment runs once per point, producing one table per point. With
@@ -37,6 +39,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,6 +72,8 @@ func main() {
 	parallel := flag.Bool("parallel", false, "run -p range sweeps fork-parallel (snapshot/fork boot pool + worker fan-out)")
 	tracePath := flag.String("trace", "", "record the run's deterministic event trace as Chrome trace_event JSON at FILE (open in Perfetto)")
 	profPath := flag.String("prof", "", "sample the guest on the virtual clock; write collapsed stacks to FILE and a flat table to stdout")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile (pprof) of the experiment runs to FILE")
+	memProfile := flag.String("memprofile", "", "write a host heap profile (pprof) to FILE after the experiment runs")
 	var overrides paramFlags
 	flag.Var(&overrides, "p", "override an experiment parameter (key=val or key=lo..hi[:step], repeatable)")
 	flag.Parse()
@@ -109,7 +114,16 @@ func main() {
 		}
 	}
 	// Anything else: experiment names directly (the historical spelling).
-	if err := runExperiments(args, overrides, *quick, *jsonPath, *csvPath, *parallel, *tracePath, *profPath); err != nil {
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtool: %v\n", err)
+		os.Exit(1)
+	}
+	err = runExperiments(args, overrides, *quick, *jsonPath, *csvPath, *parallel, *tracePath, *profPath)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtool: %v\n", err)
 		var bad badOverrides
 		if errors.As(err, &bad) {
@@ -120,7 +134,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: benchtool [-quick] [-parallel] [-p key=val|key=lo..hi[:step]]... [-json FILE] [-csv FILE] [-trace FILE] [-prof FILE] <command>
+	fmt.Fprintln(os.Stderr, `usage: benchtool [-quick] [-parallel] [-p key=val|key=lo..hi[:step]]... [-json FILE] [-csv FILE] [-trace FILE] [-prof FILE] [-cpuprofile FILE] [-memprofile FILE] <command>
 commands:
   list                list registered experiments and their parameters
   run <name...|all>   run experiments by registry name (also: bare names)
@@ -128,6 +142,44 @@ commands:
   report FILE         render a -json figure record as Markdown (EXPERIMENTS.md)
 experiments:`)
 	fmt.Fprintf(os.Stderr, "  %s all\n", strings.Join(workload.Experiments.Names(), " "))
+}
+
+// startProfiles starts the host CPU profile when cpuPath is set and
+// returns the function that stops it and, when memPath is set, writes
+// the heap profile after a GC. Both files are pprof format (go tool
+// pprof); they profile the simulator itself, not the guest (-prof).
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // list prints the registry: one line per experiment plus its params.

@@ -85,3 +85,26 @@ func TestValidateSchemaMismatch(t *testing.T) {
 		t.Error("validate accepted an experiment without a table")
 	}
 }
+
+// TestStartProfilesWritesPprof: -cpuprofile and -memprofile each write
+// a gzip-compressed pprof file once the run's profiles are stopped.
+func TestStartProfilesWritesPprof(t *testing.T) {
+	dir := t.TempDir()
+	cpuPath, memPath := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stop, err := startProfiles(cpuPath, memPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpuPath, memPath} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("%s is not a gzip-compressed pprof profile (%d bytes)", filepath.Base(p), len(b))
+		}
+	}
+}

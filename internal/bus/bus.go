@@ -16,15 +16,16 @@
 // during a round (a doorbell write on one vCPU can make a peer NIC
 // assert), but lines are only *delivered* — ISRs only run — at the
 // engine's barrier-synchronized clock boundaries, with every vCPU
-// quiescent, in ascending line order. Raising is a commutative
+// quiescent, in (routed vCPU, line) order. Raising is a commutative
 // set-union operation (the set of lines pending at the barrier does not
 // depend on host scheduling within the round), so delivery order, ISR
 // side effects and every RunResult derived from them are deterministic.
 package bus
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -370,21 +371,23 @@ func (ic *IntController) raise(line int, pendingSince uint64) {
 	}
 }
 
-// TakePending atomically drains the pending set, sorted by line number —
-// the deterministic delivery order.
-func (ic *IntController) TakePending() []PendingIRQ {
+// TakePending atomically drains the pending set, appending it to dst
+// sorted by line number — the deterministic delivery order — and
+// returns the extended slice. The engine passes its window buffer back
+// in each time, so draining allocates nothing once the buffer has grown.
+func (ic *IntController) TakePending(dst []PendingIRQ) []PendingIRQ {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
 	if len(ic.pending) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]PendingIRQ, 0, len(ic.pending))
+	n := len(dst)
 	for line, since := range ic.pending {
-		out = append(out, PendingIRQ{Line: line, Since: since, VCPU: ic.routes[line]})
+		dst = append(dst, PendingIRQ{Line: line, Since: since, VCPU: ic.routes[line]})
 	}
 	clear(ic.pending)
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
-	return out
+	slices.SortFunc(dst[n:], func(a, b PendingIRQ) int { return cmp.Compare(a.Line, b.Line) })
+	return dst
 }
 
 // traceCap bounds the delivery trace: counters carry the aggregate

@@ -131,14 +131,14 @@ func TestControllerCoalescesAndOrders(t *testing.T) {
 	ic.raise(l1, 500)
 	ic.raise(l0, 900)
 	ic.raise(l1, 300) // earlier work: Since must drop to 300
-	p := ic.TakePending()
+	p := ic.TakePending(nil)
 	if len(p) != 2 || p[0].Line != l0 || p[1].Line != l1 {
 		t.Fatalf("pending = %+v", p)
 	}
 	if p[0].Since != 900 || p[1].Since != 300 {
 		t.Fatalf("since = %d,%d, want 900,300", p[0].Since, p[1].Since)
 	}
-	if ic.TakePending() != nil {
+	if len(ic.TakePending(nil)) != 0 {
 		t.Fatal("pending not drained")
 	}
 	if ic.Raised(l1) != 2 {
@@ -153,10 +153,10 @@ func TestControllerLatencyAndTrace(t *testing.T) {
 	ic := NewIntController()
 	l := ic.addLine()
 	ic.raise(l, 100)
-	p := ic.TakePending()[0]
+	p := ic.TakePending(nil)[0]
 	ic.NoteDelivered(p, 400, true)
 	ic.raise(l, 1000)
-	p = ic.TakePending()[0]
+	p = ic.TakePending(nil)[0]
 	ic.NoteDelivered(p, 1000, false)
 	if ic.Delivered(l) != 1 || ic.Spurious(l) != 1 {
 		t.Fatalf("delivered=%d spurious=%d", ic.Delivered(l), ic.Spurious(l))

@@ -1,6 +1,7 @@
 package devices
 
 import (
+	"bytes"
 	"testing"
 
 	"adelie/internal/mm"
@@ -68,6 +69,52 @@ func TestNVMeWriteThenRead(t *testing.T) {
 	got, _ := as.ReadBytes(buf2, 10)
 	if string(got) != "persist me" {
 		t.Fatalf("read back %q", got)
+	}
+}
+
+// TestNVMeReadDMAReusesNoStaleBytes: read DMA stages through a buffer
+// the controller reuses from command to command. A full read followed
+// by a read of a short block and an absent LBA must deliver the short
+// block and then zeros, with no byte of the first command left over.
+func TestNVMeReadDMAReusesNoStaleBytes(t *testing.T) {
+	as, base := testAS(t)
+	d := NewNVMe(as)
+	sq, cq, buf, buf2 := base, base+0x1000, base+0x2000, base+0x3000
+	d.MMIOWrite(NVMeRegSQBase, sq)
+	d.MMIOWrite(NVMeRegCQBase, cq)
+	full := bytes.Repeat([]byte{0xAA}, 512)
+	for lba := uint64(20); lba < 24; lba++ {
+		d.Preload(lba, full)
+	}
+	d.Preload(9, []byte("server block"))
+	read := func(lba, count, dst uint64) []byte {
+		t.Helper()
+		if err := as.WriteBytes(sq, EncodeSQEntry(NVMeCmdRead, lba, count, dst)); err != nil {
+			t.Fatal(err)
+		}
+		d.MMIOWrite(NVMeRegDoorbell, 0)
+		got, err := as.ReadBytes(dst, int(count))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := read(20, 2048, buf); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, 2048)) {
+		t.Fatalf("first read delivered %x…, want 2048 × aa", got[:16])
+	}
+	// The second command's guest buffer starts non-zero, so zeros in it
+	// can only come from the DMA.
+	if err := as.WriteBytes(buf2, bytes.Repeat([]byte{0x55}, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 1024)
+	copy(want, "server block")
+	if got := read(9, 1024, buf2); !bytes.Equal(got, want) {
+		i := 0
+		for got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("second read byte %d = %#x, want %#x (short block, then zeros)", i, got[i], want[i])
 	}
 }
 

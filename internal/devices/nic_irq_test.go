@@ -52,7 +52,7 @@ func TestNICAssertsPerFrameByDefault(t *testing.T) {
 		t.Fatalf("IRQsAsserted = %d", n.IRQsAsserted)
 	}
 	// All three raises coalesce into one pending delivery.
-	if p := b.IC().TakePending(); len(p) != 1 || p[0].Line != line {
+	if p := b.IC().TakePending(nil); len(p) != 1 || p[0].Line != line {
 		t.Fatalf("pending = %+v", p)
 	}
 }
@@ -87,7 +87,7 @@ func TestNICCoalescingDelayFlushOnTick(t *testing.T) {
 		t.Fatalf("asserted before delay: %d", got)
 	}
 	n.Tick(1500, false)
-	p := b.IC().TakePending()
+	p := b.IC().TakePending(nil)
 	if len(p) != 1 || p[0].Since != 1000 {
 		t.Fatalf("pending = %+v, want since=1000", p)
 	}

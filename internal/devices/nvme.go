@@ -11,7 +11,7 @@ package devices
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 
 	"adelie/internal/bus"
@@ -75,6 +75,8 @@ type NVMe struct {
 	pendingTouch []uint64        // cache insertions buffered this epoch
 	pendingSet   map[uint64]bool // dedup for pendingTouch
 
+	dma []byte // read-DMA staging buffer, reused under mu (not cloned)
+
 	// Completion-interrupt state (bus.IRQDevice). The interrupt is
 	// disabled until the driver writes NVMeRegIntCtl=1; the legacy
 	// polled-CQ driver never does, so the controller raises nothing for
@@ -134,7 +136,10 @@ func (d *NVMe) EndEpoch() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.epoch = false
-	sort.Slice(d.pendingTouch, func(i, j int) bool { return d.pendingTouch[i] < d.pendingTouch[j] })
+	if len(d.pendingTouch) == 0 {
+		return
+	}
+	slices.Sort(d.pendingTouch)
 	for _, lba := range d.pendingTouch {
 		d.insertCache(lba)
 	}
@@ -209,21 +214,23 @@ func (d *NVMe) process(slot uint64) {
 			latency = NVMeCacheLatency
 		}
 		d.touchCache(lba)
-		// DMA the block(s) into the host buffer.
-		data := make([]byte, count)
+		// DMA the block(s) into the host buffer, staged in the reused
+		// buffer: cleared first, so absent blocks read as zeros.
+		d.dma = slices.Grow(d.dma[:0], int(count))[:count]
+		clear(d.dma)
 		for i := uint64(0); i < count; i += 512 {
 			if blk, ok := d.media[lba+i/512]; ok {
-				copy(data[i:min64(i+512, count)], blk)
+				copy(d.dma[i:min(i+512, count)], blk)
 			}
 		}
-		_ = d.as.WriteBytesForce(buf, data)
+		_ = d.as.WriteBytesForce(buf, d.dma)
 	case NVMeCmdWrite:
 		d.Writes++
 		data, err := d.as.ReadBytes(buf, int(count))
 		if err == nil {
 			for i := uint64(0); i < count; i += 512 {
 				blk := make([]byte, 512)
-				copy(blk, data[i:min64(i+512, count)])
+				copy(blk, data[i:min(i+512, count)])
 				d.media[lba+i/512] = blk
 			}
 		}
@@ -278,13 +285,6 @@ func (d *NVMe) insertCache(lba uint64) {
 	}
 	d.cachedLBA[lba] = true
 	d.cacheFIFO = append(d.cacheFIFO, lba)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ReadBlockDirect is a host-side helper mirroring what the driver's DMA

@@ -169,7 +169,7 @@ func TestNICNapiISRDrainsRing(t *testing.T) {
 	if m.NIC.IRQsAsserted != 5 {
 		t.Fatalf("asserts = %d, want 5", m.NIC.IRQsAsserted)
 	}
-	for _, p := range m.Bus.IC().TakePending() {
+	for _, p := range m.Bus.IC().TakePending(nil) {
 		handled, err := m.K.DispatchIRQ(m.K.CPU(0), p.Line)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestNICISRSurvivesRerand(t *testing.T) {
 	}
 	m.K.SMR.Flush()
 	m.NIC.Deliver([]byte("post-move"))
-	for _, p := range m.Bus.IC().TakePending() {
+	for _, p := range m.Bus.IC().TakePending(nil) {
 		if handled, err := m.K.DispatchIRQ(m.K.CPU(0), p.Line); err != nil || !handled {
 			t.Fatalf("post-move dispatch = (%v, %v)", handled, err)
 		}

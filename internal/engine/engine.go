@@ -26,22 +26,27 @@
 // bus, lines raised by devices during a round (NIC RX coalescing, see
 // internal/bus) are delivered only here, at the round barrier: after the
 // accounting pass, the engine publishes the virtual clock to the bus,
-// ticks coalescing timers, and drains the pending vector set grouped by
-// routed target vCPU — each target lane dispatches the lines routed to
-// it in ascending line order, concurrently across lanes, and the
-// delivery trace plus all accounting are then committed in (vCPU, line)
-// order after every lane joins. A machine whose vectors all route to
-// vCPU 0 (the default) takes the sequential single-lane path, which is
-// bit-identical to the pre-vector-table engine. Because raising is
-// commutative, routes only change between rounds, and delivery is
-// barrier-serialized with deterministic commit order, interrupt side
+// ticks coalescing timers, drains the pending vector set and dispatches
+// it serially on the barrier goroutine in (vCPU, line) order — the lines
+// routed to one vCPU form a group run on that vCPU's cpu.CPU — then
+// commits the delivery trace and all accounting in the same order.
+// Groups run on disjoint vCPUs, so serial dispatch is one valid schedule
+// of running them concurrently, and the faster one: a window holds a few
+// µs of ISR work, and the goroutine per target vCPU per barrier that ran
+// groups concurrently cost more in spawns and stack growth than it
+// overlapped (see the README's interrupt contract for the measurement).
+// A machine whose vectors all route to vCPU 0 (the default) dispatches
+// one group, bit-identical to the pre-vector-table engine. Because
+// raising is commutative, routes only change between rounds, and
+// delivery is barrier-serialized in a fixed order, interrupt side
 // effects — ISR cycles, ring drains, driver counters — are
 // bit-reproducible no matter how the host scheduled the round's lanes.
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -155,6 +160,19 @@ type Engine struct {
 	devObs  []engineDevObs
 	tlbPrev []uint64
 	cowPrev int64
+
+	// Interrupt-window buffers, reused from window to window so a
+	// barrier allocates nothing once they have grown.
+	pending []bus.PendingIRQ
+	dels    []delivery
+}
+
+// delivery is one ISR dispatch's outcome, committed after its window's
+// dispatch loop.
+type delivery struct {
+	handled bool
+	cycles  uint64
+	err     error
 }
 
 // engineDevObs is one StatSource device under delta sampling. prev is
@@ -264,7 +282,7 @@ func (e *Engine) Run(cfg RunConfig, op OpFunc) (RunResult, error) {
 					for _, m := range e.R.Modules() {
 						names = append(names, m.Name)
 					}
-					sort.Strings(names)
+					slices.Sort(names)
 					e.tr.Lane(trRerand).Emit(obs.Event{
 						Clk: uint64(clk.NowUs() * (CPUHz / 1e6)), Dur: rep.Cycles,
 						Track: trRerand, Kind: obs.KindRerand, Name: "rerand epoch",
@@ -521,14 +539,12 @@ func (e *Engine) traceRound(clk *Clock, laps []lap) {
 
 // serviceIRQs runs the barrier interrupt window: publish the virtual
 // clock to the bus, tick coalescing timers, and drain the pending
-// vector set grouped by routed target vCPU. Every target lane
-// dispatches its lines in ascending line order on its own cpu.CPU —
-// concurrently when the round's vectors route to more than one lane —
-// and the delivery trace, counters and per-lane accounting are
-// committed in (vCPU, line) order only after all lanes join, so the
-// result is independent of host scheduling. With force set (end of
-// measurement) it loops until the pending set is empty, so an ISR whose
-// unmask re-asserts the line still drains before metrics derive.
+// vector set grouped by routed target vCPU. Groups dispatch serially on
+// the calling (barrier) goroutine in (vCPU, line) order, each on its
+// target's cpu.CPU, and the delivery trace, counters and per-lane
+// accounting are then committed in the same order. With force set (end
+// of measurement) it loops until the pending set is empty, so an ISR
+// whose unmask re-asserts the line still drains before metrics derive.
 func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 	if e.Bus == nil {
 		return nil
@@ -542,34 +558,25 @@ func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 			return fmt.Errorf("engine: interrupt storm: lines still pending after %d flush passes", iter)
 		}
 		e.Bus.Tick(force)
-		pending := ic.TakePending()
+		pending := ic.TakePending(e.pending[:0])
+		e.pending = pending
 		if len(pending) == 0 {
 			return nil
 		}
 		// Clamp routes to booted vCPUs, then order the set by (vCPU, line):
-		// groups become contiguous runs, and the commit loop below walks
-		// them in the deterministic delivery order. TakePending returned
-		// the set line-ascending, so a same-vCPU pair keeps line order
-		// under this stable sort.
-		multi := false
+		// groups become contiguous runs in the deterministic delivery
+		// order. TakePending returned the set line-ascending, so a
+		// same-vCPU pair keeps line order under this stable sort.
 		for i := range pending {
 			if pending[i].VCPU < 0 || pending[i].VCPU >= ncpu {
 				pending[i].VCPU = 0
 			}
-			if pending[i].VCPU != pending[0].VCPU {
-				multi = true
-			}
 		}
-		if multi {
-			sort.SliceStable(pending, func(i, j int) bool { return pending[i].VCPU < pending[j].VCPU })
-		}
+		slices.SortStableFunc(pending, func(a, b bus.PendingIRQ) int { return cmp.Compare(a.VCPU, b.VCPU) })
 
-		type delivery struct {
-			handled bool
-			cycles  uint64
-			err     error
-		}
-		dels := make([]delivery, len(pending))
+		dels := slices.Grow(e.dels[:0], len(pending))[:len(pending)]
+		clear(dels)
+		e.dels = dels
 		dispatch := func(c *cpu.CPU, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				before := c.Cycles
@@ -580,32 +587,16 @@ func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 				}
 			}
 		}
-		if !multi {
-			// Single target lane — every legacy machine routes here (all
-			// vectors on vCPU 0): sequential dispatch on the calling
-			// goroutine, bit-identical to the pre-vector-table engine.
-			dispatch(e.K.CPU(pending[0].VCPU), 0, len(pending))
-		} else {
-			var wg sync.WaitGroup
-			for lo := 0; lo < len(pending); {
-				hi := lo + 1
-				for hi < len(pending) && pending[hi].VCPU == pending[lo].VCPU {
-					hi++
-				}
-				// The target vCPU resolves here, before its goroutine
-				// starts, so an untouched vCPU of a fork is cloned at
-				// the barrier rather than concurrently.
-				wg.Add(1)
-				go func(c *cpu.CPU, lo, hi int) {
-					defer wg.Done()
-					dispatch(c, lo, hi)
-				}(e.K.CPU(pending[lo].VCPU), lo, hi)
-				lo = hi
+		for lo := 0; lo < len(pending); {
+			hi := lo + 1
+			for hi < len(pending) && pending[hi].VCPU == pending[lo].VCPU {
+				hi++
 			}
-			wg.Wait()
+			dispatch(e.K.CPU(pending[lo].VCPU), lo, hi)
+			lo = hi
 		}
 		// Commit: trace, counters and per-lane attribution in (vCPU, line)
-		// order with all lanes joined.
+		// order.
 		for i, p := range pending {
 			d := dels[i]
 			if d.err != nil {

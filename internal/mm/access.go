@@ -121,8 +121,18 @@ func (as *AddressSpace) Write64Force(va uint64, val uint64) error {
 	return as.WriteBytesForce(va, b[:])
 }
 
-// Read64Force loads a 64-bit value requiring only that the page is mapped.
+// Read64Force loads a 64-bit value requiring only that the page is
+// mapped — the device-DMA read of NVMe submission entries and NIC
+// descriptors. Like Read64 it reads in place unless the value straddles
+// a page.
 func (as *AddressSpace) Read64Force(va uint64) (uint64, error) {
+	frame, _, err := as.Translate(va, AccessRead)
+	if err != nil {
+		return 0, err
+	}
+	if off := va & PageMask; off+8 <= PageSize {
+		return binary.LittleEndian.Uint64(as.phys.Frame(frame)[off : off+8]), nil
+	}
 	b, err := as.ReadBytes(va, 8)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -147,6 +148,24 @@ func TestReadWriteAcrossPageBoundary(t *testing.T) {
 	}
 	if v != 0x1122334455667788 {
 		t.Fatalf("cross-page 64-bit = %#x", v)
+	}
+	// Read64Force reads in place within a page and falls back to
+	// ReadBytes across one; either way it agrees with ReadBytes.
+	for _, off := range []uint64{PageSize - 4, PageSize - 8, PageSize} {
+		b, err := as.ReadBytes(base+off, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := as.Read64Force(base + off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := binary.LittleEndian.Uint64(b); v != want {
+			t.Fatalf("Read64Force(base+%#x) = %#x, ReadBytes gives %#x", off, v, want)
+		}
+	}
+	if _, err := as.Read64Force(base + 2*PageSize - 4); err == nil {
+		t.Fatal("Read64Force straddling into an unmapped page must fault")
 	}
 }
 

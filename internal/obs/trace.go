@@ -81,10 +81,10 @@ type Event struct {
 const maxEventsPerMachine = 1 << 20
 
 // Lane is a single-producer event buffer. Exactly one goroutine appends
-// to a Lane (the engine's barrier passes run on one goroutine; the rare
-// concurrent emitters, like per-vCPU ISR dispatch, each own their vCPU's
-// lane), so no locking is needed — the tracer merges and clears all
-// lanes at the next barrier, when every producer is quiescent.
+// to a Lane (the engine's barrier passes, interrupt window included, run
+// on one goroutine), so no locking is needed — the tracer merges and
+// clears all lanes at the next barrier, when every producer is
+// quiescent.
 type Lane struct {
 	buf   []Event
 	seq   uint64

@@ -63,6 +63,35 @@ func TestServerCrossVCPUDeterminism(t *testing.T) {
 	}
 }
 
+// TestServerRoundAllocBudget bounds the heap allocations a server
+// request adds: runs of 500 and 1,000 requests on forks of one 2-queue
+// rerand+stack template differ only in request count, so their
+// allocation difference per extra request is the request path's own
+// cost — the op, its IRQ window and NVMe/NIC DMA, the load generator
+// and rerand steps. The path measures about 2.3; allocating again in
+// Read64Force, the NVMe read DMA or TakePending's sort takes it past
+// the budget.
+func TestServerRoundAllocBudget(t *testing.T) {
+	EnableForkPool()
+	defer DisableForkPool()
+	allocs := func(ops int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			_, _, m, err := serverRun(seedServer, 2, 2, ops, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
+		})
+	}
+	a500, a1000 := allocs(500), allocs(1000)
+	perReq := (a1000 - a500) / 500
+	t.Logf("allocations per run: %.0f at 500 requests, %.0f at 1,000: %.2f per extra request", a500, a1000, perReq)
+	const budget = 3
+	if perReq > budget {
+		t.Fatalf("a server request allocates %.2f times, budget %d", perReq, budget)
+	}
+}
+
 // TestServerSingleQueueOnVCPU0: one queue with default affinity is the
 // legacy delivery shape — every interrupt (NIC vector and NVMe
 // completion alike) lands on vCPU 0.
