@@ -48,7 +48,7 @@ func TestArtifactWorkflow(t *testing.T) {
 	if err := m.InitXHCI(); err != nil {
 		t.Fatal(err)
 	}
-	// Ops run concurrently on min(Workers, NumCPUs) vCPUs: give each lane
+	// Ops are dealt across min(Workers, NumCPUs) vCPUs: give each lane
 	// its own DMA buffer and TX-descriptor slot, as an SMP driver would.
 	bufs := make([]uint64, m.K.NumCPUs())
 	for i := range bufs {

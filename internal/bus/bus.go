@@ -18,7 +18,7 @@
 // engine's barrier-synchronized clock boundaries, with every vCPU
 // quiescent, in (routed vCPU, line) order. Raising is a commutative
 // set-union operation (the set of lines pending at the barrier does not
-// depend on host scheduling within the round), so delivery order, ISR
+// depend on the order the round's lanes ran in), so delivery order, ISR
 // side effects and every RunResult derived from them are deterministic.
 package bus
 
@@ -73,8 +73,9 @@ type MSIXDevice interface {
 // between BeginEpoch and EndEpoch, reads of modeled device state (e.g.
 // the NVMe controller's DRAM-cache contents) observe the epoch-start
 // snapshot while updates are buffered, and EndEpoch applies the buffer
-// in deterministic order. This keeps latencies independent of the host
-// scheduling order of lanes within a round.
+// in deterministic order. This keeps latencies independent of the order
+// lanes run in within a round: CPUs issuing in the same round do not see
+// each other's updates, which is part of the simulated SMP model.
 type EpochDevice interface {
 	BeginEpoch()
 	EndEpoch()
@@ -348,9 +349,9 @@ func (ic *IntController) Route(line int) int {
 }
 
 // Process-wide interrupt counters, resolved once: raise runs on the hot
-// concurrent device path (multi-queue NICs raise from several goroutines
-// per round), so the per-event cost must stay one atomic add — not a
-// registry mutex + map lookup.
+// device path (multi-queue NICs raise from several lanes per round, and
+// several machines may run at once), so the per-event cost must stay one
+// atomic add — not a registry mutex + map lookup.
 var (
 	mIRQsRaised    = obs.Default.Counter("adelie_bus_irqs_raised_total")
 	mIRQsDelivered = obs.Default.Counter("adelie_bus_irqs_delivered_total")

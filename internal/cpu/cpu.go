@@ -285,8 +285,9 @@ func (c *CPU) NativeTable() map[uint64]*Native { return c.natives }
 // SetSampler installs (or, with a nil fn, removes) the profiler sample
 // hook: fn is called with the current RIP every `every` simulated
 // cycles, at the next block/native/instruction retire after the period
-// elapses. The hook observes only — it runs on the vCPU's own lane
-// goroutine and must not touch guest state or charge cycles.
+// elapses. The hook observes only — it runs inside the vCPU's op on
+// the engine's goroutine and must not touch guest state or charge
+// cycles.
 func (c *CPU) SetSampler(every uint64, fn func(va uint64)) {
 	if fn == nil || every == 0 {
 		c.sampler, c.sampleEvery, c.sampleNext = nil, 0, 0

@@ -6,7 +6,7 @@ import "testing"
 // the epoch-start cache snapshot — two first-time reads of the same LBA
 // in one epoch both see a miss regardless of order, and the insertion
 // becomes visible only after EndEpoch. This is what makes NVMe latencies
-// independent of host goroutine scheduling within an engine round.
+// independent of the order an engine round's lanes run in.
 func TestNVMeEpochSnapshotLatency(t *testing.T) {
 	as, base := testAS(t)
 	d := NewNVMe(as)

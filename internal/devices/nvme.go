@@ -55,9 +55,9 @@ const (
 // (the engine's round barriers), cache-hit decisions are made against
 // the epoch-start snapshot of the DRAM cache and insertions are
 // buffered, applied in sorted order at EndEpoch. Latencies observed by
-// concurrently-executing vCPUs are therefore independent of host
-// goroutine scheduling — the property that keeps parallel measurement
-// runs bit-reproducible.
+// the vCPUs of one round are therefore independent of the order their
+// lanes ran in: the simulated CPUs issue in the same round and do not
+// see each other's cache fills until the barrier.
 type NVMe struct {
 	mu sync.Mutex
 	as *mm.AddressSpace

@@ -50,10 +50,11 @@ func Build(m *kcc.Module, o BuildOpts) (*elfmod.Object, error) {
 }
 
 // MaxGuestCPUs bounds the per-CPU data arrays drivers carry. The
-// engine runs guest code on up to NumCPUs vCPUs concurrently, so driver
-// counters and queue slots are per-CPU (indexed by smp_processor_id),
-// exactly like this_cpu_* data in real Linux drivers. kernel.New
-// enforces NumCPUs <= kernel.MaxCPUs, which this mirrors.
+// engine runs guest code on up to NumCPUs vCPUs — the simulated SMP
+// machine — so driver counters and queue slots are per-CPU (indexed by
+// smp_processor_id), exactly like this_cpu_* data in real Linux
+// drivers. kernel.New enforces NumCPUs <= kernel.MaxCPUs, which this
+// mirrors.
 const MaxGuestCPUs = kernel.MaxCPUs
 
 // perCPUSlot emits code computing base+8*cpu of a per-CPU 64-bit array:

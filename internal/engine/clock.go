@@ -3,8 +3,7 @@ package engine
 // The virtual clock. Simulated time advances only through Advance calls
 // made by the engine's accounting pass, which runs single-threaded at
 // round barriers — so clocked actors (the re-randomizer kthread, future
-// async devices) always step deterministically with no vCPU running,
-// no matter how many host goroutines the round itself used.
+// async devices) always step deterministically with no vCPU running.
 
 // Actor is a component stepped on the virtual clock: each time the
 // clock crosses a multiple of its period, Step runs once. The paper's

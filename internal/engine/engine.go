@@ -1,46 +1,51 @@
-// Package engine is the parallel execution engine behind sim.Machine.Run:
-// it schedules benchmark operations across all vCPUs as host goroutines
-// under a deterministic barrier-synchronized virtual clock.
+// Package engine is the execution engine behind sim.Machine.Run: it
+// schedules benchmark operations across a machine's vCPUs under a
+// deterministic barrier-synchronized virtual clock.
 //
 // Execution model. The Ops operations of a measurement are dealt
 // round-robin onto lanes (lane l runs ops l, l+lanes, l+2·lanes, …, on
-// vCPU l), where lanes = min(Workers, NumCPUs, Ops). Each round runs one
-// op per lane concurrently — real goroutines interpreting real driver
-// code, contending on the real (lock-light) translation path — then hits
-// a barrier. With all vCPUs quiescent, the engine replays the round's
-// per-op costs into the closed-queueing model in op order, advancing the
-// virtual clock and firing clocked actors (the re-randomizer kthread)
-// whose deadlines were crossed. Actors therefore mutate the address
-// space only between rounds, which is what makes parallel execution
-// bit-reproducible: lane→op assignment is static, per-vCPU state (TLB,
-// decoded-instruction cache, stacks) evolves deterministically per lane,
-// and every cross-lane mutation happens at a deterministic barrier.
+// vCPU l), where lanes = min(Workers, NumCPUs, Ops). A round runs one op
+// per lane, then hits a barrier. Within a round the lanes run on the
+// caller's goroutine in lane order, each interpreting real driver code
+// on its own vCPU; the engine starts no goroutine. At the barrier the
+// engine replays the round's per-op costs into the closed-queueing model
+// in op order, advancing the virtual clock and firing clocked actors
+// (the re-randomizer kthread) whose deadlines were crossed. Actors
+// therefore mutate the address space only between rounds. Lane→op
+// assignment is static, lane order is fixed, and every cross-lane
+// mutation happens at a barrier, so a run is bit-reproducible and its
+// determinism does not depend on host scheduling.
 //
-// Guest code run under more than one lane must be SMP-correct the same
-// way real driver code must be: per-CPU state keyed by smp_processor_id
-// (see internal/drivers), devices with per-slot queues, no unsynchronized
-// shared writes. Workloads additionally keep any host-side closure state
-// per-lane (indexed by cpu.CPU.ID) so results stay deterministic.
+// The lanes model an SMP machine, and the figures are defined by that
+// model: each lane keeps its own vCPU state (TLB, block cache, stacks,
+// cycle counters), guest code keeps per-CPU state keyed by
+// smp_processor_id (see internal/drivers), devices with per-slot queues
+// snapshot at round boundaries, and workloads keep any host-side closure
+// state per lane (indexed by cpu.CPU.ID). None of this is host locking;
+// it is what the measured machine is. One rule follows from serial
+// lanes: a guest op must not wait within a round on another lane (a spin
+// on a flag another lane sets in the same round would never end), since
+// that lane runs only after it returns. No registered experiment does
+// this; cross-lane hand-offs go through the barrier.
+//
+// Host parallelism lives one level up: fork-parallel sweeps and the
+// service pool run whole machines at once, so the locks and atomics that
+// guard what machines share (frame refcounts, the address-space lock,
+// the lazy vCPU clone) stay.
 //
 // Interrupts. When the engine drives a machine assembled on a device
 // bus, lines raised by devices during a round (NIC RX coalescing, see
 // internal/bus) are delivered only here, at the round barrier: after the
 // accounting pass, the engine publishes the virtual clock to the bus,
 // ticks coalescing timers, drains the pending vector set and dispatches
-// it serially on the barrier goroutine in (vCPU, line) order — the lines
-// routed to one vCPU form a group run on that vCPU's cpu.CPU — then
-// commits the delivery trace and all accounting in the same order.
-// Groups run on disjoint vCPUs, so serial dispatch is one valid schedule
-// of running them concurrently, and the faster one: a window holds a few
-// µs of ISR work, and the goroutine per target vCPU per barrier that ran
-// groups concurrently cost more in spawns and stack growth than it
-// overlapped (see the README's interrupt contract for the measurement).
-// A machine whose vectors all route to vCPU 0 (the default) dispatches
-// one group, bit-identical to the pre-vector-table engine. Because
-// raising is commutative, routes only change between rounds, and
-// delivery is barrier-serialized in a fixed order, interrupt side
-// effects — ISR cycles, ring drains, driver counters — are
-// bit-reproducible no matter how the host scheduled the round's lanes.
+// it serially in (vCPU, line) order — the lines routed to one vCPU form
+// a group run on that vCPU's cpu.CPU — then commits the delivery trace
+// and all accounting in the same order. A machine whose vectors all
+// route to vCPU 0 (the default) dispatches one group, bit-identical to
+// the pre-vector-table engine. Because raising is commutative, routes
+// only change between rounds, and delivery happens at the barrier in a
+// fixed order, interrupt side effects — ISR cycles, ring drains, driver
+// counters — are bit-reproducible.
 package engine
 
 import (
@@ -48,7 +53,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"adelie/internal/bus"
 	"adelie/internal/cpu"
@@ -241,12 +245,6 @@ func (e *Engine) Run(cfg RunConfig, op OpFunc) (RunResult, error) {
 		lanes = cfg.Ops
 	}
 
-	// A fork clones its vCPUs on first use. Clone every lane's vCPU now,
-	// while nothing runs, so no lane goroutine ever does it mid-round.
-	for l := 0; l < lanes; l++ {
-		e.K.CPU(l)
-	}
-
 	var res RunResult
 	res.Lanes = lanes
 	if e.Bus != nil {
@@ -305,31 +303,7 @@ func (e *Engine) Run(cfg RunConfig, op OpFunc) (RunResult, error) {
 		e.Bus.SetNow(0)
 	}
 
-	// Persistent lane workers: one goroutine per lane for the whole
-	// measurement, signalled once per round. This keeps the per-round
-	// cost to a channel handshake instead of goroutine spawns, which
-	// matters when ops are microseconds long.
 	laps := make([]lap, lanes)
-	var wg sync.WaitGroup
-	var start []chan struct{}
-	if lanes > 1 {
-		start = make([]chan struct{}, lanes)
-		for l := 1; l < lanes; l++ {
-			start[l] = make(chan struct{}, 1)
-			go func(l int) {
-				for range start[l] {
-					laps[l] = e.runOne(l, op)
-					wg.Done()
-				}
-			}(l)
-		}
-		defer func() {
-			for l := 1; l < lanes; l++ {
-				close(start[l])
-			}
-		}()
-	}
-
 	for base := 0; base < cfg.Ops; base += lanes {
 		n := cfg.Ops - base
 		if n > lanes {
@@ -338,17 +312,8 @@ func (e *Engine) Run(cfg RunConfig, op OpFunc) (RunResult, error) {
 		for _, d := range e.Epoch {
 			d.BeginEpoch()
 		}
-		if n > 1 {
-			wg.Add(n - 1)
-			for l := 1; l < n; l++ {
-				start[l] <- struct{}{}
-			}
-		}
-		// Lane 0 always runs on the calling goroutine: zero overhead on
-		// the latency-sensitive Workers=1 microbenchmarks.
-		laps[0] = e.runOne(0, op)
-		if n > 1 {
-			wg.Wait()
+		for l := 0; l < n; l++ {
+			laps[l] = e.runOne(l, op)
 		}
 		for _, d := range e.Epoch {
 			d.EndEpoch()
@@ -471,7 +436,7 @@ func (e *Engine) beginTrace(tr *obs.Tracer, lanes int) {
 }
 
 // traceRound emits the round's retire summaries and counter deltas. It
-// runs on the accounting goroutine with every vCPU quiescent; events
+// runs after the accounting pass with every vCPU quiescent; events
 // carry the post-accounting barrier clock except where a device stamped
 // an earlier raise time.
 func (e *Engine) traceRound(clk *Clock, laps []lap) {
@@ -539,12 +504,12 @@ func (e *Engine) traceRound(clk *Clock, laps []lap) {
 
 // serviceIRQs runs the barrier interrupt window: publish the virtual
 // clock to the bus, tick coalescing timers, and drain the pending
-// vector set grouped by routed target vCPU. Groups dispatch serially on
-// the calling (barrier) goroutine in (vCPU, line) order, each on its
-// target's cpu.CPU, and the delivery trace, counters and per-lane
-// accounting are then committed in the same order. With force set (end
-// of measurement) it loops until the pending set is empty, so an ISR
-// whose unmask re-asserts the line still drains before metrics derive.
+// vector set grouped by routed target vCPU. Groups dispatch serially in
+// (vCPU, line) order, each on its target's cpu.CPU, and the delivery
+// trace, counters and per-lane accounting are then committed in the same
+// order. With force set (end of measurement) it loops until the pending
+// set is empty, so an ISR whose unmask re-asserts the line still drains
+// before metrics derive.
 func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 	if e.Bus == nil {
 		return nil

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -33,9 +34,11 @@ func boot(t *testing.T, ncpu int, rerand bool) (*sim.Machine, uint64) {
 }
 
 // TestParallelLanesAccrueBusyCycles is the headline property of the
-// engine: with Workers > 1, more than one vCPU physically interprets
+// engine: with Workers > 1, every lane's vCPU interprets its own
 // operations (the seed executed everything on vCPU 0 and modeled the
-// rest analytically).
+// rest analytically). Lanes run one after another on the caller's
+// goroutine; each keeps its own vCPU state because that is the
+// simulated SMP machine the figures measure.
 func TestParallelLanesAccrueBusyCycles(t *testing.T) {
 	const ncpu = 8
 	m, va := boot(t, ncpu, false)
@@ -88,8 +91,8 @@ func TestLanesCappedByCPUs(t *testing.T) {
 }
 
 // TestSingleWorkerStaysOnOneVCPU: the Workers=1 microbenchmarks must
-// keep their single-lane cost profile (no goroutine round-trips, one
-// TLB/decode-cache warmup).
+// keep their single-lane cost profile — every op on vCPU 0, one
+// TLB/decode-cache warmup.
 func TestSingleWorkerStaysOnOneVCPU(t *testing.T) {
 	m, va := boot(t, 4, false)
 	if _, err := m.Run(sim.RunConfig{Ops: 20, Workers: 1},
@@ -106,9 +109,10 @@ func TestSingleWorkerStaysOnOneVCPU(t *testing.T) {
 	}
 }
 
-// TestParallelRunDeterministic: two identical machines, parallel lanes,
-// re-randomization on — results must be bit-identical. This is the
-// engine's determinism contract under real concurrency.
+// TestParallelRunDeterministic: two identical machines, eight lanes,
+// re-randomization on — results must be bit-identical, in aggregate and
+// per vCPU. This is the engine's determinism contract: lanes and
+// clocked actors interleave in a fixed order at round barriers.
 func TestParallelRunDeterministic(t *testing.T) {
 	results := make([]sim.RunResult, 2)
 	perCPU := make([][]uint64, 2)
@@ -163,3 +167,49 @@ func TestOpErrorReportsOpIndex(t *testing.T) {
 }
 
 var errLane2 = errors.New("injected lane-2 failure")
+
+// TestRunStartsNoGoroutine: a machine's lanes run on the caller's
+// goroutine, so no op ever sees more goroutines than existed before Run.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	m, va := boot(t, 4, false)
+	var seen []int
+	before := runtime.NumGoroutine()
+	if _, err := m.Run(sim.RunConfig{Ops: 16, Workers: 4},
+		func(c *cpu.CPU) (uint64, error) {
+			seen = append(seen, runtime.NumGoroutine())
+			_, err := c.Call(va, 0)
+			return 0, err
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 16 {
+		t.Fatalf("ran %d ops, want 16", len(seen))
+	}
+	for i, n := range seen {
+		if n != before {
+			t.Fatalf("op %d saw %d goroutines, want %d (the count before Run)", i, n, before)
+		}
+	}
+}
+
+// TestLanePanicReachesCaller: a panic in any lane's op unwinds through
+// Run into the caller, where it can be recovered.
+func TestLanePanicReachesCaller(t *testing.T) {
+	m, va := boot(t, 4, false)
+	defer func() {
+		if r := recover(); r != errLane1 {
+			t.Fatalf("recovered %v, want %v", r, errLane1)
+		}
+	}()
+	_, _ = m.Run(sim.RunConfig{Ops: 8, Workers: 2},
+		func(c *cpu.CPU) (uint64, error) {
+			if c.ID == 1 {
+				panic(errLane1)
+			}
+			_, err := c.Call(va, 0)
+			return 0, err
+		})
+	t.Fatal("Run returned after a lane panicked")
+}
+
+var errLane1 = errors.New("injected lane-1 panic")

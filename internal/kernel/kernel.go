@@ -563,8 +563,8 @@ func (k *Kernel) coreNativeDefs() []nativeDef {
 		// smp_processor_id returns the executing vCPU's index. Drivers use it
 		// to address per-CPU state (counters, per-CPU device queue slots) so
 		// their data paths are SMP-correct when the engine runs operations on
-		// several vCPUs concurrently — the same this_cpu_* discipline real
-		// Linux drivers follow.
+		// several vCPUs — the same this_cpu_* discipline real Linux drivers
+		// follow.
 		{"smp_processor_id", 5, func(c *cpu.CPU) error {
 			c.Regs[0] = uint64(c.ID) // RAX
 			return nil

@@ -179,10 +179,9 @@ func (s *frameSlot) private() *frameData {
 // frames with a free list. Frames are zeroed on allocation.
 //
 // The slot table is published through an atomic pointer so that the
-// translation fast path (vCPUs running concurrently on host goroutines)
-// can index frames without taking the allocator lock. Alloc appends
-// under the lock, then republishes; readers always observe a prefix
-// that is fully initialized.
+// translation fast path can index frames without taking the allocator
+// lock. Alloc appends under the lock, then republishes; readers always
+// observe a prefix that is fully initialized.
 type PhysMem struct {
 	mu    sync.Mutex
 	slots atomic.Pointer[[]*frameSlot]

@@ -26,10 +26,11 @@ func (m *Machine) AttachObs(tr *obs.Tracer, prof *obs.Profiler) {
 
 // installProfiler points every vCPU's sample hook at p's lanes (or
 // clears the hooks when p is nil). Each vCPU gets its own single-writer
-// lane, so concurrent sampling needs no locks on the hot path. Clearing
-// skips a fork's untouched vCPUs: a fresh clone has no sampler, so
-// cloning one only to clear it would be wasted work. Installing covers
-// every vCPU, so vCPUs that only run ISRs are sampled too.
+// lane, so samples stay attributed to the simulated CPU that took them
+// and the hot path takes no lock. Clearing skips a fork's untouched
+// vCPUs: a fresh clone has no sampler, so cloning one only to clear it
+// would be wasted work. Installing covers every vCPU, so vCPUs that only
+// run ISRs are sampled too.
 func (m *Machine) installProfiler(p *obs.Profiler) {
 	for i := 0; i < m.K.NumCPUs(); i++ {
 		if p == nil {

@@ -4,12 +4,12 @@
 // xHCI controller, the driver suite, and the re-randomizer.
 //
 // Its Run method is the measurement harness every figure uses: it
-// executes operations concurrently on the vCPUs via internal/engine
-// (interpreting the real driver code paths, so wrapper/prologue/
-// retpoline/GOT costs and post-remap TLB misses are all physically
-// incurred), advances a deterministic virtual clock, fires the
-// re-randomizer at its configured period on that clock, and reports
-// throughput and all-core CPU usage the way §5 does.
+// deals operations across the vCPUs via internal/engine (interpreting
+// the real driver code paths, so wrapper/prologue/retpoline/GOT costs
+// and post-remap TLB misses are all physically incurred), advances a
+// deterministic virtual clock, fires the re-randomizer at its configured
+// period on that clock, and reports throughput and all-core CPU usage
+// the way §5 does.
 package sim
 
 import (
@@ -151,7 +151,7 @@ func (m *Machine) Call(sym string, args ...uint64) (uint64, error) {
 // InitNVMe allocates submission/completion queues and initializes the
 // loaded NVMe driver against the controller. The queues carry one slot
 // per vCPU (the driver dedicates slot smp_processor_id() to each CPU),
-// so concurrent reads issued by the engine never share an entry.
+// so reads issued by different lanes never share an entry.
 func (m *Machine) InitNVMe() error {
 	ncpu := uint64(m.K.NumCPUs())
 	sq, err := m.K.Kmalloc(ncpu * 32)
@@ -300,9 +300,12 @@ func (m *Machine) Module(name string) *kernel.Module { return m.mods[name] }
 
 // OpFunc executes one benchmark operation on the vCPU, returning the
 // device wait in cycles (time the CPU is idle on I/O) and any fault.
-// Operations run concurrently on up to min(Workers, NumCPUs) vCPUs;
-// any host-side closure state must be kept per-lane (index it by c.ID),
-// and guest code on the path must be SMP-correct (see internal/engine).
+// Operations are dealt across up to min(Workers, NumCPUs) vCPUs, one
+// per lane per round, and run one after another on the caller's
+// goroutine. Those lanes are the simulated SMP machine the figures
+// measure, so any host-side closure state must be kept per-lane (index
+// it by c.ID), guest code on the path must be SMP-correct, and an op
+// must never wait on another lane within a round (see internal/engine).
 type OpFunc = engine.OpFunc
 
 // RunConfig parameterizes a measurement.
@@ -311,7 +314,7 @@ type RunConfig = engine.RunConfig
 // RunResult is one measured configuration — a point on a §5 figure.
 type RunResult = engine.RunResult
 
-// Engine returns the parallel execution engine for this machine, wired
+// Engine returns the execution engine for this machine, wired
 // to the device bus: the re-randomizer runs as a clocked actor, epoch
 // devices (the NVMe controller) are discovered from the bus by
 // interface assertion, and device interrupts are delivered at the

@@ -166,9 +166,9 @@ func dd(seed int64, cfg Config, blockKB, ops int) (DDRow, error) {
 	if pages == 0 {
 		pages = 1
 	}
-	// Per-lane file positions: ops run concurrently on several vCPUs, so
-	// each lane advances its own sequential stream (deterministic, since
-	// the engine's lane→op assignment is static).
+	// Per-lane file positions: each simulated CPU reads its own
+	// sequential stream, which is what the figure measures
+	// (deterministic, since the engine's lane→op assignment is static).
 	blks := make([]uint64, m.K.NumCPUs())
 	op := func(c *cpu.CPU) (uint64, error) {
 		blk := &blks[c.ID]
@@ -264,7 +264,8 @@ func sysbench(seed int64, cfg Config, mode string, ops int) (SysbenchRow, error)
 		return SysbenchRow{}, err
 	}
 	const ioBytes = 16 * 1024
-	// Per-lane streams and RNGs (4 workers run on 4 vCPUs concurrently).
+	// Per-lane streams and RNGs: the 4 workers are 4 simulated CPUs,
+	// each with its own random-I/O stream.
 	ncpu := m.K.NumCPUs()
 	rngs := make([]*rand.Rand, ncpu)
 	for i := range rngs {

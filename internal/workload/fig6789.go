@@ -205,9 +205,9 @@ func oltp(seed int64, period RerandPeriod, vanilla bool, concurrency, txs int) (
 		return OLTPRow{}, err
 	}
 	m.NVMe.Preload(100, []byte("db page"))
-	// Per-lane I/O buffers, RNGs and TX-descriptor partitions: lanes run
-	// concurrently, so each owns its DMA target, its randomness stream
-	// and a disjoint stripe of the NIC ring.
+	// Per-lane I/O buffers, RNGs and TX-descriptor partitions: each lane
+	// is one simulated CPU of the SMP model, so each owns its DMA target,
+	// its randomness stream and a disjoint stripe of the NIC ring.
 	ncpu := m.K.NumCPUs()
 	bufs := make([]uint64, ncpu)
 	rngs := make([]*rand.Rand, ncpu)

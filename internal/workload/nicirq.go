@@ -93,8 +93,8 @@ func nicCoalesceSeeded(seed int64, maxFrames int, delayUs float64, ops int) (Coa
 	// Server op: per-request application work plus one response frame
 	// to the load generator, striped per lane across the TX ring. The
 	// stripe is sized by the engine's *lane* count (min(Workers, CPUs)),
-	// not the CPU count, so concurrently-running lanes always own
-	// disjoint TX descriptors.
+	// not the CPU count, so the lanes of one round always own disjoint
+	// TX descriptors.
 	const workers = 4
 	lanes := workers
 	if ncpu < lanes {
