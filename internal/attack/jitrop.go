@@ -115,6 +115,7 @@ func SimulateJITROP(k *kernel.Kernel, mod *kernel.Module, cfg JITROPConfig,
 // its target.
 func ExecuteChain(k *kernel.Kernel, chain Chain) error {
 	c := cpu.New(999, k.AS)
+	c.Kernel = k
 	c.SetNatives(k.CPU(0).NativeTable())
 	top, err := k.AllocStack()
 	if err != nil {

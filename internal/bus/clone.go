@@ -17,10 +17,12 @@ func (b *Bus) CloneFor(as *mm.AddressSpace, replace func(Device) Device) (*Bus, 
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	nb := &Bus{
-		as:     as,
-		next:   b.next,
-		byName: make(map[string]attached, len(b.byName)),
-		ic:     b.ic.clone(),
+		as:      as,
+		next:    b.next,
+		devs:    make([]attached, 0, len(b.devs)),
+		byName:  make(map[string]attached, len(b.byName)),
+		tickers: make([]Ticker, 0, len(b.tickers)),
+		ic:      b.ic.clone(),
 	}
 	nb.now.Store(b.now.Load())
 	for _, a := range b.devs {
@@ -31,7 +33,8 @@ func (b *Bus) CloneFor(as *mm.AddressSpace, replace func(Device) Device) (*Bus, 
 		if err := as.RebindMMIO(a.base, nd); err != nil {
 			return nil, fmt.Errorf("bus: clone: %q: %w", nd.DevName(), err)
 		}
-		na := attached{dev: nd, base: a.base, line: a.line, lines: append([]int(nil), a.lines...)}
+		// The vector lines are fixed at Attach and never written again.
+		na := attached{dev: nd, base: a.base, line: a.line, lines: a.lines}
 		switch dd := nd.(type) {
 		case MSIXDevice:
 			if len(na.lines) > 0 {

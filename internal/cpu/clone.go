@@ -6,9 +6,8 @@ import "adelie/internal/mm"
 // architectural state (registers, flags, RIP), same cycle and retire
 // counters, and a cloned TLB over the fork's address space so the
 // clone's future hit/miss — and therefore cycle — sequence matches the
-// template's. natives is the fork kernel's table (the closures captured
-// by native entries belong to a specific kernel, so the template's map
-// must not be shared).
+// template's. natives is the fork kernel's table; the caller points
+// Kernel at the fork's kernel.
 //
 // The decoded-instruction and superblock caches start empty: they are
 // host-side accelerators whose population is invisible to cycle

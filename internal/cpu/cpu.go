@@ -59,6 +59,12 @@ type CPU struct {
 	AS  *mm.AddressSpace
 	TLB *mm.TLB
 
+	// Kernel is the machine state natives act on (the *kernel.Kernel
+	// that created or cloned this vCPU). A native table is shared by a
+	// fork template and its forks, so a native reaches its own
+	// machine through the calling vCPU, never through a closure.
+	Kernel any
+
 	natives map[uint64]*Native
 
 	// nativeLo/nativeHi bound the VAs that can hold native entry points,

@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"adelie/internal/cpu"
@@ -10,22 +12,23 @@ import (
 	"adelie/internal/smr"
 )
 
-// Fork returns a deep copy of this kernel sharing physical frames
+// Fork returns a copy of this kernel sharing physical frames
 // copy-on-write with the template. The template must be quiescent: no
 // vCPU running, no SMR critical section live, no retired-but-unfreed
 // address range (a pending retire closure captures the template's
 // address space and could never run against the fork's). sim.Machine
-// enforces this by freezing the template at Snapshot. The fork's vCPUs
-// clone from the template's on first use, so the template's vCPUs must
-// also stay unmodified for as long as the fork lives.
+// enforces this by freezing the template at Snapshot. The fork clones
+// the template's vCPUs and modules on first use, so those must also
+// stay unmodified for as long as the fork lives.
 //
 // Everything addressed by VA or FrameID carries over verbatim — the
-// fork's address space maps the same frames at the same addresses, so
-// symbol tables, module bookkeeping, heap metadata, pending work and
-// registered ISRs are plain copies. Core natives are re-created as
-// closures over the fork (rebindCoreNatives); natives registered by
-// other owners (the re-randomizer's stack-swap helpers) are carried
-// over and must be rebound by their owner via RebindNative.
+// fork's address space maps the same frames at the same addresses — so
+// the symbol table, native table, heap metadata, placement regions and
+// registered ISRs are shared with the template and copied on the
+// fork's first write (cow). Natives reach their kernel through the
+// calling vCPU (Of), so the shared native table serves the fork as is.
+// Machine wiring is not carried over: the owner re-installs the IRQ
+// router and the stack pool.
 func (k *Kernel) Fork() (*Kernel, error) {
 	forker, ok := k.SMR.(smr.Forker)
 	if !ok {
@@ -39,63 +42,45 @@ func (k *Kernel) Fork() (*Kernel, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 
-	src := &countingSource{seed: k.randSrc.seed, n: k.randSrc.n}
 	nk := &Kernel{
 		Cfg:      k.Cfg,
 		AS:       k.AS.Fork(k.AS.Phys().Fork()),
-		Rand:     rand.New(src),
-		randSrc:  src,
+		randSrc:  countingSource{seed: k.randSrc.seed, n: k.randSrc.n},
 		SMR:      nsmr,
-		symbols:  make(map[string]uint64, len(k.symbols)),
-		natives:  make(map[uint64]*cpu.Native, len(k.natives)),
+		symbols:  k.symbols.share(),
+		natives:  k.natives.share(),
 		textBase: k.textBase,
 		textNext: k.textNext,
 
 		heapBase:   k.heapBase,
 		heapNext:   k.heapNext,
-		heapFree:   make(map[uint64][]uint64, len(k.heapFree)),
-		heapSizes:  make(map[uint64]uint64, len(k.heapSizes)),
+		heapFree:   k.heapFree.share(),
+		heapSizes:  k.heapSizes.share(),
 		heapMapped: k.heapMapped,
 
 		stackBase: k.stackBase,
 		stackNext: k.stackNext,
 
-		regions: append([]vaRegion(nil), k.regions...),
+		regions: k.regions.share(),
 
-		modules:   make(map[string]*Module, len(k.modules)),
+		modules:   k.modules.share(),
 		workqueue: append([]workItem(nil), k.workqueue...),
+		isrs:      k.isrs.share(),
 
-		log: append([]string(nil), k.log...),
+		// Printk only appends: a full-capacity slice reallocates on the
+		// fork's first line instead of writing the shared array.
+		log: slices.Clip(k.log),
 
 		moduleRangeLo: k.moduleRangeLo,
 		moduleRangeHi: k.moduleRangeHi,
 	}
-	for name, va := range k.symbols {
-		nk.symbols[name] = va
-	}
-	for class, list := range k.heapFree {
-		nk.heapFree[class] = append([]uint64(nil), list...)
-	}
-	for va, class := range k.heapSizes {
-		nk.heapSizes[va] = class
-	}
-	if k.isrs != nil {
-		nk.isrs = make(map[int]isrEntry, len(k.isrs))
-		for line, e := range k.isrs {
-			nk.isrs[line] = e
-		}
-	}
-	for va, n := range k.natives {
-		nk.natives[va] = n
-	}
-	nk.rebindCoreNatives()
-	for name, m := range k.modules {
-		nk.modules[name] = m.cloneFor(nk)
-	}
+	nk.Rand = rand.New(&nk.randSrc)
 	// vCPUs clone lazily (Kernel.CPU): a run that touches one vCPU of a
 	// 20-vCPU machine pays for one clone. The template hands over its
 	// own vCPU where it exists and its template's where it does not, so
-	// a fork of a fork still clones from frozen state.
+	// a fork of a fork still clones from frozen state; where neither
+	// exists the fork creates the vCPU fresh, as the template would.
+	nk.stackTops = k.stackTops
 	nk.cpus = make([]atomic.Pointer[cpu.CPU], len(k.cpus))
 	nk.cpuTmpl = make([]*cpu.CPU, len(k.cpus))
 	for i := range k.cpus {
@@ -106,6 +91,54 @@ func (k *Kernel) Fork() (*Kernel, error) {
 		}
 	}
 	return nk, nil
+}
+
+// cow holds a value a kernel shares with the kernel it was forked from
+// and with its own forks until one of them writes it. Readers use v; a
+// writer calls own, which first replaces a shared v by a private copy.
+// Fork marks the value shared on both sides, so neither writes the
+// other's copy. Accessed under the kernel's mu.
+type cow[T any] struct {
+	v      T
+	shared bool
+}
+
+// share marks the value shared and returns the handle a fork starts on.
+func (c *cow[T]) share() cow[T] {
+	c.shared = true
+	return *c
+}
+
+// own returns v for writing, copying it with clone first if it is
+// shared.
+func (c *cow[T]) own(clone func(T) T) T {
+	if c.shared {
+		c.v, c.shared = clone(c.v), false
+	}
+	return c.v
+}
+
+// cloneFreeLists deep-copies the heap's free lists: Kmalloc truncates a
+// list and Kfree appends to it, either of which would otherwise write
+// an array the lists' other sharers still read.
+func cloneFreeLists(m map[uint64][]uint64) map[uint64][]uint64 {
+	out := make(map[uint64][]uint64, len(m))
+	for class, list := range m {
+		out[class] = slices.Clone(list)
+	}
+	return out
+}
+
+// ownModule returns this kernel's instance of m: m itself if it belongs
+// to this kernel, else (on a fork, whose module map starts as its
+// parent's) a clone, recorded in place of m. Caller holds k.mu.
+func (k *Kernel) ownModule(m *Module) *Module {
+	if m.k == k {
+		return m
+	}
+	nm := m.cloneFor(k)
+	k.modules.own(maps.Clone)[m.Name] = nm
+	return nm
 }
 
 // cloneFor deep-copies a module for a forked kernel. The object file is

@@ -148,3 +148,29 @@ func TestForkContinuesRNGStream(t *testing.T) {
 		t.Fatal("a fork that never drew seeded a generator or moved its position")
 	}
 }
+
+func TestBootCreatesVCPUsOnFirstUse(t *testing.T) {
+	// Boot places every vCPU's stack but creates vCPUs only when first
+	// asked for, on a booted kernel as on a fork of it.
+	k := newKernel(t, KASLRFull64)
+	for i := 0; i < k.NumCPUs(); i++ {
+		if k.LoadedCPU(i) != nil {
+			t.Fatalf("boot created vCPU %d", i)
+		}
+	}
+	c := k.CPU(3)
+	if c.ID != 3 || c.AS != k.AS || k.LoadedCPU(3) != c || k.LoadedCPU(2) != nil {
+		t.Fatal("first use of vCPU 3 did not create exactly vCPU 3")
+	}
+	if _, _, ok := k.AS.Lookup(c.Regs[4] - 8); !ok || c.Regs[4] == k.CPU(2).Regs[4] {
+		t.Fatal("vCPU 3 does not start on a boot stack of its own")
+	}
+	nk, err := k.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nk.AS.Phys().Release()
+	if f := nk.CPU(1); f.Regs != k.CPU(1).Regs || f.ID != 1 || f.AS != nk.AS {
+		t.Fatal("a fork's vCPU 1, never created by the template, differs from the template's")
+	}
+}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"maps"
 	"sort"
 
 	"adelie/internal/cpu"
@@ -46,13 +47,10 @@ func (k *Kernel) SetIRQRouter(route func(line, vcpu int)) {
 // affinity (drivers re-init).
 func (k *Kernel) RegisterISR(line int, handler uint64, vcpu int) {
 	k.mu.Lock()
-	if k.isrs == nil {
-		k.isrs = map[int]isrEntry{}
-	}
 	if vcpu < 0 {
 		vcpu = 0
 	}
-	k.isrs[line] = isrEntry{handler: handler, vcpu: vcpu}
+	k.isrs.own(maps.Clone)[line] = isrEntry{handler: handler, vcpu: vcpu}
 	route := k.irqRouter
 	k.mu.Unlock()
 	if route != nil {
@@ -68,9 +66,9 @@ func (k *Kernel) SetISRAffinity(line, vcpu int) {
 		vcpu = 0
 	}
 	k.mu.Lock()
-	if e, ok := k.isrs[line]; ok {
+	if e, ok := k.isrs.v[line]; ok {
 		e.vcpu = vcpu
-		k.isrs[line] = e
+		k.isrs.own(maps.Clone)[line] = e
 	}
 	route := k.irqRouter
 	k.mu.Unlock()
@@ -84,14 +82,14 @@ func (k *Kernel) SetISRAffinity(line, vcpu int) {
 func (k *Kernel) ISRAffinity(line int) int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.isrs[line].vcpu
+	return k.isrs.v[line].vcpu
 }
 
 // ISR returns the handler registered for a line.
 func (k *Kernel) ISR(line int) (uint64, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	e, ok := k.isrs[line]
+	e, ok := k.isrs.v[line]
 	return e.handler, ok
 }
 
@@ -99,8 +97,8 @@ func (k *Kernel) ISR(line int) (uint64, bool) {
 func (k *Kernel) ISRLines() []int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	out := make([]int, 0, len(k.isrs))
-	for line := range k.isrs {
+	out := make([]int, 0, len(k.isrs.v))
+	for line := range k.isrs.v {
 		out = append(out, line)
 	}
 	sort.Ints(out)
@@ -114,7 +112,7 @@ func (k *Kernel) ISRLines() []int {
 // no registered handler.
 func (k *Kernel) DispatchIRQ(c *cpu.CPU, line int) (bool, error) {
 	k.mu.Lock()
-	e, ok := k.isrs[line]
+	e, ok := k.isrs.v[line]
 	k.mu.Unlock()
 	if !ok {
 		return false, nil
@@ -132,10 +130,10 @@ func (k *Kernel) DispatchIRQ(c *cpu.CPU, line int) (bool, error) {
 func (k *Kernel) slideISRs(oldBase, size, delta uint64) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for line, e := range k.isrs {
+	for line, e := range k.isrs.v {
 		if e.handler >= oldBase && e.handler < oldBase+size {
 			e.handler += delta
-			k.isrs[line] = e
+			k.isrs.own(maps.Clone)[line] = e
 		}
 	}
 }

@@ -11,7 +11,9 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 	"adelie/internal/cpu"
 	"adelie/internal/mm"
 	"adelie/internal/smr"
+	"adelie/internal/stackpool"
 )
 
 // KASLRMode selects the module placement policy.
@@ -86,38 +89,50 @@ type Kernel struct {
 	Rand *rand.Rand
 	SMR  smr.Reclaimer
 
+	// The maps and the region list are shared copy-on-write with the
+	// kernel this one was forked from and with its own forks (see cow).
 	mu       sync.Mutex
-	symbols  map[string]uint64      // exported symbol table (kernel + modules)
-	natives  map[uint64]*cpu.Native // shared dispatch table
-	textBase uint64                 // kernel image base (randomized)
-	textNext uint64                 // next free native slot
+	symbols  cow[map[string]uint64]      // exported symbol table (kernel + modules)
+	natives  cow[map[uint64]*cpu.Native] // dispatch table every vCPU reads
+	textBase uint64                      // kernel image base (randomized)
+	textNext uint64                      // next free native slot
 
 	heapBase   uint64
 	heapNext   uint64
-	heapFree   map[uint64][]uint64 // size class → free VAs
-	heapSizes  map[uint64]uint64   // allocation VA → rounded size
-	heapMapped uint64              // end of mapped heap pages
+	heapFree   cow[map[uint64][]uint64] // size class → free VAs
+	heapSizes  cow[map[uint64]uint64]   // allocation VA → rounded size
+	heapMapped uint64                   // end of mapped heap pages
 
 	stackBase uint64
 	stackNext uint64
 
 	// regions tracks every allocated VA interval for collision-free
 	// randomized placement.
-	regions []vaRegion
+	regions cow[[]vaRegion]
 
-	modules map[string]*Module
+	// modules holds the loaded modules. A fork starts on its parent's
+	// map, whose modules belong to the parent (Module.k); Module clones
+	// one on first access (ownModule).
+	modules cow[map[string]*Module]
 
-	// cpus holds the vCPUs. A booted kernel fills every slot; a fork
-	// fills slot i on first access by cloning cpuTmpl[i] (see CPU).
-	cpus    []atomic.Pointer[cpu.CPU]
-	cpuTmpl []*cpu.CPU
+	// cpus holds the vCPUs, each created on first access (see CPU): a
+	// fork clones cpuTmpl[i], and where that is nil (always on a booted
+	// kernel) a fresh vCPU starts on its boot stack, stackTops[i].
+	cpus      []atomic.Pointer[cpu.CPU]
+	cpuTmpl   []*cpu.CPU
+	stackTops []uint64
 
 	workqueue []workItem
-	isrs      map[int]isrEntry // IRQ line → {handler VA, affinity vCPU} (see irq.go)
+	isrs      cow[map[int]isrEntry] // IRQ line → {handler VA, affinity vCPU} (see irq.go)
 
 	// irqRouter mirrors ISR affinity into the bus's vector table. Machine
 	// wiring, installed by sim and re-installed on fork — never copied.
 	irqRouter func(line, vcpu int)
+
+	// stacks is the per-CPU stack pool behind the stack-substitution
+	// natives. Machine wiring like irqRouter: the re-randomizer installs
+	// its pool at boot and on every fork (SetStackPool).
+	stacks *stackpool.Pool
 
 	log []string // printk buffer
 
@@ -127,7 +142,7 @@ type Kernel struct {
 	// and draw count, so the clone's random stream continues bit-exactly
 	// where the template's stopped; the clone seeds a generator only
 	// when it first draws.
-	randSrc *countingSource
+	randSrc countingSource
 }
 
 // countingSource is a math/rand source that counts every draw. Both
@@ -180,18 +195,18 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.NumCPUs > MaxCPUs {
 		return nil, fmt.Errorf("kernel: NumCPUs %d exceeds MaxCPUs %d (per-CPU driver arrays are sized for MaxCPUs)", cfg.NumCPUs, MaxCPUs)
 	}
-	src := &countingSource{seed: cfg.Seed}
 	k := &Kernel{
 		Cfg:       cfg,
 		AS:        mm.NewAddressSpace(mm.NewPhysMem()),
-		Rand:      rand.New(src),
-		randSrc:   src,
-		symbols:   make(map[string]uint64),
-		natives:   make(map[uint64]*cpu.Native),
-		heapFree:  make(map[uint64][]uint64),
-		heapSizes: make(map[uint64]uint64),
-		modules:   make(map[string]*Module),
+		randSrc:   countingSource{seed: cfg.Seed},
+		symbols:   cow[map[string]uint64]{v: map[string]uint64{}},
+		natives:   cow[map[uint64]*cpu.Native]{v: map[uint64]*cpu.Native{}},
+		heapFree:  cow[map[uint64][]uint64]{v: map[uint64][]uint64{}},
+		heapSizes: cow[map[uint64]uint64]{v: map[uint64]uint64{}},
+		modules:   cow[map[string]*Module]{v: map[string]*Module{}},
+		isrs:      cow[map[int]isrEntry]{v: map[int]isrEntry{}},
 	}
+	k.Rand = rand.New(&k.randSrc)
 	if cfg.Reclaimer != nil {
 		k.SMR = cfg.Reclaimer
 	} else {
@@ -231,40 +246,38 @@ func New(cfg Config) (*Kernel, error) {
 
 	k.registerCoreNatives()
 
+	// Every vCPU's stack is placed at boot; the vCPU itself is created
+	// on first use (CPU).
 	k.cpus = make([]atomic.Pointer[cpu.CPU], cfg.NumCPUs)
-	for i := range k.cpus {
-		c := cpu.New(i, k.AS)
-		c.SetNatives(k.natives)
-		// All natives — including ones defined after boot — live inside
-		// the kernel text region, so module RIPs skip the dispatch probe.
-		c.SetNativeRange(k.textBase, k.textBase+kernelTextPages*mm.PageSize)
-		stack, err := k.AllocStack()
+	k.cpuTmpl = make([]*cpu.CPU, cfg.NumCPUs)
+	k.stackTops = make([]uint64, cfg.NumCPUs)
+	for i := range k.stackTops {
+		top, err := k.AllocStack()
 		if err != nil {
 			return nil, err
 		}
-		c.Regs[4] = stack // RSP
-		k.cpus[i].Store(c)
+		k.stackTops[i] = top
 	}
 	return k, nil
 }
 
 // claim records a VA interval as occupied.
 func (k *Kernel) claim(base, size uint64) {
-	k.regions = append(k.regions, vaRegion{lo: base, hi: base + size})
+	k.regions.v = append(k.regions.own(slices.Clone), vaRegion{lo: base, hi: base + size})
 }
 
 // release removes a claimed interval (module unload / re-randomization).
 func (k *Kernel) release(base, size uint64) {
-	for i, r := range k.regions {
+	for i, r := range k.regions.v {
 		if r.lo == base && r.hi == base+size {
-			k.regions = append(k.regions[:i], k.regions[i+1:]...)
+			k.regions.v = slices.Delete(k.regions.own(slices.Clone), i, i+1)
 			return
 		}
 	}
 }
 
 func (k *Kernel) overlaps(lo, hi uint64) bool {
-	for _, r := range k.regions {
+	for _, r := range k.regions.v {
 		if lo < r.hi && r.lo < hi {
 			return true
 		}
@@ -300,7 +313,7 @@ func (k *Kernel) DefineNative(name string, cost uint64, fn func(c *cpu.CPU) erro
 }
 
 func (k *Kernel) defineNativeLocked(name string, cost uint64, fn func(c *cpu.CPU) error) uint64 {
-	if _, dup := k.symbols[name]; dup {
+	if _, dup := k.symbols.v[name]; dup {
 		panic(fmt.Sprintf("kernel: duplicate symbol %q", name))
 	}
 	va := k.textNext
@@ -308,16 +321,31 @@ func (k *Kernel) defineNativeLocked(name string, cost uint64, fn func(c *cpu.CPU
 		panic("kernel: native text region exhausted")
 	}
 	k.textNext += nativeSlot
-	k.natives[va] = &cpu.Native{Name: name, Cost: cost, Fn: fn}
-	k.symbols[name] = va
+	k.ownNatives()[va] = &cpu.Native{Name: name, Cost: cost, Fn: fn}
+	k.symbols.own(maps.Clone)[name] = va
 	return va
+}
+
+// ownNatives returns the native table for writing. If the table is
+// still shared with a fork relative it is copied first, and every vCPU
+// that exists is pointed at the copy. Caller holds k.mu.
+func (k *Kernel) ownNatives() map[uint64]*cpu.Native {
+	if k.natives.shared {
+		m := k.natives.own(maps.Clone)
+		for i := range k.cpus {
+			if c := k.cpus[i].Load(); c != nil {
+				c.SetNatives(m)
+			}
+		}
+	}
+	return k.natives.v
 }
 
 // Symbol resolves an exported symbol.
 func (k *Kernel) Symbol(name string) (uint64, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	v, ok := k.symbols[name]
+	v, ok := k.symbols.v[name]
 	return v, ok
 }
 
@@ -325,10 +353,10 @@ func (k *Kernel) Symbol(name string) (uint64, bool) {
 func (k *Kernel) ExportSymbol(name string, va uint64) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if _, dup := k.symbols[name]; dup {
+	if _, dup := k.symbols.v[name]; dup {
 		return fmt.Errorf("kernel: duplicate exported symbol %q", name)
 	}
-	k.symbols[name] = va
+	k.symbols.own(maps.Clone)[name] = va
 	return nil
 }
 
@@ -336,17 +364,17 @@ func (k *Kernel) ExportSymbol(name string, va uint64) error {
 func (k *Kernel) Symbols() []string {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	out := make([]string, 0, len(k.symbols))
-	for n := range k.symbols {
+	out := make([]string, 0, len(k.symbols.v))
+	for n := range k.symbols.v {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// CPU returns vCPU i. On a fork the vCPU is cloned from the frozen
-// template on first access; the fast path is a load and a nil check,
-// written to fit the compiler's inlining budget.
+// CPU returns vCPU i, creating it on first access — on a fork by
+// cloning the frozen template's. The fast path is a load and a nil
+// check, written to fit the compiler's inlining budget.
 func (k *Kernel) CPU(i int) (c *cpu.CPU) {
 	if c = k.cpus[i].Load(); c == nil {
 		return k.materializeCPU(i)
@@ -354,41 +382,61 @@ func (k *Kernel) CPU(i int) (c *cpu.CPU) {
 	return
 }
 
-// materializeCPU clones vCPU i from its template. The clone is a pure
-// function of the frozen template and this kernel's address space, so
-// when two callers race the loser's copy is dropped and both see the
-// winner's.
+// materializeCPU creates vCPU i under k.mu, so racing first users get
+// one vCPU and it sees the current native table. A vCPU nothing has
+// run is a pure function of its ID, the address space and its boot
+// stack, so creating it late is indistinguishable from creating it at
+// boot.
 func (k *Kernel) materializeCPU(i int) *cpu.CPU {
-	c := k.cpuTmpl[i].CloneFor(k.AS, k.natives)
-	if k.cpus[i].CompareAndSwap(nil, c) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if c := k.cpus[i].Load(); c != nil {
 		return c
 	}
-	return k.cpus[i].Load()
+	var c *cpu.CPU
+	if t := k.cpuTmpl[i]; t != nil {
+		c = t.CloneFor(k.AS, k.natives.v)
+	} else {
+		c = cpu.New(i, k.AS)
+		c.SetNatives(k.natives.v)
+		// All natives — including ones defined after boot — live inside
+		// the kernel text region, so module RIPs skip the dispatch probe.
+		c.SetNativeRange(k.textBase, k.textBase+kernelTextPages*mm.PageSize)
+		c.Regs[4] = k.stackTops[i] // RSP
+	}
+	c.Kernel = k
+	k.cpus[i].Store(c)
+	return c
 }
 
-// LoadedCPU returns vCPU i if it already exists, or nil if it is a
-// fork's vCPU that nothing has touched yet. Callers that only reset
-// per-vCPU state a fresh clone never has use it to avoid cloning.
+// LoadedCPU returns vCPU i if it already exists, or nil if nothing has
+// touched it yet. Callers that only reset per-vCPU state a fresh vCPU
+// never has use it to avoid creating one.
 func (k *Kernel) LoadedCPU(i int) *cpu.CPU { return k.cpus[i].Load() }
 
 // NumCPUs returns the configured CPU count.
 func (k *Kernel) NumCPUs() int { return len(k.cpus) }
 
-// Module returns a loaded module by name.
+// Module returns a loaded module by name. On a fork, the module is
+// cloned from the parent's on first access.
 func (k *Kernel) Module(name string) (*Module, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	m, ok := k.modules[name]
+	m, ok := k.modules.v[name]
+	if ok {
+		m = k.ownModule(m)
+	}
 	return m, ok
 }
 
-// Modules returns all loaded modules sorted by name.
+// Modules returns all loaded modules sorted by name, cloning on a fork
+// every module not cloned yet.
 func (k *Kernel) Modules() []*Module {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	out := make([]*Module, 0, len(k.modules))
-	for _, m := range k.modules {
-		out = append(out, m)
+	out := make([]*Module, 0, len(k.modules.v))
+	for _, m := range k.modules.v {
+		out = append(out, k.ownModule(m))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -404,10 +452,12 @@ func (k *Kernel) Kmalloc(size uint64) (uint64, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	class := (size + 63) &^ 63
-	if list := k.heapFree[class]; len(list) > 0 {
+	if len(k.heapFree.v[class]) > 0 {
+		free := k.heapFree.own(cloneFreeLists)
+		list := free[class]
 		va := list[len(list)-1]
-		k.heapFree[class] = list[:len(list)-1]
-		k.heapSizes[va] = class
+		free[class] = list[:len(list)-1]
+		k.heapSizes.own(maps.Clone)[va] = class
 		return va, nil
 	}
 	va := k.heapNext
@@ -423,7 +473,7 @@ func (k *Kernel) Kmalloc(size uint64) (uint64, error) {
 		k.heapMapped += mm.PageSize
 	}
 	k.heapNext = end
-	k.heapSizes[va] = class
+	k.heapSizes.own(maps.Clone)[va] = class
 	return va, nil
 }
 
@@ -431,12 +481,13 @@ func (k *Kernel) Kmalloc(size uint64) (uint64, error) {
 func (k *Kernel) Kfree(va uint64) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	class, ok := k.heapSizes[va]
+	class, ok := k.heapSizes.v[va]
 	if !ok {
 		return fmt.Errorf("kernel: kfree of unknown address %#x", va)
 	}
-	delete(k.heapSizes, va)
-	k.heapFree[class] = append(k.heapFree[class], va)
+	delete(k.heapSizes.own(maps.Clone), va)
+	free := k.heapFree.own(cloneFreeLists)
+	free[class] = append(free[class], va)
 	return nil
 }
 
@@ -496,156 +547,126 @@ func readCString(as *mm.AddressSpace, va uint64, max int) string {
 	return string(out)
 }
 
-// nativeDef pairs a native's identity with its implementation; the core
-// API is expressed as a def list so a forked kernel can re-create the
-// closures bound to itself at the symbol addresses the template already
-// assigned (see rebindCoreNatives).
-type nativeDef struct {
-	name string
-	cost uint64
-	fn   func(c *cpu.CPU) error
-}
+// Of returns the kernel a vCPU belongs to. Natives use it to reach
+// their machine: one native table serves a fork template and all its
+// forks, so a native must not capture a kernel.
+func Of(c *cpu.CPU) *Kernel { return c.Kernel.(*Kernel) }
 
-// coreNativeDefs builds the kernel API every module may import, with
-// every closure capturing this kernel. Costs are nominal cycle charges
-// standing in for the real routines' work.
-func (k *Kernel) coreNativeDefs() []nativeDef {
-	return []nativeDef{
-		{"printk", 150, func(c *cpu.CPU) error {
-			k.Printk(readCString(k.AS, c.Regs[7], 256)) // RDI
-			c.Regs[0] = 0
-			return nil
-		}},
-		{"kmalloc", 120, func(c *cpu.CPU) error {
-			va, err := k.Kmalloc(c.Regs[7])
+// SetStackPool installs the per-CPU stack pool the stack-substitution
+// natives draw from. Like the IRQ router it is machine wiring, not
+// kernel state: Fork does not carry it over, and the forked
+// re-randomizer installs its own pool before the fork runs.
+func (k *Kernel) SetStackPool(p *stackpool.Pool) { k.stacks = p }
+
+// StackPool returns the pool installed by SetStackPool (nil if none).
+func (k *Kernel) StackPool() *stackpool.Pool { return k.stacks }
+
+// coreNatives is the kernel API every module may import. Each native
+// reaches its kernel through the calling vCPU (Of). Costs are nominal
+// cycle charges standing in for the real routines' work.
+var coreNatives = []cpu.Native{
+	{Name: "printk", Cost: 150, Fn: func(c *cpu.CPU) error {
+		Of(c).Printk(readCString(c.AS, c.Regs[7], 256)) // RDI
+		c.Regs[0] = 0
+		return nil
+	}},
+	{Name: "kmalloc", Cost: 120, Fn: func(c *cpu.CPU) error {
+		va, err := Of(c).Kmalloc(c.Regs[7])
+		if err != nil {
+			return err
+		}
+		c.Regs[0] = va
+		return nil
+	}},
+	{Name: "kfree", Cost: 90, Fn: func(c *cpu.CPU) error {
+		return Of(c).Kfree(c.Regs[7])
+	}},
+	{Name: "memset64", Cost: 40, Fn: func(c *cpu.CPU) error {
+		// memset64(dst, val, nwords)
+		dst, val, n := c.Regs[7], c.Regs[6], c.Regs[2]
+		for i := uint64(0); i < n; i++ {
+			if err := c.AS.Write64(dst+8*i, val); err != nil {
+				return err
+			}
+		}
+		c.Cycles += n / 4
+		return nil
+	}},
+	{Name: "memcpy64", Cost: 40, Fn: func(c *cpu.CPU) error {
+		// memcpy64(dst, src, nwords)
+		dst, src, n := c.Regs[7], c.Regs[6], c.Regs[2]
+		for i := uint64(0); i < n; i++ {
+			v, err := c.AS.Read64(src + 8*i)
 			if err != nil {
 				return err
 			}
-			c.Regs[0] = va
-			return nil
-		}},
-		{"kfree", 90, func(c *cpu.CPU) error {
-			return k.Kfree(c.Regs[7])
-		}},
-		{"memset64", 40, func(c *cpu.CPU) error {
-			// memset64(dst, val, nwords)
-			dst, val, n := c.Regs[7], c.Regs[6], c.Regs[2]
-			for i := uint64(0); i < n; i++ {
-				if err := k.AS.Write64(dst+8*i, val); err != nil {
-					return err
-				}
+			if err := c.AS.Write64(dst+8*i, v); err != nil {
+				return err
 			}
-			c.Cycles += n / 4
-			return nil
-		}},
-		{"memcpy64", 40, func(c *cpu.CPU) error {
-			// memcpy64(dst, src, nwords)
-			dst, src, n := c.Regs[7], c.Regs[6], c.Regs[2]
-			for i := uint64(0); i < n; i++ {
-				v, err := k.AS.Read64(src + 8*i)
-				if err != nil {
-					return err
-				}
-				if err := k.AS.Write64(dst+8*i, v); err != nil {
-					return err
-				}
-			}
-			c.Cycles += n / 2
-			return nil
-		}},
-		// cond_resched is the canonical cheap kernel helper drivers call on
-		// hot paths; under retpoline+PIC it is reached through a PLT stub,
-		// which is exactly where Fig. 5b's "slight performance hit of the
-		// PIC code" comes from.
-		{"cond_resched", 10, func(c *cpu.CPU) error {
-			return nil
-		}},
-		// smp_processor_id returns the executing vCPU's index. Drivers use it
-		// to address per-CPU state (counters, per-CPU device queue slots) so
-		// their data paths are SMP-correct when the engine runs operations on
-		// several vCPUs — the same this_cpu_* discipline real Linux drivers
-		// follow.
-		{"smp_processor_id", 5, func(c *cpu.CPU) error {
-			c.Regs[0] = uint64(c.ID) // RAX
-			return nil
-		}},
-		// queue_work(fn, arg) defers fn(arg) to workqueue context (§3.4).
-		{"queue_work", 80, func(c *cpu.CPU) error {
-			k.QueueWork(c.Regs[7], c.Regs[6]) // RDI, RSI
-			c.Regs[0] = 0
-			return nil
-		}},
-		// request_irq(line, handler) registers an interrupt service routine,
-		// affine to vCPU 0 (the legacy target) until irq_set_affinity moves
-		// it. Like queue_work, the handler address may point into the
-		// module's movable part; the re-randomizer slides registered vectors
-		// on moves.
-		{"request_irq", 150, func(c *cpu.CPU) error {
-			k.RegisterISR(int(c.Regs[7]), c.Regs[6], 0) // RDI, RSI
-			c.Regs[0] = 0
-			return nil
-		}},
-		// mr_start / mr_finish bracket externally-initiated module calls
-		// (paper §3.4). The slot is the executing CPU.
-		{"mr_start", 30, func(c *cpu.CPU) error {
-			k.SMR.Enter(c.ID)
-			return nil
-		}},
-		{"mr_finish", 30, func(c *cpu.CPU) error {
-			k.SMR.Leave(c.ID)
-			return nil
-		}},
-		// irq_set_affinity(line, cpu) points an interrupt vector at a target
-		// vCPU — the guest half of MSI-X routing. Multi-queue drivers call
-		// it per queue after request_irq so each queue's ISR runs on its own
-		// lane. Appended after every pre-existing native: natives allocate
-		// text addresses sequentially, so adding at the end keeps all prior
-		// symbol VAs (and with them every existing figure) bit-identical.
-		{"irq_set_affinity", 100, func(c *cpu.CPU) error {
-			k.SetISRAffinity(int(c.Regs[7]), int(c.Regs[6])) // RDI, RSI
-			c.Regs[0] = 0
-			return nil
-		}},
-	}
+		}
+		c.Cycles += n / 2
+		return nil
+	}},
+	// cond_resched is the canonical cheap kernel helper drivers call on
+	// hot paths; under retpoline+PIC it is reached through a PLT stub,
+	// which is exactly where Fig. 5b's "slight performance hit of the
+	// PIC code" comes from.
+	{Name: "cond_resched", Cost: 10, Fn: func(c *cpu.CPU) error {
+		return nil
+	}},
+	// smp_processor_id returns the executing vCPU's index. Drivers use it
+	// to address per-CPU state (counters, per-CPU device queue slots) so
+	// their data paths are SMP-correct when the engine runs operations on
+	// several vCPUs — the same this_cpu_* discipline real Linux drivers
+	// follow.
+	{Name: "smp_processor_id", Cost: 5, Fn: func(c *cpu.CPU) error {
+		c.Regs[0] = uint64(c.ID) // RAX
+		return nil
+	}},
+	// queue_work(fn, arg) defers fn(arg) to workqueue context (§3.4).
+	{Name: "queue_work", Cost: 80, Fn: func(c *cpu.CPU) error {
+		Of(c).QueueWork(c.Regs[7], c.Regs[6]) // RDI, RSI
+		c.Regs[0] = 0
+		return nil
+	}},
+	// request_irq(line, handler) registers an interrupt service routine,
+	// affine to vCPU 0 (the legacy target) until irq_set_affinity moves
+	// it. Like queue_work, the handler address may point into the
+	// module's movable part; the re-randomizer slides registered vectors
+	// on moves.
+	{Name: "request_irq", Cost: 150, Fn: func(c *cpu.CPU) error {
+		Of(c).RegisterISR(int(c.Regs[7]), c.Regs[6], 0) // RDI, RSI
+		c.Regs[0] = 0
+		return nil
+	}},
+	// mr_start / mr_finish bracket externally-initiated module calls
+	// (paper §3.4). The slot is the executing CPU.
+	{Name: "mr_start", Cost: 30, Fn: func(c *cpu.CPU) error {
+		Of(c).SMR.Enter(c.ID)
+		return nil
+	}},
+	{Name: "mr_finish", Cost: 30, Fn: func(c *cpu.CPU) error {
+		Of(c).SMR.Leave(c.ID)
+		return nil
+	}},
+	// irq_set_affinity(line, cpu) points an interrupt vector at a target
+	// vCPU — the guest half of MSI-X routing. Multi-queue drivers call
+	// it per queue after request_irq so each queue's ISR runs on its own
+	// lane. Appended after every pre-existing native: natives allocate
+	// text addresses sequentially, so adding at the end keeps all prior
+	// symbol VAs (and with them every existing figure) bit-identical.
+	{Name: "irq_set_affinity", Cost: 100, Fn: func(c *cpu.CPU) error {
+		Of(c).SetISRAffinity(int(c.Regs[7]), int(c.Regs[6])) // RDI, RSI
+		c.Regs[0] = 0
+		return nil
+	}},
 }
 
 // registerCoreNatives installs the kernel API every module may import.
 func (k *Kernel) registerCoreNatives() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for _, d := range k.coreNativeDefs() {
-		k.defineNativeLocked(d.name, d.cost, d.fn)
+	for _, n := range coreNatives {
+		k.defineNativeLocked(n.Name, n.Cost, n.Fn)
 	}
-}
-
-// rebindCoreNatives re-creates the core natives as closures over this
-// (forked) kernel at the symbol addresses the template assigned. Caller
-// holds k.mu; k.symbols must already carry the template's assignments.
-func (k *Kernel) rebindCoreNatives() {
-	for _, d := range k.coreNativeDefs() {
-		va, ok := k.symbols[d.name]
-		if !ok {
-			panic(fmt.Sprintf("kernel: fork: core native %q missing from symbol table", d.name))
-		}
-		k.natives[va] = &cpu.Native{Name: d.name, Cost: d.cost, Fn: d.fn}
-	}
-}
-
-// RebindNative replaces the implementation behind an already-defined
-// native symbol, keeping its address and cost semantics. Forked machines
-// use it to point natives whose closures capture per-machine state (the
-// re-randomizer's stack-swap helpers) at the clone's state instead of
-// the template's.
-func (k *Kernel) RebindNative(name string, cost uint64, fn func(c *cpu.CPU) error) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	va, ok := k.symbols[name]
-	if !ok {
-		return fmt.Errorf("kernel: RebindNative: unknown symbol %q", name)
-	}
-	if _, isNative := k.natives[va]; !isNative {
-		return fmt.Errorf("kernel: RebindNative: symbol %q is not a native", name)
-	}
-	k.natives[va] = &cpu.Native{Name: name, Cost: cost, Fn: fn}
-	return nil
 }

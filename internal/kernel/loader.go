@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
 
 	"adelie/internal/elfmod"
 	"adelie/internal/isa"
@@ -32,7 +33,7 @@ func (k *Kernel) Load(obj *elfmod.Object) (*Module, error) {
 		return nil, err
 	}
 	k.mu.Lock()
-	if _, dup := k.modules[obj.Name]; dup {
+	if _, dup := k.modules.v[obj.Name]; dup {
 		k.mu.Unlock()
 		return nil, fmt.Errorf("kernel: module %q already loaded", obj.Name)
 	}
@@ -59,7 +60,7 @@ func (k *Kernel) Load(obj *elfmod.Object) (*Module, error) {
 		return nil, err
 	}
 	k.mu.Lock()
-	k.modules[obj.Name] = m
+	k.modules.own(maps.Clone)[obj.Name] = m
 	k.mu.Unlock()
 	obs.Default.Counter("adelie_kernel_modules_loaded_total").Inc()
 	return m, nil

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"adelie/internal/elfmod"
@@ -405,9 +406,9 @@ func (m *Module) Unload() error {
 	k := m.k
 	k.mu.Lock()
 	for name := range m.exports {
-		delete(k.symbols, name)
+		delete(k.symbols.own(maps.Clone), name)
 	}
-	delete(k.modules, m.Name)
+	delete(k.modules.own(maps.Clone), m.Name)
 	k.mu.Unlock()
 	for _, p := range []*Part{&m.Movable, &m.Immovable} {
 		if p.Pages == 0 {

@@ -2,6 +2,8 @@ package mm
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -448,5 +450,229 @@ func TestPageTableForkAllocsIndependentOfSize(t *testing.T) {
 	small, large := allocs(1), allocs(4096)
 	if small != large {
 		t.Fatalf("AddressSpace.Fork allocates %v times with 1 page mapped, %v with 4096", small, large)
+	}
+}
+
+// Frame slots are shared by chunks of chunkFrames: Fork bumps one
+// count per chunk, and a machine copies a chunk the first time it
+// writes (or, forked, translates) a frame in it. The tests below place
+// their writes on chunk boundaries and check every observable —
+// contents, SharedFrames, Release's dead count, COWDetaches — against
+// a model of per-frame sharing, in which every machine holds its own
+// reference on every frame record.
+
+// cowModel tracks, per machine, which frame record each frame holds and
+// the value at the start of each page, plus each record's machine count.
+type cowModel struct {
+	recs map[*AddressSpace][]int
+	vals map[*AddressSpace][]uint64
+	refs map[int]int
+	next int
+}
+
+// chunkSetup maps 2*chunkFrames+5 writable pages (frames 0..n-1, the
+// last chunk partial), writes page i's first word as 1000+i and returns
+// the address space and its model.
+func chunkSetup(t *testing.T) (*AddressSpace, *cowModel) {
+	t.Helper()
+	const n = 2*chunkFrames + 5
+	as := NewAddressSpace(NewPhysMem())
+	if _, err := as.MapRegion(KernelBase, n, FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	m := &cowModel{recs: map[*AddressSpace][]int{}, vals: map[*AddressSpace][]uint64{}, refs: map[int]int{}}
+	for i := 0; i < n; i++ {
+		if err := as.Write64(pageVA(i), 1000+uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+		m.recs[as] = append(m.recs[as], m.next)
+		m.vals[as] = append(m.vals[as], 1000+uint64(i))
+		m.refs[m.next] = 1
+		m.next++
+	}
+	return as, m
+}
+
+func pageVA(i int) uint64 { return KernelBase + uint64(i)*PageSize }
+
+// fork forks as in the address space and the model.
+func (m *cowModel) fork(as *AddressSpace) *AddressSpace {
+	f := as.Fork(as.Phys().Fork())
+	m.recs[f] = slices.Clone(m.recs[as])
+	m.vals[f] = slices.Clone(m.vals[as])
+	for _, r := range m.recs[f] {
+		m.refs[r]++
+	}
+	return f
+}
+
+// write stores v at page i through as: a shared record detaches.
+func (m *cowModel) write(t *testing.T, as *AddressSpace, i int, v uint64) {
+	t.Helper()
+	if err := as.Write64(pageVA(i), v); err != nil {
+		t.Fatal(err)
+	}
+	if r := m.recs[as][i]; m.refs[r] > 1 {
+		m.refs[r]--
+		m.recs[as][i] = m.next
+		m.refs[m.next] = 1
+		m.next++
+	}
+	m.vals[as][i] = v
+}
+
+// release releases as and returns the model's dead count.
+func (m *cowModel) release(as *AddressSpace) (got, want int64) {
+	for _, r := range m.recs[as] {
+		if m.refs[r]--; m.refs[r] == 0 {
+			want++
+		}
+	}
+	delete(m.recs, as)
+	return as.Phys().Release(), want
+}
+
+// check compares contents and SharedFrames of every live machine.
+func (m *cowModel) check(t *testing.T, names map[*AddressSpace]string) {
+	t.Helper()
+	for as, recs := range m.recs {
+		var shared int64
+		for i, r := range recs {
+			if m.refs[r] > 1 {
+				shared++
+			}
+			got, err := as.Read64(pageVA(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != m.vals[as][i] {
+				t.Errorf("%s: page %d reads %d, want %d", names[as], i, got, m.vals[as][i])
+			}
+		}
+		if got := as.Phys().SharedFrames(); got != shared {
+			t.Errorf("%s: SharedFrames %d, want %d", names[as], got, shared)
+		}
+	}
+}
+
+// edges are pages on both sides of each chunk boundary plus the last
+// page of the partial chunk.
+var edges = []int{0, chunkFrames - 1, chunkFrames, 2*chunkFrames - 1, 2 * chunkFrames, 2*chunkFrames + 4}
+
+func TestCOWChunkBoundaryWrites(t *testing.T) {
+	tmpl, m := chunkSetup(t)
+	f := m.fork(tmpl)
+	sib := m.fork(tmpl)
+	names := map[*AddressSpace]string{tmpl: "template", f: "fork", sib: "sibling"}
+	m.check(t, names)
+	for _, i := range edges {
+		m.write(t, f, i, 2000+uint64(i))
+	}
+	m.check(t, names)
+	for _, i := range edges[1:4] {
+		m.write(t, sib, i, 3000+uint64(i))
+	}
+	m.check(t, names)
+	// The template writes last, into chunks both forks have copied and
+	// into one neither touched.
+	for _, i := range []int{chunkFrames, chunkFrames + 1} {
+		m.write(t, tmpl, i, 4000+uint64(i))
+	}
+	m.check(t, names)
+	if got, want := f.Phys().COWDetaches(), int64(len(edges)); got != want {
+		t.Errorf("fork detached %d frames, want %d", got, want)
+	}
+	for _, as := range []*AddressSpace{sib, f, tmpl} {
+		if got, want := m.release(as); got != want {
+			t.Errorf("%s: Release freed %d records, want %d", names[as], got, want)
+		}
+		m.check(t, names)
+	}
+}
+
+func TestCOWChunkForkOfFork(t *testing.T) {
+	tmpl, m := chunkSetup(t)
+	mid := m.fork(tmpl)
+	for _, i := range edges[:3] {
+		m.write(t, mid, i, 2000+uint64(i))
+	}
+	leaf := m.fork(mid)
+	names := map[*AddressSpace]string{tmpl: "template", mid: "mid", leaf: "leaf"}
+	m.check(t, names)
+	for _, i := range edges {
+		m.write(t, leaf, i, 5000+uint64(i))
+	}
+	m.check(t, names)
+	// Releasing out of fork order: the template first.
+	for _, as := range []*AddressSpace{tmpl, leaf, mid} {
+		if got, want := m.release(as); got != want {
+			t.Errorf("%s: Release freed %d records, want %d", names[as], got, want)
+		}
+		m.check(t, names)
+	}
+}
+
+func TestCOWChunkAllocRecyclesSharedFrame(t *testing.T) {
+	// The template frees the frame at a chunk boundary and allocates
+	// again: the recycled frame must be zeroed for the template only.
+	tmpl, m := chunkSetup(t)
+	f := m.fork(tmpl)
+	const i = chunkFrames
+	id, err := tmpl.Unmap(pageVA(i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl.Phys().Free(id)
+	if got := tmpl.Phys().Alloc(); got != id {
+		t.Fatalf("Alloc returned frame %d, want the freed %d", got, id)
+	}
+	if b := tmpl.Phys().Frame(id); b[0] != 0 {
+		t.Fatalf("recycled frame not zeroed for the template: %#x", b[0])
+	}
+	if got, err := f.Read64(pageVA(i)); err != nil || got != 1000+i {
+		t.Fatalf("fork reads %d, %v after the template recycled the frame", got, err)
+	}
+	if got := tmpl.Phys().COWDetaches(); got != 1 {
+		t.Fatalf("template detached %d frames, want 1", got)
+	}
+	if got := f.Phys().SharedFrames(); got != 2*chunkFrames+4 {
+		t.Fatalf("fork shares %d frames, want every frame but the recycled one", got)
+	}
+	if got, want := f.Phys().Release(), int64(1); got != want {
+		t.Fatalf("fork Release freed %d records, want %d (the pre-recycle record)", got, want)
+	}
+}
+
+func TestPhysForkAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(nframes int) float64 {
+		p := NewPhysMem()
+		p.AllocN(nframes)
+		return testing.AllocsPerRun(100, func() { p.Fork().Release() })
+	}
+	small, large := allocs(64), allocs(4096)
+	if small != large {
+		t.Fatalf("PhysMem.Fork+Release allocates %v times with 64 frames, %v with 4096", small, large)
+	}
+}
+
+func TestPhysAllocCopiesNoTable(t *testing.T) {
+	// Appending a frame writes the last chunk in place, so an Alloc
+	// costs the same on a 4096-frame table as on a 64-frame one (copying
+	// the table would add 8 bytes per frame already allocated).
+	perAlloc := func(nframes int) uint64 {
+		p := NewPhysMem()
+		p.AllocN(nframes)
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		const n = 8 * chunkFrames
+		for i := 0; i < n; i++ {
+			p.Alloc()
+		}
+		runtime.ReadMemStats(&ms1)
+		return (ms1.TotalAlloc - ms0.TotalAlloc) / n
+	}
+	small, large := perAlloc(64), perAlloc(4096)
+	if large > small+small/8 {
+		t.Fatalf("Alloc allocates %d bytes on a 4096-frame table, %d on a 64-frame one", large, small)
 	}
 }

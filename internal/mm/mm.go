@@ -11,6 +11,7 @@ package mm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -116,24 +117,25 @@ func (e *PageFault) Error() string {
 // caches validate against it, which closes the W^X hole of writing a
 // code page through a writable alias mapping.
 //
-// refs counts how many machines' frame tables point at this record.
-// A frame is born private (refs == 1); PhysMem.Fork increments refs for
-// every frame it shares copy-on-write, and the first write through any
-// sharer replaces its slot's record with a private copy (see
-// frameSlot.private). Content never changes under a sharer's feet: a
-// shared record is immutable until the last-but-one reference detaches.
+// refs counts the slots pointing at this record, across every slot
+// chunk alive in any machine (see slotChunk). A frame is born private
+// (refs == 1); copying a shared chunk bumps refs for every frame in it,
+// and the first write through any sharer replaces its slot's record with
+// a private copy (see frameSlot.private). Content never changes under a
+// sharer's feet: a shared record is immutable until the last-but-one
+// reference detaches.
 type frameData struct {
 	data [PageSize]byte
 	ver  atomic.Uint64 // content version (see NoteWrite)
 	exec atomic.Bool   // frame has been mapped executable at least once
-	refs atomic.Int64  // machines sharing this record (1 = private)
+	refs atomic.Int64  // slots pointing at this record (1 = private)
 }
 
 // frameSlot is one machine's view of a physical frame: a stable cell
-// whose current frameData pointer is swapped on copy-on-write. Slots are
-// per-machine — forking copies the slot table, so sibling machines COW
-// independently while the FrameID namespace (and everything keyed by it:
-// page tables, module bookkeeping, decode caches) stays valid verbatim.
+// whose current frameData pointer is swapped on copy-on-write. Slots live
+// in chunks a machine shares with its fork relatives until it writes
+// one, so the FrameID namespace (and everything keyed by it: page
+// tables, module bookkeeping, decode caches) stays valid verbatim.
 type frameSlot struct {
 	mu  sync.Mutex // serializes copy-on-write on this slot
 	fd  atomic.Pointer[frameData]
@@ -151,7 +153,9 @@ func (s *frameSlot) load() *frameData { return s.fd.Load() }
 // detach is counted on the owning machine's observability counter
 // (s.ctr), sampled by the engine at round barriers; the counter lives
 // on the slot — not the hot translation Entry — so the TLB's cached
-// entries stay one cache-line-friendly word narrower.
+// entries stay one cache-line-friendly word narrower. The slot must sit
+// in a chunk its machine owns (PhysMem.ownSlot): a write to a shared
+// chunk's slot would swap the record under every sharer.
 func (s *frameSlot) private() *frameData {
 	fd := s.fd.Load()
 	if fd.refs.Load() == 1 {
@@ -175,17 +179,37 @@ func (s *frameSlot) private() *frameData {
 	return nfd
 }
 
+// chunkFrames is the number of frame slots per chunk: the unit a fork
+// shares with its parent and copies on first touch. Smaller chunks copy
+// less on a touch; larger ones make Fork and Release cheaper.
+const chunkFrames = 16
+
+// slotChunk is a run of chunkFrames consecutive frame slots. A chunk is
+// shared by every machine whose slot table points at it; refs counts
+// them. A machine may write a chunk's slots only while it holds the
+// sole reference (refs == 1) — otherwise it copies the chunk first
+// (PhysMem.ownChunk). Forking a machine is thus one refs bump per
+// chunk, and per-frame work happens only in chunks a machine touches.
+// Slots past the machine's frame count have a nil record.
+type slotChunk struct {
+	slots [chunkFrames]frameSlot
+	refs  atomic.Int64
+}
+
 // PhysMem is the physical memory of one machine: a growable set of 4 KB
 // frames with a free list. Frames are zeroed on allocation.
 //
-// The slot table is published through an atomic pointer so that the
-// translation fast path can index frames without taking the allocator
-// lock. Alloc appends under the lock, then republishes; readers always
-// observe a prefix that is fully initialized.
+// The chunk table is published through an atomic pointer and the frame
+// count through an atomic counter, so that the translation fast path
+// can index frames without taking the allocator lock. Writers hold mu:
+// Alloc initializes the new slot (and publishes any new chunk) before
+// bumping n, and replacing a chunk publishes a new table, so readers
+// always observe a prefix that is fully initialized.
 type PhysMem struct {
-	mu    sync.Mutex
-	slots atomic.Pointer[[]*frameSlot]
-	free  []FrameID
+	mu     sync.Mutex
+	chunks atomic.Pointer[[]*slotChunk]
+	n      atomic.Int64 // frames in the table (FrameIDs 0..n-1)
+	free   []FrameID
 
 	allocated   atomic.Int64 // currently live frames
 	totalAllocs atomic.Int64
@@ -196,12 +220,9 @@ type PhysMem struct {
 // NewPhysMem returns an empty physical memory.
 func NewPhysMem() *PhysMem {
 	p := &PhysMem{}
-	empty := make([]*frameSlot, 0)
-	p.slots.Store(&empty)
+	p.chunks.Store(new([]*slotChunk))
 	return p
 }
-
-func (p *PhysMem) table() []*frameSlot { return *p.slots.Load() }
 
 func newFrameData() *frameData {
 	fd := &frameData{}
@@ -218,7 +239,7 @@ func (p *PhysMem) Alloc() FrameID {
 	if n := len(p.free); n > 0 {
 		id := p.free[n-1]
 		p.free = p.free[:n-1]
-		s := p.table()[id]
+		s := &p.ownChunk(int(id / chunkFrames)).slots[id%chunkFrames]
 		f := s.fd.Load()
 		if f.refs.Load() > 1 {
 			// The recycled frame is still shared copy-on-write with a
@@ -240,14 +261,23 @@ func (p *PhysMem) Alloc() FrameID {
 		f.exec.Store(false)
 		return id
 	}
-	fs := p.table()
-	nfs := make([]*frameSlot, len(fs)+1)
-	copy(nfs, fs)
-	ns := &frameSlot{ctr: &p.detaches}
-	ns.fd.Store(newFrameData())
-	nfs[len(fs)] = ns
-	p.slots.Store(&nfs)
-	return FrameID(len(fs))
+	id := p.n.Load()
+	var c *slotChunk
+	if ci := int(id / chunkFrames); id%chunkFrames != 0 {
+		c = p.ownChunk(ci)
+	} else {
+		// The table is full: append a fresh chunk. Appending in place
+		// writes only past the length every published table has.
+		c = &slotChunk{}
+		c.refs.Store(1)
+		cs := append(*p.chunks.Load(), c)
+		p.chunks.Store(&cs)
+	}
+	s := &c.slots[id%chunkFrames]
+	s.ctr = &p.detaches
+	s.fd.Store(newFrameData())
+	p.n.Store(id + 1)
+	return FrameID(id)
 }
 
 // AllocN allocates n zeroed frames.
@@ -264,20 +294,85 @@ func (p *PhysMem) AllocN(n int) []FrameID {
 func (p *PhysMem) Free(id FrameID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if int(id) >= len(p.table()) {
+	if int64(id) >= p.n.Load() {
 		panic(fmt.Sprintf("mm: free of invalid frame %d", id))
 	}
 	p.allocated.Add(-1)
 	p.free = append(p.free, id)
 }
 
-// slot returns the frame's slot, lock-free.
-func (p *PhysMem) slot(id FrameID) *frameSlot {
-	fs := p.table()
-	if int(id) >= len(fs) {
+// chunk returns the chunk holding frame id, lock-free.
+func (p *PhysMem) chunk(id FrameID) *slotChunk {
+	if int64(id) >= p.n.Load() {
 		panic(fmt.Sprintf("mm: access to invalid frame %d", id))
 	}
-	return fs[id]
+	return (*p.chunks.Load())[id/chunkFrames]
+}
+
+// slot returns the frame's slot, lock-free. The slot may sit in a chunk
+// shared with fork relatives: callers only read through it.
+func (p *PhysMem) slot(id FrameID) *frameSlot { return &p.chunk(id).slots[id%chunkFrames] }
+
+// ownSlot returns the frame's slot in a chunk this machine holds alone,
+// copying the chunk first if it is shared. Every path that writes
+// through a slot, or caches one in a fork's TLB, must use it.
+func (p *PhysMem) ownSlot(id FrameID) *frameSlot {
+	c := p.chunk(id)
+	if c.refs.Load() != 1 {
+		p.mu.Lock()
+		c = p.ownChunk(int(id / chunkFrames))
+		p.mu.Unlock()
+	}
+	return &c.slots[id%chunkFrames]
+}
+
+// ownChunk returns chunk ci of the table, first replacing it with a
+// private copy if another machine shares it: the copy points at the
+// same frame records, each of which gains a reference. The copy is
+// published before the shared chunk loses this machine's reference, so
+// a sharer that becomes the sole holder sees the records' new counts.
+// Caller holds p.mu.
+func (p *PhysMem) ownChunk(ci int) *slotChunk {
+	cs := *p.chunks.Load()
+	c := cs[ci]
+	if c.refs.Load() == 1 {
+		return c
+	}
+	nc := &slotChunk{}
+	nc.refs.Store(1)
+	for i := range c.slots {
+		fd := c.slots[i].fd.Load()
+		if fd == nil {
+			break
+		}
+		fd.refs.Add(1)
+		nc.slots[i].ctr = &p.detaches
+		nc.slots[i].fd.Store(fd)
+	}
+	ncs := slices.Clone(cs)
+	ncs[ci] = nc
+	p.chunks.Store(&ncs)
+	c.unref()
+	return nc
+}
+
+// unref drops one machine's reference on the chunk. It returns the
+// number of frame records whose last reference died with the chunk.
+func (c *slotChunk) unref() int64 {
+	if c.refs.Add(-1) != 0 {
+		return 0
+	}
+	var dead int64
+	for i := range c.slots {
+		fd := c.slots[i].fd.Load()
+		if fd == nil {
+			break
+		}
+		if fd.refs.Add(-1) == 0 {
+			dead++
+		}
+	}
+	return dead
 }
 
 // frame returns the frame's current record, lock-free.
@@ -291,41 +386,39 @@ func (p *PhysMem) Frame(id FrameID) []byte { return p.frame(id).data[:] }
 // performing copy-on-write first if the frame is shared with a forked
 // sibling machine. All write paths that bypass the TLB (kernel access
 // helpers, device DMA, the loader) must use it instead of Frame.
-func (p *PhysMem) WritableFrame(id FrameID) []byte { return p.slot(id).private().data[:] }
+func (p *PhysMem) WritableFrame(id FrameID) []byte { return p.ownSlot(id).private().data[:] }
 
 // COWDetaches returns how many frames this machine has detached from
 // copy-on-write sharing (first writes after a fork). The engine samples
 // the counter at round barriers to derive per-round trace events.
 func (p *PhysMem) COWDetaches() int64 { return p.detaches.Load() }
 
-// Fork returns a copy-on-write clone of this physical memory: a new slot
-// table pointing at the same frame records with every refcount bumped.
-// The clone and the original then detach frames independently on first
-// write. Forking a machine that is concurrently writing memory is a data
-// race — sim.Machine.Snapshot freezes the template first.
+// Fork returns a copy-on-write clone of this physical memory: a new
+// chunk table pointing at the same chunks, each of which gains a
+// reference — O(chunks), no per-frame work. Whichever machine first
+// writes a frame, or (in a fork) first translates one, copies that
+// frame's chunk. Forking a machine that is concurrently writing memory
+// is a data race — sim.Machine.Snapshot freezes the template first.
 func (p *PhysMem) Fork() *PhysMem {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	src := p.table()
-	np := &PhysMem{free: append([]FrameID(nil), p.free...)}
-	nslots := make([]*frameSlot, len(src))
-	for i, s := range src {
-		fd := s.fd.Load()
-		fd.refs.Add(1)
-		ns := &frameSlot{ctr: &np.detaches}
-		ns.fd.Store(fd)
-		nslots[i] = ns
+	cs := slices.Clone(*p.chunks.Load())
+	for _, c := range cs {
+		c.refs.Add(1)
 	}
-	np.slots.Store(&nslots)
+	np := &PhysMem{free: slices.Clone(p.free)}
+	np.chunks.Store(&cs)
+	np.n.Store(p.n.Load())
 	np.allocated.Store(p.allocated.Load())
 	np.totalAllocs.Store(p.totalAllocs.Load())
 	return np
 }
 
-// Release drops this machine's reference on every frame record (fork
-// teardown). It returns the number of records whose last reference died
-// here — frames whose memory becomes collectible. The PhysMem must not
-// be used afterwards; a second Release panics.
+// Release drops this machine's reference on every chunk (fork
+// teardown); a chunk whose last reference dies drops its references on
+// its frame records. It returns the number of records whose last
+// reference died here — frames whose memory becomes collectible. The
+// PhysMem must not be used afterwards; a second Release panics.
 func (p *PhysMem) Release() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -334,21 +427,27 @@ func (p *PhysMem) Release() int64 {
 	}
 	p.released = true
 	var dead int64
-	for _, s := range p.table() {
-		if s.fd.Load().refs.Add(-1) == 0 {
-			dead++
-		}
+	for _, c := range *p.chunks.Load() {
+		dead += c.unref()
 	}
 	return dead
 }
 
 // SharedFrames returns the number of frames currently shared copy-on-write
-// with another machine (refcount > 1).
+// with another machine: every frame of a shared chunk, and each frame of
+// an owned chunk whose record another chunk also points at.
 func (p *PhysMem) SharedFrames() int64 {
 	var n int64
-	for _, s := range p.table() {
-		if s.fd.Load().refs.Load() > 1 {
-			n++
+	for _, c := range *p.chunks.Load() {
+		shared := c.refs.Load() > 1
+		for i := range c.slots {
+			fd := c.slots[i].fd.Load()
+			if fd == nil {
+				break
+			}
+			if shared || fd.refs.Load() > 1 {
+				n++
+			}
 		}
 	}
 	return n
@@ -645,6 +744,10 @@ func (as *AddressSpace) Lookup(va uint64) (FrameID, PageFlags, bool) {
 // every access: a cached direct pointer would keep reading the shared
 // pre-fork bytes after a device or sibling vCPU detached the frame —
 // slot indirection makes post-COW writes visible without TLB shootdowns.
+// The slot must be the fork's own (PhysMem.ownSlot), never one in a
+// chunk still shared with the template: a detach through any other path
+// copies the chunk first and swaps the record in the copy, so an entry
+// holding the shared chunk's slot would keep returning pre-detach bytes.
 type Entry struct {
 	Frame FrameID
 	Flags PageFlags
@@ -769,7 +872,7 @@ func (as *AddressSpace) TranslateEntry(va uint64, access Access) (Entry, error) 
 	out := Entry{Frame: e.frame, Flags: e.flags}
 	if e.flags&FlagMMIO == 0 {
 		if as.cow {
-			out.slot = as.phys.slot(e.frame)
+			out.slot = as.phys.ownSlot(e.frame)
 		} else {
 			out.fd = as.phys.frame(e.frame)
 		}
@@ -903,8 +1006,8 @@ func (as *AddressSpace) RegisterMMIO(base uint64, npages int, handler MMIOHandle
 // neither may write a table of the shared tree in place any more — the
 // first Map, Unmap or Protect on either side copies just the tables on
 // its path (writablePath). The clone runs in COW mode: translations
-// resolve frames through slots so post-fork writes are visible to every
-// cached entry. MMIO regions are copied with their handlers still
+// resolve frames through its own slots (PhysMem.ownSlot) so post-fork
+// writes are visible to every cached entry. MMIO regions are copied with their handlers still
 // pointing at the template's devices; the bus clone rebinds them via
 // RebindMMIO.
 func (as *AddressSpace) Fork(phys *PhysMem) *AddressSpace {

@@ -42,6 +42,9 @@ type Randomizer struct {
 
 	mu      sync.Mutex
 	modules []*kernel.Module
+	// forked marks a fork's randomizer whose modules still name the
+	// template's instances; resolve swaps in the fork kernel's clones.
+	forked bool
 
 	randomized atomic.Int64 // total module moves ("Randomized N times")
 	cycles     atomic.Uint64
@@ -54,79 +57,85 @@ type Randomizer struct {
 func New(k *kernel.Kernel) *Randomizer {
 	r := &Randomizer{
 		K:    k,
-		Pool: stackpool.New(k.NumCPUs(), k.AllocStack, k.FreeStack),
+		Pool: stackpool.New(k.NumCPUs(), k),
 	}
-	r.installStackNatives(func(name string, cost uint64, fn func(*cpu.CPU) error) error {
-		k.DefineNative(name, cost, fn)
-		return nil
-	})
+	k.SetStackPool(r.Pool)
+	k.DefineNative(plugin.SymGetNewStack, 40, getNewStack)
+	k.DefineNative(plugin.SymReturnOldStack, 40, returnOldStack)
 	return r
 }
 
 // Fork returns a randomizer for a forked kernel: the stack pool is
 // cloned (the queued top-of-stack VAs carry over — forking preserves
-// all mappings), the module list is remapped to the fork kernel's
-// module copies by name, counters are carried over, and the
-// stack-substitution natives are rebound so their closures capture the
-// fork's pool instead of the template's.
-func Fork(nk *kernel.Kernel, tmpl *Randomizer) (*Randomizer, error) {
+// all mappings) and installed on the fork kernel, where the shared
+// stack-substitution natives find it, and counters are carried over.
+// The fork keeps the template's module list and resolves it to the fork
+// kernel's module clones by name on first use, so a fork that never
+// re-randomizes never clones a module.
+func Fork(nk *kernel.Kernel, tmpl *Randomizer) *Randomizer {
 	r := &Randomizer{
-		K:    nk,
-		Pool: tmpl.Pool.Clone(nk.AllocStack, nk.FreeStack),
+		K:      nk,
+		Pool:   tmpl.Pool.Clone(nk),
+		forked: true,
 	}
 	tmpl.mu.Lock()
-	mods := append([]*kernel.Module(nil), tmpl.modules...)
+	r.modules = tmpl.modules
 	tmpl.mu.Unlock()
-	for _, m := range mods {
-		nm, ok := nk.Module(m.Name)
-		if !ok {
-			return nil, fmt.Errorf("rerand: fork: module %s missing from forked kernel", m.Name)
-		}
-		r.modules = append(r.modules, nm)
-	}
 	r.randomized.Store(tmpl.randomized.Load())
 	r.cycles.Store(tmpl.cycles.Load())
-	if err := r.installStackNatives(nk.RebindNative); err != nil {
-		return nil, fmt.Errorf("rerand: fork: %w", err)
-	}
-	return r, nil
+	nk.SetStackPool(r.Pool)
+	return r
 }
 
-// installStackNatives registers (or, during fork, rebinds) the two
-// stack-substitution natives as closures over this randomizer's pool.
-func (r *Randomizer) installStackNatives(define func(string, uint64, func(*cpu.CPU) error) error) error {
-	// get_new_stack (paper Fig. 3b): save the current stack position in
-	// %rbp, dequeue a stack from the per-CPU list (allocating on demand)
-	// and continue on it. The native also migrates its own return
-	// address, which the calling convention left on the old stack.
-	if err := define(plugin.SymGetNewStack, 40, func(c *cpu.CPU) error {
-		ret, err := c.Pop() // return address pushed by the wrapper's call
-		if err != nil {
-			return err
+// resolve replaces a fork's inherited module list by the fork kernel's
+// instances of the same modules. Caller holds r.mu.
+func (r *Randomizer) resolve() error {
+	if !r.forked {
+		return nil
+	}
+	mods := make([]*kernel.Module, len(r.modules))
+	for i, m := range r.modules {
+		nm, ok := r.K.Module(m.Name)
+		if !ok {
+			return fmt.Errorf("rerand: module %s missing from forked kernel", m.Name)
 		}
-		old := c.Regs[isa.RSP]
-		top, err := r.Pool.Get(c.ID)
-		if err != nil {
-			return err
-		}
-		c.Regs[isa.RBP] = old // %rbp = %rsp (saved old stack)
-		c.Regs[isa.RSP] = top
-		return c.Push(ret)
-	}); err != nil {
+		mods[i] = nm
+	}
+	r.modules, r.forked = mods, false
+	return nil
+}
+
+// getNewStack is the get_new_stack native (paper Fig. 3b): save the
+// current stack position in %rbp, dequeue a stack from the calling
+// machine's per-CPU list (allocating on demand) and continue on it. The
+// native also migrates its own return address, which the calling
+// convention left on the old stack.
+func getNewStack(c *cpu.CPU) error {
+	ret, err := c.Pop() // return address pushed by the wrapper's call
+	if err != nil {
 		return err
 	}
+	old := c.Regs[isa.RSP]
+	top, err := kernel.Of(c).StackPool().Get(c.ID)
+	if err != nil {
+		return err
+	}
+	c.Regs[isa.RBP] = old // %rbp = %rsp (saved old stack)
+	c.Regs[isa.RSP] = top
+	return c.Push(ret)
+}
 
-	// return_old_stack: push the (now balanced) stack back on the per-CPU
-	// list and restore the saved position from %rbp.
-	return define(plugin.SymReturnOldStack, 40, func(c *cpu.CPU) error {
-		ret, err := c.Pop()
-		if err != nil {
-			return err
-		}
-		r.Pool.Put(c.ID, c.Regs[isa.RSP]) // stack is at its top again
-		c.Regs[isa.RSP] = c.Regs[isa.RBP] // restore old stack
-		return c.Push(ret)
-	})
+// returnOldStack is the return_old_stack native: push the (now
+// balanced) stack back on the per-CPU list and restore the saved
+// position from %rbp.
+func returnOldStack(c *cpu.CPU) error {
+	ret, err := c.Pop()
+	if err != nil {
+		return err
+	}
+	kernel.Of(c).StackPool().Put(c.ID, c.Regs[isa.RSP]) // stack is at its top again
+	c.Regs[isa.RSP] = c.Regs[isa.RBP]                   // restore old stack
+	return c.Push(ret)
 }
 
 // Add registers a module for continuous re-randomization.
@@ -136,14 +145,22 @@ func (r *Randomizer) Add(m *kernel.Module) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err := r.resolve(); err != nil {
+		return err
+	}
 	r.modules = append(r.modules, m)
 	return nil
 }
 
-// Modules returns the registered modules.
+// Modules returns the registered modules. On a fork whose inherited
+// list no longer resolves (a registered module was unloaded), it
+// returns nil; Step reports the error.
 func (r *Randomizer) Modules() []*kernel.Module {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.resolve() != nil {
+		return nil
+	}
 	return append([]*kernel.Module(nil), r.modules...)
 }
 
@@ -161,10 +178,14 @@ type StepReport struct {
 // (freed when pending calls drain).
 func (r *Randomizer) Step() (StepReport, error) {
 	r.mu.Lock()
+	err := r.resolve()
 	mods := append([]*kernel.Module(nil), r.modules...)
 	r.mu.Unlock()
 
 	var rep StepReport
+	if err != nil {
+		return rep, err
+	}
 	for _, m := range mods {
 		pagesBefore, entriesBefore := m.PagesRemapped, m.GotEntriesMoved
 		if _, err := m.Rerandomize(); err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"adelie/internal/bus"
 	"adelie/internal/devices"
-	"adelie/internal/kernel"
 	"adelie/internal/rerand"
 )
 
@@ -43,8 +42,13 @@ func (m *Machine) Frozen() bool { return m.frozen }
 // stream position, same device caches, same cycle counters. By the
 // fork-determinism contract it therefore produces bit-identical
 // experiment results to a machine that booted cold into that state.
-// Forking is cheap (no frame copies; the first write to any shared
-// frame pays one page copy) and safe to call concurrently.
+// Forking is cheap and safe to call concurrently. The fork shares the
+// template's frame slots, kernel maps and native table, and clones
+// state on first use: a chunk of frame slots when the fork first
+// translates or writes a frame in it, a page when it first writes it, a
+// vCPU when a run first touches it, a module when Module, Modules or
+// the re-randomizer first asks for it. Only the bus and its devices,
+// which the engine ticks every round, are cloned here.
 func (m *Machine) Fork() (*Machine, error) {
 	if !m.frozen {
 		return nil, fmt.Errorf("sim: fork: machine is not a snapshot (call Snapshot first)")
@@ -53,16 +57,24 @@ func (m *Machine) Fork() (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: fork: %w", err)
 	}
-	nr, err := rerand.Fork(nk, m.R)
-	if err != nil {
-		return nil, fmt.Errorf("sim: fork: %w", err)
-	}
+	nr := rerand.Fork(nk, m.R)
 	nvme := m.NVMe.CloneFor(nk.AS)
 	nic := m.NIC.CloneFor(nk.AS)
 	peer := m.Peer.CloneFor(nk.AS)
 	xhci := m.XHCI.Clone()
-	repl := map[bus.Device]bus.Device{m.NVMe: nvme, m.NIC: nic, m.Peer: peer, m.XHCI: xhci}
-	nb, err := m.Bus.CloneFor(nk.AS, func(d bus.Device) bus.Device { return repl[d] })
+	nb, err := m.Bus.CloneFor(nk.AS, func(d bus.Device) bus.Device {
+		switch d {
+		case m.NVMe:
+			return nvme
+		case m.NIC:
+			return nic
+		case m.Peer:
+			return peer
+		case m.XHCI:
+			return xhci
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: fork: %w", err)
 	}
@@ -71,19 +83,10 @@ func (m *Machine) Fork() (*Machine, error) {
 	// leaves it nil, so point the clone's guest affinity API at its own
 	// interrupt controller (which carried the template's routes over).
 	nk.SetIRQRouter(nb.IC().SetRoute)
-	nm := &Machine{
+	return &Machine{
 		K: nk, R: nr, Bus: nb,
 		NVMe: nvme, NIC: nic, Peer: peer, XHCI: xhci,
-		mods: make(map[string]*kernel.Module, len(m.mods)),
-	}
-	for name, mod := range m.mods {
-		cloned, ok := nk.Module(mod.Name)
-		if !ok {
-			return nil, fmt.Errorf("sim: fork: module %s missing from forked kernel", mod.Name)
-		}
-		nm.mods[name] = cloned
-	}
-	return nm, nil
+	}, nil
 }
 
 // Release drops the machine's copy-on-write references on its physical

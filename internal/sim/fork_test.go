@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,6 +136,57 @@ func TestForkDriverStateIndependent(t *testing.T) {
 	f2.Release()
 }
 
+func TestConcurrentForksCloneOnFirstUse(t *testing.T) {
+	// Forks of one template, taken and run concurrently, each clone the
+	// template's module on their first re-randomization step and reach
+	// their own stack pool through the shared native table. Run under
+	// -race; every fork must match the others.
+	tmpl := newMachine(t)
+	loadDummy(t, tmpl, true)
+	if err := tmpl.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	va, _ := tmpl.K.Symbol("dummy_ioctl")
+	const n = 4
+	var (
+		wg   sync.WaitGroup
+		res  [n]sim.RunResult
+		errs [n]error
+	)
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			f, err := tmpl.Fork()
+			if err != nil {
+				errs[g] = err
+				return
+			}
+			defer f.Release()
+			res[g], errs[g] = f.Run(sim.RunConfig{Ops: 200, Workers: 2, RerandPeriodUs: 50, SyscallCycles: 1000},
+				func(c *cpu.CPU) (uint64, error) {
+					_, err := c.Call(va, 0)
+					return 0, err
+				})
+			if errs[g] == nil && f.Module("dummy").Rerandomizations == 0 {
+				t.Errorf("fork %d never moved its module", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < n; g++ {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !reflect.DeepEqual(res[g], res[0]) {
+			t.Fatalf("fork %d diverges from fork 0:\n%+v\n%+v", g, res[g], res[0])
+		}
+	}
+	if got := tmpl.Module("dummy").Rerandomizations; got != 0 {
+		t.Fatalf("template module moved %d times", got)
+	}
+}
+
 func TestForkLatency(t *testing.T) {
 	// Forking is orders of magnitude cheaper than booting. Host fork
 	// time is measured by the repository benchmark (bench/, sim.fork_us);
@@ -174,6 +226,35 @@ func BenchmarkFork(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f, err := m.Fork()
 		if err != nil {
+			b.Fatal(err)
+		}
+		f.Release()
+	}
+}
+
+// BenchmarkForkFirstCall is BenchmarkFork plus one dummy_ioctl call on
+// vCPU 0 of each fork: the fork-time cost together with what the fork
+// defers to first use (cloning vCPU 0 and its TLB, copying the slot
+// chunks that TLB and the call touch, detaching the pages the call
+// writes).
+func BenchmarkForkFirstCall(b *testing.B) {
+	m := newMachine(b)
+	loadDummy(b, m, true)
+	if err := m.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	va, ok := m.K.Symbol("dummy_ioctl")
+	if !ok {
+		b.Fatal("dummy_ioctl not exported")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := m.Fork()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f.K.CPU(0).Call(va, 0); err != nil {
 			b.Fatal(err)
 		}
 		f.Release()

@@ -1,12 +1,14 @@
 package sim_test
 
 import (
+	"encoding/binary"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"adelie/internal/cpu"
 	"adelie/internal/drivers"
+	"adelie/internal/mm"
 	"adelie/internal/sim"
 )
 
@@ -264,5 +266,79 @@ func TestLazyCPUForkAllocBudget(t *testing.T) {
 	}
 	if eager <= budget {
 		t.Fatalf("eager cloning allocates %d bytes, within the %d budget: the budget no longer guards laziness", eager, budget)
+	}
+}
+
+func TestForkAllocBudget(t *testing.T) {
+	// Fork shares frame slots by chunk, kernel maps and the native table
+	// with the template and clones modules on first use, so a fork plus
+	// release of the Fig. 9 machine shape allocates a fixed, small set of
+	// objects (47 when measured; 242 when every frame got its own slot
+	// and every module, map and core native was copied at Fork).
+	m := newMachine(t)
+	loadDummy(t, m, true)
+	if err := m.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := m.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	})
+	const budget = 50
+	if allocs >= budget {
+		t.Fatalf("Fork+Release allocates %v objects, budget %d", allocs, budget)
+	}
+}
+
+func TestForkTLBEntrySeesDeviceDetach(t *testing.T) {
+	// A fork's TLB caches a translation of a frame it shares with the
+	// template; device DMA (WritableFrame, bypassing the TLB) then
+	// detaches the frame. A read through the cached entry must return
+	// the DMA's bytes: the entry holds the fork's own slot, whose record
+	// the detach swapped.
+	m := newMachine(t)
+	va, err := m.K.Kmalloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.K.AS.Write64(va, 0x1111); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := m.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	read := func(c *cpu.CPU) (uint64, bool) {
+		e, hit, err := c.TLB.Entry(va, mm.AccessRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return binary.LittleEndian.Uint64(e.Bytes()[va&mm.PageMask:]), hit
+	}
+	c := f.K.CPU(0)
+	if v, _ := read(c); v != 0x1111 {
+		t.Fatalf("fork reads %#x before the detach, want 0x1111", v)
+	}
+	frame, _, ok := f.K.AS.Lookup(va)
+	if !ok {
+		t.Fatal("heap page not mapped")
+	}
+	binary.LittleEndian.PutUint64(f.K.AS.Phys().WritableFrame(frame)[va&mm.PageMask:], 0x2222)
+	v, hit := read(c)
+	if !hit {
+		t.Fatal("second read missed the TLB: the test no longer reads through a cached entry")
+	}
+	if v != 0x2222 {
+		t.Fatalf("cached TLB entry reads %#x after the device detach, want 0x2222", v)
+	}
+	if got, _ := m.K.AS.Read64(va); got != 0x1111 {
+		t.Fatalf("template reads %#x after the fork's detach", got)
 	}
 }

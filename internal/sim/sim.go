@@ -59,7 +59,6 @@ type Machine struct {
 	Peer *devices.NIC // load-generator adapter ("nic1")
 	XHCI *devices.XHCI
 
-	mods   map[string]*kernel.Module
 	frozen bool // set by Snapshot: machine is a fork template, refuses Run/Call
 
 	tracer *obs.Tracer   // default event tracer for Run (AttachObs)
@@ -80,7 +79,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("sim: NICQueues %d exceeds the adapter's %d hardware queues",
 			cfg.NICQueues, devices.MaxNICQueues)
 	}
-	m := &Machine{K: k, R: rerand.New(k), Bus: bus.New(k.AS, mmioBase), mods: map[string]*kernel.Module{}}
+	m := &Machine{K: k, R: rerand.New(k), Bus: bus.New(k.AS, mmioBase)}
 	// Guest-visible IRQ affinity (request_irq / irq_set_affinity) programs
 	// the bus interrupt controller's vector routes.
 	k.SetIRQRouter(m.Bus.IC().SetRoute)
@@ -132,7 +131,6 @@ func (m *Machine) LoadDriver(name string, o drivers.BuildOpts) (*kernel.Module, 
 			return nil, err
 		}
 	}
-	m.mods[name] = mod
 	return mod, nil
 }
 
@@ -295,8 +293,12 @@ func (m *Machine) InitXHCI() error {
 	return err
 }
 
-// Module returns a loaded driver module.
-func (m *Machine) Module(name string) *kernel.Module { return m.mods[name] }
+// Module returns a loaded driver module (drivers are named after their
+// module), or nil. On a fork the module is cloned on first access.
+func (m *Machine) Module(name string) *kernel.Module {
+	mod, _ := m.K.Module(name)
+	return mod
+}
 
 // OpFunc executes one benchmark operation on the vCPU, returning the
 // device wait in cycles (time the CPU is idle on I/O) and any fault.

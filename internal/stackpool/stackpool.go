@@ -16,11 +16,12 @@ import (
 	"sync/atomic"
 )
 
-// AllocFunc allocates a new stack and returns its top-of-stack address.
-type AllocFunc func() (uint64, error)
-
-// FreeFunc releases a stack by its top-of-stack address.
-type FreeFunc func(top uint64) error
+// Allocator allocates and releases stacks by their top-of-stack
+// address (the kernel).
+type Allocator interface {
+	AllocStack() (uint64, error)
+	FreeStack(top uint64) error
+}
 
 // head word layout: tag(32) | nodeIndex+1(32); index 0 means empty.
 const idxMask = 0xFFFFFFFF
@@ -44,9 +45,8 @@ func (s Stats) Delta() int64 { return s.Allocs - s.Frees }
 
 // Pool is the set of per-CPU stack lists.
 type Pool struct {
-	alloc AllocFunc
-	free  FreeFunc
-	heads []atomic.Uint64
+	stacks Allocator
+	heads  []atomic.Uint64
 
 	mu       sync.Mutex
 	nodes    []node
@@ -59,11 +59,11 @@ type Pool struct {
 }
 
 // New returns a pool with one list per CPU.
-func New(ncpu int, alloc AllocFunc, free FreeFunc) *Pool {
+func New(ncpu int, stacks Allocator) *Pool {
 	if ncpu <= 0 {
 		panic("stackpool: need at least one CPU")
 	}
-	return &Pool{alloc: alloc, free: free, heads: make([]atomic.Uint64, ncpu)}
+	return &Pool{stacks: stacks, heads: make([]atomic.Uint64, ncpu)}
 }
 
 // newNode returns a node index, recycling retired ones.
@@ -112,7 +112,7 @@ func (p *Pool) Get(cpu int) (uint64, error) {
 		idx := uint32(old & idxMask)
 		if idx == 0 {
 			p.allocs.Add(1)
-			return p.alloc()
+			return p.stacks.AllocStack()
 		}
 		n := p.nodeCopy(idx - 1)
 		tag := (old>>32 + 1) << 32
@@ -168,7 +168,7 @@ func (p *Pool) SwapAll() []uint64 {
 // Release frees stacks previously returned by SwapAll.
 func (p *Pool) Release(tops []uint64) error {
 	for _, t := range tops {
-		if err := p.free(t); err != nil {
+		if err := p.stacks.FreeStack(t); err != nil {
 			return fmt.Errorf("stackpool: releasing stack %#x: %w", t, err)
 		}
 		p.frees.Add(1)
@@ -179,14 +179,13 @@ func (p *Pool) Release(tops []uint64) error {
 // Clone returns a copy of the pool for a forked machine: same queued
 // stacks (the top-of-stack VAs are valid in the fork's address space —
 // forking preserves all mappings), same node registry, same counters,
-// but allocating and freeing through the fork kernel's callbacks. The
-// template must be quiescent (no concurrent Get/Put) while cloning.
-func (p *Pool) Clone(alloc AllocFunc, free FreeFunc) *Pool {
+// but allocating and freeing through the fork kernel. The template
+// must be quiescent (no concurrent Get/Put) while cloning.
+func (p *Pool) Clone(stacks Allocator) *Pool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := &Pool{
-		alloc:    alloc,
-		free:     free,
+		stacks:   stacks,
 		heads:    make([]atomic.Uint64, len(p.heads)),
 		nodes:    append([]node(nil), p.nodes...),
 		freeList: append([]uint32(nil), p.freeList...),

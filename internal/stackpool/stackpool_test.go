@@ -18,7 +18,7 @@ func newFakeAlloc() *fakeAlloc {
 	return &fakeAlloc{next: 0x1000, live: map[uint64]bool{}}
 }
 
-func (f *fakeAlloc) alloc() (uint64, error) {
+func (f *fakeAlloc) AllocStack() (uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.next += 0x10000
@@ -26,7 +26,7 @@ func (f *fakeAlloc) alloc() (uint64, error) {
 	return f.next, nil
 }
 
-func (f *fakeAlloc) free(top uint64) error {
+func (f *fakeAlloc) FreeStack(top uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.live[top] {
@@ -44,7 +44,7 @@ func (f *fakeAlloc) liveCount() int {
 
 func TestGetAllocatesOnEmpty(t *testing.T) {
 	fa := newFakeAlloc()
-	p := New(2, fa.alloc, fa.free)
+	p := New(2, fa)
 	top, err := p.Get(0)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestGetAllocatesOnEmpty(t *testing.T) {
 
 func TestPutThenGetReusesLIFO(t *testing.T) {
 	fa := newFakeAlloc()
-	p := New(1, fa.alloc, fa.free)
+	p := New(1, fa)
 	a, _ := p.Get(0)
 	b, _ := p.Get(0)
 	p.Put(0, a)
@@ -77,7 +77,7 @@ func TestPutThenGetReusesLIFO(t *testing.T) {
 
 func TestPerCPUListsAreIndependent(t *testing.T) {
 	fa := newFakeAlloc()
-	p := New(2, fa.alloc, fa.free)
+	p := New(2, fa)
 	a, _ := p.Get(0)
 	p.Put(0, a)
 	// CPU 1's list is empty: must allocate fresh.
@@ -89,7 +89,7 @@ func TestPerCPUListsAreIndependent(t *testing.T) {
 
 func TestSwapAllDrainsAndRelease(t *testing.T) {
 	fa := newFakeAlloc()
-	p := New(4, fa.alloc, fa.free)
+	p := New(4, fa)
 	var tops []uint64
 	for cpu := 0; cpu < 4; cpu++ {
 		for i := 0; i < 3; i++ {
@@ -122,7 +122,7 @@ func TestSwapAllDrainsAndRelease(t *testing.T) {
 
 func TestStatsDelta(t *testing.T) {
 	fa := newFakeAlloc()
-	p := New(1, fa.alloc, fa.free)
+	p := New(1, fa)
 	s1, _ := p.Get(0)
 	s2, _ := p.Get(0)
 	p.Put(0, s1)
@@ -142,7 +142,7 @@ func TestStatsDelta(t *testing.T) {
 func TestConcurrentGetPut(t *testing.T) {
 	fa := newFakeAlloc()
 	const ncpu = 4
-	p := New(ncpu, fa.alloc, fa.free)
+	p := New(ncpu, fa)
 	var stop atomic.Bool
 	var workers, swapper sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -195,7 +195,7 @@ func TestConcurrentGetPut(t *testing.T) {
 func TestQuickNoLostStacks(t *testing.T) {
 	f := func(ops []uint8) bool {
 		fa := newFakeAlloc()
-		p := New(2, fa.alloc, fa.free)
+		p := New(2, fa)
 		held := [][]uint64{nil, nil}
 		for _, op := range ops {
 			cpu := int(op>>1) % 2
@@ -236,7 +236,7 @@ func TestQuickNoLostStacks(t *testing.T) {
 
 func BenchmarkGetPut(b *testing.B) {
 	fa := newFakeAlloc()
-	p := New(1, fa.alloc, fa.free)
+	p := New(1, fa)
 	s, _ := p.Get(0)
 	p.Put(0, s)
 	b.ReportAllocs()

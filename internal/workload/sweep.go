@@ -34,16 +34,27 @@ type poolKey struct {
 // service holds the pool open for its whole lifetime while each sweep
 // request's RunSweep still brackets itself with Enable/Disable — the
 // templates are torn down only when the last enabler leaves.
+//
+// Forks and template boots hold mu for reading, so forks of one key
+// proceed while another key boots; Enable and Disable hold it for
+// writing, so no template is released under a fork in progress.
 var forkPool struct {
 	on   atomic.Bool
-	mu   sync.Mutex
+	mu   sync.RWMutex
 	refs int
-	tmpl map[poolKey]*sim.Machine
+	tmpl map[poolKey]*poolEntry
+	keys sync.Mutex // guards tmpl's entries under a read lock of mu
 
 	// Lifetime counters for statsz-style reporting (PoolStats).
 	templates atomic.Int64
 	forks     atomic.Int64
 	coldBoots atomic.Int64
+}
+
+// poolEntry is one key's template, booted and frozen once.
+type poolEntry struct {
+	once sync.Once
+	m    *sim.Machine // nil if the shape failed to boot or to freeze
 }
 
 // EnableForkPool turns on snapshot/fork boot caching: until the matching
@@ -56,7 +67,7 @@ func EnableForkPool() {
 	defer forkPool.mu.Unlock()
 	forkPool.refs++
 	if forkPool.tmpl == nil {
-		forkPool.tmpl = map[poolKey]*sim.Machine{}
+		forkPool.tmpl = map[poolKey]*poolEntry{}
 	}
 	forkPool.on.Store(true)
 }
@@ -74,8 +85,10 @@ func DisableForkPool() {
 		return
 	}
 	forkPool.on.Store(false)
-	for _, m := range forkPool.tmpl {
-		m.Release()
+	for _, e := range forkPool.tmpl {
+		if e.m != nil {
+			e.m.Release()
+		}
 	}
 	forkPool.tmpl = nil
 }
@@ -100,32 +113,41 @@ func ForkPoolStats() PoolStats {
 }
 
 // poolFork serves one machine from the template pool, booting and
-// freezing the template on first use of its key. ok is false when the
-// pool is off or this shape cannot fork — the caller cold-boots.
+// freezing the template on first use of its key (once per key; callers
+// of that key wait for it). ok is false when the pool is off or this
+// shape cannot fork — the caller cold-boots.
 func poolFork(c Config, seed int64, queues int, driverNames []string) (*sim.Machine, bool) {
 	if !forkPool.on.Load() {
 		return nil, false
 	}
-	forkPool.mu.Lock()
-	defer forkPool.mu.Unlock()
+	forkPool.mu.RLock()
+	defer forkPool.mu.RUnlock()
 	if forkPool.tmpl == nil { // disabled between the atomic check and the lock
 		return nil, false
 	}
 	key := poolKey{c, seed, queues, strings.Join(driverNames, ",")}
-	tmpl, ok := forkPool.tmpl[key]
-	if !ok {
+	forkPool.keys.Lock()
+	e := forkPool.tmpl[key]
+	if e == nil {
+		e = &poolEntry{}
+		forkPool.tmpl[key] = e
+	}
+	forkPool.keys.Unlock()
+	e.once.Do(func() {
 		m, err := bootMachineQ(c, seed, queues, driverNames...)
 		if err != nil {
-			return nil, false // let the cold path surface the boot error
+			return // let the cold path surface the boot error
 		}
 		if err := m.Snapshot(); err != nil {
-			return nil, false // unforkable shape: cold boots from here on
+			return // unforkable shape: cold boots from here on
 		}
-		forkPool.tmpl[key] = m
+		e.m = m
 		forkPool.templates.Add(1)
-		tmpl = m
+	})
+	if e.m == nil {
+		return nil, false
 	}
-	f, err := tmpl.Fork()
+	f, err := e.m.Fork()
 	if err != nil {
 		return nil, false
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -133,4 +134,55 @@ func TestForkPoolTemplatesReused(t *testing.T) {
 	}
 	m1.Release()
 	m2.Release()
+}
+
+// TestForkPoolConcurrentOneKey: eight goroutines ask the pool for the
+// same not-yet-booted key at once, and each runs Fig. 9's ioctl loop on
+// its fork while the others fork. The key boots once, and every fork's
+// row matches a cold boot's. Run under -race this also covers forks of
+// one template taken and run concurrently.
+func TestForkPoolConcurrentOneKey(t *testing.T) {
+	const seed, ops, n = 907, 200, 8
+	cold, err := ioctl(seed, "wrappers+stack", CfgRerandStack, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	EnableForkPool()
+	defer DisableForkPool()
+	before := ForkPoolStats()
+	rows := make([]IoctlRow, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rows[g], errs[g] = ioctl(seed, "wrappers+stack", CfgRerandStack, ops)
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < n; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if rows[g] != cold {
+			t.Errorf("goroutine %d row %+v, cold boot %+v", g, rows[g], cold)
+		}
+	}
+	after := ForkPoolStats()
+	if got := after.Templates - before.Templates; got != 1 {
+		t.Fatalf("%d templates booted for one key, want 1", got)
+	}
+	if got := after.Forks - before.Forks; got != n {
+		t.Fatalf("%d forks served, want %d", got, n)
+	}
+	if after.ColdBoots != before.ColdBoots {
+		t.Fatal("a concurrent request cold-booted")
+	}
+	forkPool.mu.Lock()
+	keys := len(forkPool.tmpl)
+	forkPool.mu.Unlock()
+	if keys != 1 {
+		t.Fatalf("pool holds %d keys, want 1", keys)
+	}
 }
