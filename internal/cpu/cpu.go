@@ -358,7 +358,7 @@ func (c *CPU) load64(va uint64) (uint64, error) {
 	if e.Flags&mm.FlagMMIO != 0 {
 		c.memFast = false // device access: slow accounting path from here on
 		c.Cycles += CostMMIO
-		return c.AS.Read64(va) // device register routing
+		return c.AS.Read64Entry(e, va) // device register routing, no second walk
 	}
 	off := va & mm.PageMask
 	if off+8 <= mm.PageSize {
@@ -390,7 +390,7 @@ func (c *CPU) store64(va uint64, val uint64) error {
 	if e.Flags&mm.FlagMMIO != 0 {
 		c.memFast = false // device access: slow accounting path from here on
 		c.Cycles += CostMMIO
-		return c.AS.Write64(va, val) // device register routing
+		return c.AS.Write64Entry(e, va, val) // device register routing, no second walk
 	}
 	off := va & mm.PageMask
 	if off+8 <= mm.PageSize {

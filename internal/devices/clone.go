@@ -8,6 +8,12 @@ import "adelie/internal/mm"
 // template must be quiescent (no in-flight MMIO, no open epoch) —
 // sim.Machine.Snapshot guarantees it by freezing the machine between
 // engine runs.
+//
+// A clone starts with no DMA translation cache (mm.IOTLB): the
+// template's cached entries point straight into frames the fork shares
+// copy-on-write, so reusing them would read the template's bytes after
+// the fork detached a page. The clone builds its own on its first DMA,
+// from the fork's slots; a fork that never does DMA never builds one.
 
 // CloneFor returns a copy of the controller attached to as: media,
 // DRAM-cache contents and FIFO order, queue registers and counters all

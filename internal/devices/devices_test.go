@@ -7,7 +7,7 @@ import (
 	"adelie/internal/mm"
 )
 
-func testAS(t *testing.T) (*mm.AddressSpace, uint64) {
+func testAS(t testing.TB) (*mm.AddressSpace, uint64) {
 	t.Helper()
 	as := mm.NewAddressSpace(mm.NewPhysMem())
 	base := mm.KernelBase + 0x100000

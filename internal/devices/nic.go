@@ -29,6 +29,7 @@ import (
 type NIC struct {
 	mu sync.Mutex
 	as *mm.AddressSpace
+	io *mm.IOTLB // DMA translation cache over as, made on first DMA (see iotlb)
 
 	// Name distinguishes multiple adapters on one bus ("nic0"/"nic1",
 	// the server/load-generator pair of Table 1).
@@ -118,6 +119,16 @@ func NewNIC(as *mm.AddressSpace) *NIC {
 
 // DevName implements bus.Device.
 func (n *NIC) DevName() string { return n.Name }
+
+// iotlb returns the adapter's DMA translation cache, creating it on the
+// first DMA so an adapter (or fork) that never moves a frame pays
+// nothing. Caller holds n.mu.
+func (n *NIC) iotlb() *mm.IOTLB {
+	if n.io == nil {
+		n.io = mm.NewIOTLB(n.as)
+	}
+	return n.io
+}
 
 // DevPages implements bus.Device.
 func (n *NIC) DevPages() int { return 1 }
@@ -375,15 +386,16 @@ func (n *NIC) transmit(slot uint64) {
 		n.mu.Unlock()
 		return
 	}
+	io := n.iotlb()
 	desc := n.txRing + (slot%n.ringLen)*16
-	buf, err := n.as.Read64Force(desc)
+	buf, err := io.Read64Force(desc)
 	if err != nil {
 		// A mis-programmed ring base must not fall through to VA 0.
 		n.Dropped++
 		n.mu.Unlock()
 		return
 	}
-	length, err := n.as.Read64Force(desc + 8)
+	length, err := io.Read64Force(desc + 8)
 	if err != nil {
 		n.Dropped++
 		n.mu.Unlock()
@@ -394,7 +406,7 @@ func (n *NIC) transmit(slot uint64) {
 		n.mu.Unlock()
 		return
 	}
-	frame, err := n.as.ReadBytes(buf, int(length))
+	frame, err := io.ReadBytes(buf, int(length))
 	if err != nil {
 		n.Dropped++
 		n.mu.Unlock()
@@ -458,8 +470,9 @@ func (n *NIC) Deliver(frame []byte) {
 		n.RxBytes += uint64(len(frame))
 		return
 	}
+	io := n.iotlb()
 	desc := q.rxRing + (q.rxTail%n.ringLen)*16
-	buf, err := n.as.Read64Force(desc)
+	buf, err := io.Read64Force(desc)
 	if err != nil || buf == 0 {
 		n.Dropped++
 		return
@@ -470,15 +483,15 @@ func (n *NIC) Deliver(frame []byte) {
 	// the unconsumed frame would corrupt the ring, so the wire drops the
 	// frame instead, and rxTail stays on the slot so delivery resumes
 	// there once the driver drains it.
-	if length, err := n.as.Read64Force(desc + 8); err != nil || length != 0 {
+	if length, err := io.Read64Force(desc + 8); err != nil || length != 0 {
 		n.Dropped++
 		return
 	}
-	if err := n.as.WriteBytesForce(buf, frame); err != nil {
+	if err := io.WriteBytesForce(buf, frame); err != nil {
 		n.Dropped++
 		return
 	}
-	if err := n.as.Write64Force(desc+8, uint64(len(frame))); err != nil {
+	if err := io.Write64Force(desc+8, uint64(len(frame))); err != nil {
 		n.Dropped++
 		return
 	}

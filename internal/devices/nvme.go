@@ -61,6 +61,7 @@ const (
 type NVMe struct {
 	mu sync.Mutex
 	as *mm.AddressSpace
+	io *mm.IOTLB // DMA translation cache over as, made on first DMA
 
 	sqBase, cqBase uint64
 	sqHead         uint64
@@ -196,11 +197,15 @@ func (d *NVMe) process(slot uint64) {
 	if d.sqBase == 0 || d.cqBase == 0 {
 		return
 	}
+	if d.io == nil {
+		d.io = mm.NewIOTLB(d.as) // first DMA: see NIC.iotlb
+	}
+	io := d.io
 	entry := d.sqBase + slot*32
-	op, _ := d.as.Read64Force(entry)
-	lba, _ := d.as.Read64Force(entry + 8)
-	count, _ := d.as.Read64Force(entry + 16)
-	buf, _ := d.as.Read64Force(entry + 24)
+	op, _ := io.Read64Force(entry)
+	lba, _ := io.Read64Force(entry + 8)
+	count, _ := io.Read64Force(entry + 16)
+	buf, _ := io.Read64Force(entry + 24)
 	if count > 1<<20 {
 		count = 1 << 20
 	}
@@ -223,10 +228,10 @@ func (d *NVMe) process(slot uint64) {
 				copy(d.dma[i:min(i+512, count)], blk)
 			}
 		}
-		_ = d.as.WriteBytesForce(buf, d.dma)
+		_ = io.WriteBytesForce(buf, d.dma)
 	case NVMeCmdWrite:
 		d.Writes++
-		data, err := d.as.ReadBytes(buf, int(count))
+		data, err := io.ReadBytes(buf, int(count))
 		if err == nil {
 			for i := uint64(0); i < count; i += 512 {
 				blk := make([]byte, 512)
@@ -242,8 +247,8 @@ func (d *NVMe) process(slot uint64) {
 	d.lastLatency = latency
 	// Post completion: status=1, then the command's latency so the
 	// driver reads its own slot's timing instead of a shared register.
-	_ = d.as.Write64Force(d.cqBase+slot*16, 1)
-	_ = d.as.Write64Force(d.cqBase+slot*16+8, latency)
+	_ = io.Write64Force(d.cqBase+slot*16, 1)
+	_ = io.Write64Force(d.cqBase+slot*16+8, latency)
 	// Completion interrupt: raised per posted completion when the driver
 	// enabled it (the interrupt-driven driver retired the polled CQ).
 	// pendingSince is the barrier-published clock — the command was

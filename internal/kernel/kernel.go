@@ -374,7 +374,11 @@ func (k *Kernel) Symbols() []string {
 
 // CPU returns vCPU i, creating it on first access — on a fork by
 // cloning the frozen template's. The fast path is a load and a nil
-// check, written to fit the compiler's inlining budget.
+// check, written to fit the compiler's inlining budget. The slot stays
+// atomic and the first use locked although one goroutine drives a
+// machine: pool forks load a template's slots (Kernel.Fork) from several
+// goroutines at once, and nothing stops a caller from touching a frozen
+// template's vCPU meanwhile. On x86-64 the atomic load is a plain load.
 func (k *Kernel) CPU(i int) (c *cpu.CPU) {
 	if c = k.cpus[i].Load(); c == nil {
 		return k.materializeCPU(i)

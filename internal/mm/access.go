@@ -69,18 +69,26 @@ func (as *AddressSpace) WriteBytesForce(va uint64, b []byte) error {
 // Read64 loads a 64-bit little-endian value. Loads from MMIO pages are
 // routed to the registered device handler.
 func (as *AddressSpace) Read64(va uint64) (uint64, error) {
-	frame, flags, err := as.Translate(va, AccessRead)
+	e, err := as.TranslateEntry(va, AccessRead)
 	if err != nil {
 		return 0, err
 	}
-	if flags&FlagMMIO != 0 {
+	return as.Read64Entry(e, va)
+}
+
+// Read64Entry is Read64 for a va the caller has already translated to e
+// for reading (a vCPU's TLB entry): it reaches the device handler of an
+// MMIO page without walking the page tables again. An MMIO page with no
+// registered region reads its frame bytes, as Read64 does.
+func (as *AddressSpace) Read64Entry(e Entry, va uint64) (uint64, error) {
+	if e.Flags&FlagMMIO != 0 {
 		if h, off, ok := as.mmioFor(va); ok {
 			return h.MMIORead(off), nil
 		}
 	}
 	off := va & PageMask
 	if off+8 <= PageSize {
-		return binary.LittleEndian.Uint64(as.phys.Frame(frame)[off : off+8]), nil
+		return binary.LittleEndian.Uint64(as.phys.Frame(e.Frame)[off : off+8]), nil
 	}
 	b, err := as.ReadBytes(va, 8)
 	if err != nil {
@@ -92,11 +100,17 @@ func (as *AddressSpace) Read64(va uint64) (uint64, error) {
 // Write64 stores a 64-bit little-endian value. Stores to MMIO pages are
 // routed to the registered device handler (doorbell writes, etc.).
 func (as *AddressSpace) Write64(va uint64, val uint64) error {
-	frame, flags, err := as.Translate(va, AccessWrite)
+	e, err := as.TranslateEntry(va, AccessWrite)
 	if err != nil {
 		return err
 	}
-	if flags&FlagMMIO != 0 {
+	return as.Write64Entry(e, va, val)
+}
+
+// Write64Entry is Write64 for a va the caller has already translated to
+// e for writing, permission checked: Read64Entry's store twin.
+func (as *AddressSpace) Write64Entry(e Entry, va uint64, val uint64) error {
+	if e.Flags&FlagMMIO != 0 {
 		if h, off, ok := as.mmioFor(va); ok {
 			h.MMIOWrite(off, val)
 			return nil
@@ -104,8 +118,8 @@ func (as *AddressSpace) Write64(va uint64, val uint64) error {
 	}
 	off := va & PageMask
 	if off+8 <= PageSize {
-		binary.LittleEndian.PutUint64(as.phys.WritableFrame(frame)[off:off+8], val)
-		as.phys.NoteWrite(frame)
+		binary.LittleEndian.PutUint64(as.phys.WritableFrame(e.Frame)[off:off+8], val)
+		as.phys.NoteWrite(e.Frame)
 		return nil
 	}
 	var b [8]byte

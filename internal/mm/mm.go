@@ -517,8 +517,10 @@ var tags atomic.Uint64
 
 // AddressSpace is one virtual address space backed by 5-level page tables.
 // Mutating operations take the write lock; translations take the read
-// lock only, so concurrent vCPUs do not serialize on the page tables
-// (the per-CPU TLBs in front keep even the read lock off the hot path).
+// lock only. One goroutine drives a machine, so its own accesses never
+// contend; the lock orders an address space against the goroutines that
+// fork it (see TranslateEntry). The vCPU TLBs and device IOTLBs in front
+// keep even the read lock off the per-access paths.
 type AddressSpace struct {
 	mu   sync.RWMutex
 	root *table
@@ -748,6 +750,16 @@ func (as *AddressSpace) Lookup(va uint64) (FrameID, PageFlags, bool) {
 // chunk still shared with the template: a detach through any other path
 // copies the chunk first and swaps the record in the copy, so an entry
 // holding the shared chunk's slot would keep returning pre-detach bytes.
+//
+// Two caches hold entries: a vCPU's TLB and a device's IOTLB. Each fills
+// through TranslateEntry on the address space of the machine it serves
+// and drops everything when that space's Generation moves. An entry
+// never crosses machines: a fork's TLB re-resolves its template's pages
+// (TLB.CloneFor), and a fork's device starts with no IOTLB. A device
+// cache reads through its entries but writes through the machine's own
+// slot (PhysMem.WritableFrame's path), re-pointing the entry at the
+// record it wrote: a direct record may be a snapshot template's, shared
+// with its forks, and must not be written in place.
 type Entry struct {
 	Frame FrameID
 	Flags PageFlags
@@ -855,7 +867,14 @@ func (as *AddressSpace) Translate(va uint64, access Access) (FrameID, PageFlags,
 }
 
 // TranslateEntry is Translate returning the full fast-path Entry. It
-// takes only the read lock: concurrent vCPUs translate in parallel.
+// takes only the read lock. A machine's lanes run on one goroutine, so
+// the lock no longer separates vCPUs; it is kept for the path that
+// still reaches an address space from several goroutines: forking.
+// Pool forks of one template (RunSweep workers, service requests) run
+// Fork concurrently, each retagging the template under the write lock,
+// and the lock makes a walk safe against that and against any mutator
+// without a rule that only the driving goroutine may translate. The
+// per-access paths (vCPU TLBs, device IOTLBs) take it only on a miss.
 func (as *AddressSpace) TranslateEntry(va uint64, access Access) (Entry, error) {
 	if err := checkVA(va); err != nil {
 		return Entry{Frame: NoFrame}, err

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"adelie/internal/sim"
@@ -23,11 +24,16 @@ func serverTestRun(t *testing.T, queues, workers, ops int) (ServerRow, sim.RunRe
 	if err != nil {
 		t.Fatal(err)
 	}
+	return row, res, deliveryTrace(m)
+}
+
+// deliveryTrace renders a machine's interrupt deliveries in order.
+func deliveryTrace(m *sim.Machine) []string {
 	var trace []string
 	for _, d := range m.Bus.IC().Trace() {
 		trace = append(trace, fmt.Sprintf("%d>%d@%d:%v", d.Line, d.VCPU, d.AtCycle, d.Handled))
 	}
-	return row, res, trace
+	return trace
 }
 
 // TestServerCrossVCPUDeterminism is the tentpole's determinism
@@ -128,6 +134,55 @@ func TestServerForkPoolMatchesColdBoot(t *testing.T) {
 		if strings.Join(traceCold, ",") != strings.Join(traceF, ",") {
 			t.Fatalf("fork %d delivery trace diverges:\n%v\n%v", i, traceCold, traceF)
 		}
+	}
+}
+
+// TestServerForksConcurrentMatchSerial forks one server template
+// (e1000emq, nvme, nvmeirq) from 8 goroutines, each fork serving
+// requests with device DMA through its own translation caches while the
+// others fork and run. Every fork must match a serial cold-boot run —
+// row, RunResult and delivery trace — and the test must stay clean
+// under -race: it is the check that one machine's host state is
+// reached only from the goroutine driving it.
+func TestServerForksConcurrentMatchSerial(t *testing.T) {
+	const n = 8
+	row, res, trace := serverTestRun(t, 2, 2, 400)
+	EnableForkPool()
+	defer DisableForkPool()
+	before := ForkPoolStats()
+	type out struct {
+		row   ServerRow
+		res   sim.RunResult
+		trace string
+		err   error
+	}
+	outs := make([]out, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(o *out) {
+			defer wg.Done()
+			var m *sim.Machine
+			o.row, o.res, m, o.err = serverRun(seedServer, 2, 2, 400, 1000)
+			if o.err != nil {
+				return
+			}
+			o.trace = strings.Join(deliveryTrace(m), ",")
+			m.Release()
+		}(&outs[g])
+	}
+	wg.Wait()
+	for g, o := range outs {
+		if o.err != nil {
+			t.Fatalf("goroutine %d: %v", g, o.err)
+		}
+		if o.row != row || !reflect.DeepEqual(o.res, res) || o.trace != strings.Join(trace, ",") {
+			t.Fatalf("goroutine %d diverges from the serial run:\n%+v %+v\n%+v %+v", g, row, res, o.row, o.res)
+		}
+	}
+	if st := ForkPoolStats(); st.Templates-before.Templates != 1 || st.Forks-before.Forks != n || st.ColdBoots != before.ColdBoots {
+		t.Fatalf("pool served %d templates, %d forks, %d cold boots; want 1, %d, 0",
+			st.Templates-before.Templates, st.Forks-before.Forks, st.ColdBoots-before.ColdBoots, n)
 	}
 }
 
