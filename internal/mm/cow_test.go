@@ -2,6 +2,7 @@ package mm
 
 import (
 	"bytes"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -674,5 +675,287 @@ func TestPhysAllocCopiesNoTable(t *testing.T) {
 	small, large := perAlloc(64), perAlloc(4096)
 	if large > small+small/8 {
 		t.Fatalf("Alloc allocates %d bytes on a 4096-frame table, %d on a 64-frame one", large, small)
+	}
+}
+
+// Unmap keeps the interior levels it reclaims on the address space's
+// spare list, and writablePath reuses them for the next missing table.
+// The tests below move a module-sized run to far-apart bases, as a
+// re-randomization step does, on templates and forks, and check each
+// side against a model of its translations plus the page-table
+// invariants reuse relies on.
+
+// runPages is the moving run's size: a module's footprint, large enough
+// to cross a leaf-table boundary from the bases runBase picks.
+const runPages = 24
+
+// runBase returns the base of move n of a run: far from every other
+// move's (a level-0 index of its own, so each move empties and fills a
+// whole table path), 8 pages short of a 1 GB boundary, so the run spans
+// two leaf tables and two of their parents.
+func runBase(seed, n int) uint64 {
+	top := uint64(seed*64+n)%255 + 1
+	return KernelBase + top<<(PageShift+4*levelBits) + uint64(n)<<(PageShift+2*levelBits) - 8*PageSize
+}
+
+// ptModel is the expected state of one address space: its live
+// translations and the VAs it must not map (bases it moved away from
+// and the guard pages around its run).
+type ptModel struct {
+	as   *AddressSpace
+	live map[uint64]mapping
+	gone map[uint64]bool
+	base uint64 // the run's current base
+}
+
+// newRunModel maps a run of runPages writable pages at runBase(seed, 0)
+// plus one static page that never moves.
+func newRunModel(t *testing.T, seed int) *ptModel {
+	t.Helper()
+	m := &ptModel{as: NewAddressSpace(NewPhysMem()), live: map[uint64]mapping{}, gone: map[uint64]bool{}}
+	m.base = runBase(seed, 0)
+	for _, r := range []struct {
+		va uint64
+		n  int
+	}{{KernelBase, 1}, {m.base, runPages}} {
+		frames, err := m.as.MapRegion(r.va, r.n, FlagWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frames {
+			m.live[r.va+uint64(i)*PageSize] = mapping{f, FlagWrite, true}
+		}
+	}
+	return m
+}
+
+// fork forks the model's address space and copies the model.
+func (m *ptModel) fork() *ptModel {
+	as := m.as.Fork(m.as.Phys().Fork())
+	return &ptModel{as: as, live: maps.Clone(m.live), gone: maps.Clone(m.gone), base: m.base}
+}
+
+// move remaps the run at base (RemapRegion, then UnmapRegion of the old
+// range, as a re-randomization step does) and checks that the path to
+// every page of the new range is owned by the address space.
+func (m *ptModel) move(t *testing.T, base uint64) {
+	t.Helper()
+	if err := m.as.RemapRegion(base, m.base, runPages); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.as.UnmapRegion(m.base, runPages, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < runPages; i++ {
+		old, va := m.base+uint64(i)*PageSize, base+uint64(i)*PageSize
+		m.live[va] = m.live[old]
+		delete(m.live, old)
+		m.gone[old] = true
+		delete(m.gone, va)
+		m.checkOwnedPath(t, va)
+	}
+	m.gone[base-PageSize], m.gone[base+runPages*PageSize] = true, true
+	m.base = base
+}
+
+// mapPage maps a fresh frame at va and checks that the path to it is
+// owned by the address space.
+func (m *ptModel) mapPage(t *testing.T, va uint64) {
+	t.Helper()
+	f := m.as.Phys().Alloc()
+	if err := m.as.Map(va, f, FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	m.live[va] = mapping{f, FlagWrite, true}
+	m.checkOwnedPath(t, va)
+}
+
+// checkOwnedPath checks that every table on the path to va is owned by
+// the address space, as writablePath promises after a write there.
+func (m *ptModel) checkOwnedPath(t *testing.T, va uint64) {
+	t.Helper()
+	ix := indexes(va)
+	tab := m.as.root
+	for l := 0; ; l++ {
+		if tab.owner != m.as.tag {
+			t.Fatalf("va %#x: level-%d table is owned by %d, not the writer %d", va, l, tab.owner, m.as.tag)
+		}
+		if l == numLevels-1 {
+			return
+		}
+		tab = tab.entries[ix[l]].child
+	}
+}
+
+// check compares the address space's translations and MappedPages with
+// the model, and checks every table's used count and the spare list.
+// It returns the interior tables reachable from the root and the
+// spare tables.
+func (m *ptModel) check(t *testing.T, who string) (tree, spares map[*table]bool) {
+	t.Helper()
+	for va, want := range m.live {
+		if f, fl, ok := m.as.Lookup(va); (mapping{f, fl, ok}) != want {
+			t.Errorf("%s: va %#x maps %+v, want %+v", who, va, mapping{f, fl, ok}, want)
+		}
+	}
+	for va := range m.gone {
+		if _, ok := m.live[va]; !ok {
+			if f, _, ok := m.as.Lookup(va); ok {
+				t.Errorf("%s: va %#x maps frame %d, want unmapped", who, va, f)
+			}
+		}
+	}
+	if got := m.as.MappedPages(); got != len(m.live) {
+		t.Errorf("%s: MappedPages %d, want %d", who, got, len(m.live))
+	}
+	tree, spares = map[*table]bool{}, map[*table]bool{}
+	var leaves int
+	var visit func(tab *table, level int)
+	visit = func(tab *table, level int) {
+		var n int
+		for _, e := range tab.entries {
+			if e == nil {
+				continue
+			}
+			n++
+			if level == numLevels-1 {
+				leaves++
+				continue
+			}
+			tree[e.child] = true
+			visit(e.child, level+1)
+		}
+		if n != tab.used {
+			t.Errorf("%s: level-%d table holds %d entries, used says %d", who, level, n, tab.used)
+		}
+	}
+	visit(m.as.root, 0)
+	if leaves != len(m.live) {
+		t.Errorf("%s: tree holds %d leaf entries, want %d", who, leaves, len(m.live))
+	}
+	for _, e := range m.as.spare {
+		switch tab := e.child; {
+		case spares[tab]:
+			t.Errorf("%s: a table is on the spare list twice", who)
+		case tree[tab]:
+			t.Errorf("%s: a spare table is still in the tree", who)
+		case tab.used != 0 || tab.entries != [1 << levelBits]*pte{}:
+			t.Errorf("%s: a spare table holds entries (used %d)", who, tab.used)
+		default:
+			spares[tab] = true
+		}
+	}
+	return tree, spares
+}
+
+// checkFamily checks every model and that no table one address space
+// may write in place, or holds as a spare, is reachable from another.
+func checkFamily(t *testing.T, ms map[string]*ptModel) {
+	t.Helper()
+	trees, spares := map[string]map[*table]bool{}, map[string]map[*table]bool{}
+	for who, m := range ms {
+		trees[who], spares[who] = m.check(t, who)
+	}
+	for a, ma := range ms {
+		for b := range ms {
+			if a == b {
+				continue
+			}
+			for tab := range trees[a] {
+				if tab.owner == ma.as.tag && (trees[b][tab] || spares[b][tab]) {
+					t.Errorf("a table %s owns is reachable from %s", a, b)
+				}
+			}
+			for tab := range spares[a] {
+				if trees[b][tab] || spares[b][tab] {
+					t.Errorf("a spare table of %s is reachable from %s", a, b)
+				}
+			}
+		}
+	}
+}
+
+func TestPageTableRecycleTemplateAndFork(t *testing.T) {
+	tmpl := newRunModel(t, 0)
+	var steady int
+	for n := 1; n <= 8; n++ {
+		tmpl.move(t, runBase(0, n))
+		tree, spares := tmpl.check(t, "template")
+		// Every move needs the same number of tables, so once the
+		// first move has filled the spare list, tree plus spares stays
+		// at the peak tree size.
+		if n == 1 {
+			steady = len(tree) + len(spares)
+		} else if got := len(tree) + len(spares); got != steady {
+			t.Fatalf("move %d: %d tables in tree and spares, want the steady %d", n, got, steady)
+		}
+	}
+	if len(tmpl.as.spare) == 0 {
+		t.Fatal("the template holds no spare levels after its moves")
+	}
+	// Both sides of a Fork taken while the template holds spares move
+	// their runs, interleaved, to bases the other side also uses.
+	f := tmpl.fork()
+	ms := map[string]*ptModel{"template": tmpl, "fork": f}
+	checkFamily(t, ms)
+	// The first map on each side after the Fork must not take a level
+	// from the spares the template held: they carry the tag Fork retired.
+	tmpl.mapPage(t, runBase(1, 0))
+	f.mapPage(t, runBase(1, 0))
+	checkFamily(t, ms)
+	for n := 9; n <= 16; n++ {
+		f.move(t, runBase(1, n))
+		checkFamily(t, ms)
+		tmpl.move(t, runBase(1, n+1))
+		checkFamily(t, ms)
+	}
+	f.as.Phys().Release()
+}
+
+func TestPageTableRecycleForkOfFork(t *testing.T) {
+	tmpl := newRunModel(t, 2)
+	mid := tmpl.fork()
+	for n := 1; n <= 4; n++ {
+		mid.move(t, runBase(2, n))
+	}
+	leaf := mid.fork()
+	ms := map[string]*ptModel{"template": tmpl, "mid": mid, "leaf": leaf}
+	checkFamily(t, ms)
+	mid.mapPage(t, runBase(3, 0))
+	checkFamily(t, ms)
+	for n := 5; n <= 10; n++ {
+		leaf.move(t, runBase(3, n))
+		checkFamily(t, ms)
+		mid.move(t, runBase(3, n+1))
+		checkFamily(t, ms)
+		tmpl.move(t, runBase(3, n+2))
+		checkFamily(t, ms)
+	}
+	leaf.as.Phys().Release()
+	mid.as.Phys().Release()
+}
+
+func TestPageTableRecycleAllocatesNoTable(t *testing.T) {
+	// Each cycle unmaps the one mapped page and maps its frame on a
+	// path of its own: once warm, the cycle allocates only the new leaf
+	// pte, never a table or an interior pte.
+	as := NewAddressSpace(NewPhysMem())
+	frame := as.Phys().Alloc()
+	va := func(n int) uint64 { return KernelBase + uint64(n%7+1)<<(PageShift+4*levelBits) }
+	if err := as.Map(va(0), frame, FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := as.Unmap(va(n)); err != nil {
+			t.Fatal(err)
+		}
+		n++
+		if err := as.Map(va(n), frame, FlagWrite); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("an Unmap-then-Map cycle at a fresh path allocates %v objects, want 1 (the leaf pte)", allocs)
 	}
 }

@@ -506,6 +506,12 @@ type pte struct {
 // equals owner may write one in place; every other sharer copies it first
 // (AddressSpace.writablePath). Ptes reachable from a shared table are
 // never written either — Protect installs a new leaf pte.
+//
+// An interior table that Unmap empties is not dropped: it goes, with the
+// pte that held it, onto its address space's spare list, and the next
+// missing interior table on any path is taken from there (see
+// AddressSpace.writablePath). A spare's entries are all nil, so reuse
+// needs no clearing.
 type table struct {
 	entries [1 << levelBits]*pte
 	used    int    // number of non-nil entries, for table reclamation
@@ -521,6 +527,13 @@ var tags atomic.Uint64
 // contend; the lock orders an address space against the goroutines that
 // fork it (see TranslateEntry). The vCPU TLBs and device IOTLBs in front
 // keep even the read lock off the per-access paths.
+//
+// A re-randomized module lands on a fresh page-table path at every step
+// and leaves its old one empty, so the address space keeps the interior
+// levels Unmap reclaims on a private spare list and reuses them instead
+// of allocating new 4 KB tables. The list needs no cap: every level on
+// it was once in the tree and the tree takes from the list before
+// allocating, so tree plus spares never exceed the tree's peak size.
 type AddressSpace struct {
 	mu   sync.RWMutex
 	root *table
@@ -528,6 +541,9 @@ type AddressSpace struct {
 	mmio []mmioRegion
 	cow  bool   // forked machine: translations resolve frames via slots
 	tag  uint64 // owner tag of the tables this address space writes in place
+	// spare holds reclaimed interior levels, each a pte detached from
+	// the tree with its empty child table; guarded by mu.
+	spare []*pte
 
 	mapped     int           // currently mapped pages
 	gen        atomic.Uint64 // bumped on unmap/protect: TLB shootdown signal
@@ -598,9 +614,25 @@ func (as *AddressSpace) walk(va uint64) *pte {
 // first, each owned by as so the caller may write it in place. A table
 // as does not own is shared with a fork (or with the address space this
 // one was forked from): it is copied — one table per level, never the
-// subtree below it — and the copy installed in its parent. Missing
-// interior tables are created. Copying changes no translation, so it
-// bumps no generation. Caller holds as.mu for writing.
+// subtree below it — and the copy installed in its parent. Copying
+// changes no translation, so it bumps no generation. Caller holds as.mu
+// for writing.
+//
+// A missing interior table is taken, with the pte that held it, from the
+// spare list Unmap fills, and created only if the list is empty. Reuse
+// is safe for three reasons:
+//   - Unmap reclaims only tables on the path writablePath just returned,
+//     so every spare carries owner == as.tag.
+//   - Fork retags both sides, so a table owned by as.tag was created
+//     after the last fork and no other tree can reach it; once detached,
+//     no tree reaches it at all. Fork also empties both sides' spare
+//     lists, so a spare never carries a tag Fork has retired.
+//   - A table is reclaimed only once used drops to 0, so all its
+//     entries are nil and reuse needs no clearing.
+//
+// The pte goes with its table: writablePath installs a pte of its own
+// for every table it creates or copies, so a pte pointing at a table as
+// owns sits in as's tree alone.
 func (as *AddressSpace) writablePath(ix *[numLevels]int) [numLevels]*table {
 	var path [numLevels]*table
 	if as.root.owner != as.tag {
@@ -612,7 +644,11 @@ func (as *AddressSpace) writablePath(ix *[numLevels]int) [numLevels]*table {
 		e := t.entries[ix[i]]
 		switch {
 		case e == nil:
-			e = &pte{child: &table{owner: as.tag}}
+			if n := len(as.spare); n > 0 {
+				e, as.spare = as.spare[n-1], as.spare[:n-1]
+			} else {
+				e = &pte{child: &table{owner: as.tag}}
+			}
 			t.entries[ix[i]] = e
 			t.used++
 		case e.child.owner != as.tag:
@@ -673,7 +709,10 @@ func (as *AddressSpace) Map(va uint64, frame FrameID, flags PageFlags) error {
 // Unmap removes the translation for the page containing va and issues a
 // TLB shootdown. It returns the frame that was mapped there; the caller
 // decides whether to free it (zero-copy remapping keeps frames alive while
-// both old and new mappings exist).
+// both old and new mappings exist). Interior tables the unmap empties
+// are detached bottom-up and kept on the spare list for writablePath to
+// reuse; every one of them is on the path writablePath returned, so it
+// is owned by as and reachable from no other tree.
 func (as *AddressSpace) Unmap(va uint64) (FrameID, error) {
 	if va&PageMask != 0 {
 		return NoFrame, fmt.Errorf("mm: Unmap: unaligned va %#x", va)
@@ -693,6 +732,7 @@ func (as *AddressSpace) Unmap(va uint64) (FrameID, error) {
 	// Reclaim now-empty interior tables, bottom-up.
 	for i := numLevels - 2; i >= 0 && t.used == 0; i-- {
 		parent := path[i]
+		as.spare = append(as.spare, parent.entries[ix[i]])
 		parent.entries[ix[i]] = nil
 		parent.used--
 		t = parent
@@ -1024,15 +1064,19 @@ func (as *AddressSpace) RegisterMMIO(base uint64, npages int, handler MMIOHandle
 // page-table tree, and parent and clone both take fresh owner tags, so
 // neither may write a table of the shared tree in place any more — the
 // first Map, Unmap or Protect on either side copies just the tables on
-// its path (writablePath). The clone runs in COW mode: translations
-// resolve frames through its own slots (PhysMem.ownSlot) so post-fork
-// writes are visible to every cached entry. MMIO regions are copied with their handlers still
-// pointing at the template's devices; the bus clone rebinds them via
-// RebindMMIO.
+// its path (writablePath). Both sides start with no spare levels: the
+// parent's carry the tag Fork retires, and a snapshot template, forked
+// many times and never written again, would pin them for its lifetime
+// (see writablePath). The clone runs in COW mode:
+// translations resolve frames through its own slots (PhysMem.ownSlot)
+// so post-fork writes are visible to every cached entry. MMIO regions
+// are copied with their handlers still pointing at the template's
+// devices; the bus clone rebinds them via RebindMMIO.
 func (as *AddressSpace) Fork(phys *PhysMem) *AddressSpace {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	as.tag = tags.Add(1)
+	as.spare = nil
 	nas := &AddressSpace{
 		root:   as.root,
 		phys:   phys,

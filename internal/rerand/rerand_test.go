@@ -2,6 +2,7 @@ package rerand
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -264,6 +265,32 @@ func TestRunTicker(t *testing.T) {
 	}
 	if mod.Rerandomizations == 0 {
 		t.Fatal("ticker never stepped")
+	}
+}
+
+// TestStepAllocBudget bounds what a warm step allocates. Every step
+// moves the module to a fresh page-table path; the address space reuses
+// the levels the previous step's unmap reclaimed, so a step allocates
+// no 4 KB table. A step that allocated its table path would read about
+// 19.7 KB.
+func TestStepAllocBudget(t *testing.T) {
+	k, r, _, _ := setup(t, plugin.Options{Retpoline: true, StackRerand: true, RetEncrypt: true})
+	step := func() {
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+		k.SMR.Flush()
+	}
+	step() // warm-up: the first unmap fills the spare list
+	const steps, budget = 8, 2048
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&ms1)
+	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / steps; per >= budget {
+		t.Fatalf("a warm step allocates %d bytes, budget %d", per, budget)
 	}
 }
 

@@ -190,3 +190,22 @@ func TestTableRenderAndJSONShape(t *testing.T) {
 	}()
 	tab.AddRow("only-one-cell")
 }
+
+// TestRegistryQuickGolden pins every registered experiment's -quick
+// table byte-for-byte: the golden is exactly what `benchtool -quick run
+// all` prints. The other determinism checks compare one run with
+// another, so a drift that is the same in every mode passes them; this
+// one does not, and it is the only tier-1 pin of the server figure.
+// Regenerate (only with an understood, intended change) via
+// go test ./internal/workload -run RegistryQuickGolden -args -update.
+func TestRegistryQuickGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, e := range Experiments.All() {
+		tab, err := e.Run(e.Params(true))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		tab.Fprint(&buf)
+	}
+	checkGolden(t, "quick_all.golden", buf.Bytes())
+}

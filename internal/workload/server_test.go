@@ -203,12 +203,19 @@ func TestFig6QuickGolden(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	tab.Fprint(&buf)
-	golden := filepath.Join("testdata", "fig6_quick.golden")
+	checkGolden(t, "fig6_quick.golden", buf.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// when the test runs with -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -217,7 +224,19 @@ func TestFig6QuickGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want, buf.Bytes()) {
-		t.Fatalf("fig6 quick table drifted from golden:\n--- want\n%s--- got\n%s", want, buf.Bytes())
+	if bytes.Equal(want, got) {
+		return
 	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	i := 0
+	for i < len(wl) && i < len(gl) && wl[i] == gl[i] {
+		i++
+	}
+	at := func(l []string) string {
+		if i < len(l) {
+			return l[i]
+		}
+		return "(end of output)"
+	}
+	t.Fatalf("output drifted from %s at line %d:\n want: %s\n  got: %s", golden, i+1, at(wl), at(gl))
 }
