@@ -20,6 +20,14 @@
 // set-union operation (the set of lines pending at the barrier does not
 // depend on the order the round's lanes ran in), so delivery order, ISR
 // side effects and every RunResult derived from them are deterministic.
+//
+// Quiet barriers. A barrier's device work is proportional to the work
+// the devices hold, not to the number of rounds: every Ticker reports
+// through Armed whether a Tick could do anything, and the controller
+// keeps a lock-free count of pending lines. Quiet is their conjunction;
+// on a quiet barrier the engine only publishes the clock (SetNow) and
+// takes no lock. Epoch devices follow the same rule for their own state
+// (see EpochDevice).
 package bus
 
 import (
@@ -76,15 +84,28 @@ type MSIXDevice interface {
 // in deterministic order. This keeps latencies independent of the order
 // lanes run in within a round: CPUs issuing in the same round do not see
 // each other's updates, which is part of the simulated SMP model.
+//
+// The engine brackets every round with these calls, so they must be
+// cheap when the round buffered nothing: flipping the epoch state and
+// returning, with the device lock taken only to apply a buffer.
 type EpochDevice interface {
 	BeginEpoch()
 	EndEpoch()
 }
 
 // Ticker is a device with a clocked timer (interrupt coalescing delay).
-// Tick runs at every clock boundary with all vCPUs quiescent; force is
-// set on the final tick of a measurement so pending work flushes.
+// Tick runs at a clock boundary with all vCPUs quiescent; force is set
+// on the final tick of a measurement so pending work flushes.
+//
+// Armed reports whether the device holds work a Tick could act on
+// (e.g. coalesced frames not yet signalled). It must be cheap and
+// lock-free: the bus polls it at every barrier and ticks only armed
+// devices, and a barrier at which no ticker is armed and no line is
+// pending touches no device at all (see Bus.Quiet). A device stays
+// armed for as long as its work is held, even while it cannot act on
+// it (a masked queue), so it is ticked at every barrier until it can.
 type Ticker interface {
+	Armed() bool
 	Tick(nowCycles uint64, force bool)
 }
 
@@ -105,10 +126,14 @@ type Bus struct {
 	as   *mm.AddressSpace
 	next uint64
 
-	mu      sync.Mutex
-	devs    []attached
-	byName  map[string]attached
-	tickers []Ticker // devices with coalescing timers, in attach order
+	mu     sync.Mutex
+	devs   []attached
+	byName map[string]attached
+
+	// tickers lists the devices with coalescing timers, in attach order.
+	// Attach and CloneFor fix it before any run, so the barrier reads it
+	// without mu.
+	tickers []Ticker
 
 	ic  *IntController
 	now atomic.Uint64 // virtual clock in cycles, set at engine barriers
@@ -241,21 +266,30 @@ func (b *Bus) SetNow(cycles uint64) { b.now.Store(cycles) }
 // Now reads the virtual clock as of the last barrier.
 func (b *Bus) Now() uint64 { return b.now.Load() }
 
-// Tick steps every Ticker device at a clock boundary (coalescing-delay
-// checks). force flushes pending work at end of measurement. The ticker
-// set is precomputed at Attach time, so a machine with no coalescing
-// devices pays one lock per barrier and no allocation.
+// Tick steps every armed Ticker device at a clock boundary
+// (coalescing-delay checks). force flushes pending work at end of
+// measurement. The ticker set is fixed before any run, so Tick takes no
+// bus lock and allocates nothing, and an unarmed device is not called.
 func (b *Bus) Tick(force bool) {
-	b.mu.Lock()
-	tickers := b.tickers
-	b.mu.Unlock()
-	if len(tickers) == 0 {
-		return
-	}
 	now := b.Now()
-	for _, t := range tickers {
-		t.Tick(now, force)
+	for _, t := range b.tickers {
+		if t.Armed() {
+			t.Tick(now, force)
+		}
 	}
+}
+
+// Quiet reports whether a barrier has no device work: no ticker is armed
+// and no line is pending. It takes no lock, so a quiet barrier costs a
+// few atomic loads. The engine checks it before every Tick/TakePending
+// pass of its interrupt window.
+func (b *Bus) Quiet() bool {
+	for _, t := range b.tickers {
+		if t.Armed() {
+			return false
+		}
+	}
+	return !b.ic.HasPending()
 }
 
 // Line is one device's interrupt line.
@@ -299,6 +333,10 @@ type IntController struct {
 	lines   int
 	pending map[int]uint64 // line → earliest pendingSince
 	routes  []int          // line → target vCPU (the vector table)
+
+	// npending mirrors len(pending), written under mu, so a barrier can
+	// see an empty set without taking mu (HasPending, TakePending).
+	npending atomic.Int32
 
 	raised    []uint64 // per line
 	delivered []uint64
@@ -369,24 +407,31 @@ func (ic *IntController) raise(line int, pendingSince uint64) {
 	mIRQsRaised.Inc()
 	if since, ok := ic.pending[line]; !ok || pendingSince < since {
 		ic.pending[line] = pendingSince
+		ic.npending.Store(int32(len(ic.pending)))
 	}
 }
+
+// HasPending reports whether any line is raised and undelivered. It
+// takes no lock.
+func (ic *IntController) HasPending() bool { return ic.npending.Load() != 0 }
 
 // TakePending atomically drains the pending set, appending it to dst
 // sorted by line number — the deterministic delivery order — and
 // returns the extended slice. The engine passes its window buffer back
-// in each time, so draining allocates nothing once the buffer has grown.
+// in each time, so draining allocates nothing once the buffer has grown,
+// and an empty set returns without taking the lock.
 func (ic *IntController) TakePending(dst []PendingIRQ) []PendingIRQ {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	if len(ic.pending) == 0 {
+	if !ic.HasPending() {
 		return dst
 	}
+	ic.mu.Lock()
+	defer ic.mu.Unlock()
 	n := len(dst)
 	for line, since := range ic.pending {
 		dst = append(dst, PendingIRQ{Line: line, Since: since, VCPU: ic.routes[line]})
 	}
 	clear(ic.pending)
+	ic.npending.Store(0)
 	slices.SortFunc(dst[n:], func(a, b PendingIRQ) int { return cmp.Compare(a.Line, b.Line) })
 	return dst
 }

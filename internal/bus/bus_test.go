@@ -170,13 +170,16 @@ func TestControllerLatencyAndTrace(t *testing.T) {
 	}
 }
 
-// TestTickReachesTickers: Tick steps devices implementing Ticker with
-// the published clock and the force flag.
+// TestTickReachesTickers: Tick steps armed devices implementing Ticker
+// with the published clock and the force flag, and skips unarmed ones.
 type tickDev struct {
 	fakeDev
+	armed bool
 	ticks []uint64
 	force bool
 }
+
+func (d *tickDev) Armed() bool { return d.armed }
 
 func (d *tickDev) Tick(now uint64, force bool) {
 	d.ticks = append(d.ticks, now)
@@ -190,9 +193,41 @@ func TestTickReachesTickers(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.SetNow(777)
+	b.Tick(true)
+	if len(td.ticks) != 0 || !b.Quiet() {
+		t.Fatalf("unarmed ticker ticked: ticks = %+v quiet=%v", td.ticks, b.Quiet())
+	}
+	td.armed = true
+	if b.Quiet() {
+		t.Fatal("bus quiet with an armed ticker")
+	}
 	b.Tick(false)
 	b.Tick(true)
 	if len(td.ticks) != 2 || td.ticks[0] != 777 || !td.force {
 		t.Fatalf("ticks = %+v force=%v", td.ticks, td.force)
+	}
+}
+
+// TestQuietTracksPendingLines: the lock-free pending count follows
+// raise and drain, so Quiet flips with the pending set.
+func TestQuietTracksPendingLines(t *testing.T) {
+	b := newBus(t)
+	d := &irqDev{fakeDev: fakeDev{name: "d", pages: 1}}
+	if _, err := b.Attach(d); err != nil {
+		t.Fatal(err)
+	}
+	if !b.Quiet() {
+		t.Fatal("fresh bus not quiet")
+	}
+	d.line.Assert(5)
+	d.line.Assert(3)
+	if b.Quiet() || !b.IC().HasPending() {
+		t.Fatal("raised line not seen as pending")
+	}
+	if p := b.IC().TakePending(nil); len(p) != 1 || p[0].Since != 3 {
+		t.Fatalf("pending = %+v", p)
+	}
+	if !b.Quiet() || b.IC().HasPending() {
+		t.Fatal("drained controller still pending")
 	}
 }

@@ -77,5 +77,6 @@ func (ic *IntController) clone() *IntController {
 	for line, since := range ic.pending {
 		n.pending[line] = since
 	}
+	n.npending.Store(int32(len(n.pending)))
 	return n
 }

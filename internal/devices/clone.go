@@ -76,6 +76,7 @@ func (n *NIC) CloneFor(as *mm.AddressSpace) *NIC {
 		cq.irq = nil // rewired by the bus clone
 		nn.queues[i] = &cq
 	}
+	nn.armed.Store(n.armed.Load())
 	if n.hostRx != nil {
 		nn.hostRx = make([][]byte, len(n.hostRx))
 		for i, f := range n.hostRx {

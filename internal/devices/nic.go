@@ -2,6 +2,7 @@ package devices
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"adelie/internal/bus"
 	"adelie/internal/mm"
@@ -40,6 +41,11 @@ type NIC struct {
 
 	queues []*nicQueue // RX queues; len >= 1, queue 0 = legacy registers
 	clock  func() uint64
+
+	// armed counts the queues holding coalesced frames not yet asserted
+	// (pendingIRQ > 0), written under mu and read without it by Armed,
+	// so a barrier with nothing coalesced never takes mu.
+	armed atomic.Int32
 
 	peer *NIC // nil = loopback
 
@@ -149,6 +155,7 @@ func (n *NIC) SetQueues(count int) {
 	for i := range n.queues {
 		n.queues[i] = &nicQueue{coalesceFrames: 1}
 	}
+	n.armed.Store(0)
 }
 
 // NumQueues returns the RSS queue count.
@@ -227,11 +234,20 @@ func (n *NIC) SetHostRxCap(cap int) {
 	n.hostRxCap = cap
 }
 
+// Armed implements bus.Ticker: whether any queue holds coalesced frames
+// not yet asserted. A masked queue with frames stays armed, so it is
+// ticked at every barrier as long as it holds them.
+func (n *NIC) Armed() bool { return n.armed.Load() != 0 }
+
 // Tick implements bus.Ticker: at a clock boundary, assert any queue
 // whose oldest pending frame has exceeded its coalescing delay (or
 // every pending queue unconditionally on the final force tick of a
-// measurement), in queue order.
+// measurement), in queue order. With no queue armed it returns without
+// taking the lock.
 func (n *NIC) Tick(nowCycles uint64, force bool) {
+	if !n.Armed() {
+		return
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, q := range n.queues {
@@ -256,6 +272,7 @@ func (n *NIC) noteRxLocked(q *nicQueue) {
 		} else {
 			q.firstPending = 0
 		}
+		n.armed.Add(1)
 	}
 	q.pendingIRQ++
 	if !q.intMasked && q.pendingIRQ >= q.coalesceFrames {
@@ -272,6 +289,7 @@ func (n *NIC) assertIRQLocked(q *nicQueue) {
 	q.irq.Assert(q.firstPending)
 	n.IRQsAsserted++
 	q.pendingIRQ = 0
+	n.armed.Add(-1)
 }
 
 // Connect wires two NICs back-to-back (server/load-generator setup of

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"adelie/internal/bus"
 	"adelie/internal/mm"
@@ -57,7 +58,10 @@ const (
 // buffered, applied in sorted order at EndEpoch. Latencies observed by
 // the vCPUs of one round are therefore independent of the order their
 // lanes ran in: the simulated CPUs issue in the same round and do not
-// see each other's cache fills until the barrier.
+// see each other's cache fills until the barrier. The engine brackets
+// every round this way, so the epoch flag flips without the controller
+// lock, and EndEpoch takes the lock only when the round buffered an
+// insertion: a round that buffered none takes no lock.
 type NVMe struct {
 	mu sync.Mutex
 	as *mm.AddressSpace
@@ -72,7 +76,8 @@ type NVMe struct {
 	cacheFIFO []uint64          // insertion order, for deterministic eviction
 	cacheCap  int
 
-	epoch        bool            // inside a BeginEpoch/EndEpoch window
+	epoch        atomic.Bool     // inside a BeginEpoch/EndEpoch window
+	buffered     atomic.Bool     // pendingTouch is non-empty
 	pendingTouch []uint64        // cache insertions buffered this epoch
 	pendingSet   map[uint64]bool // dedup for pendingTouch
 
@@ -125,21 +130,19 @@ func (d *NVMe) IRQLine() int {
 }
 
 // BeginEpoch enters round-granular cache semantics (bus.EpochDevice).
-func (d *NVMe) BeginEpoch() {
-	d.mu.Lock()
-	d.epoch = true
-	d.mu.Unlock()
-}
+func (d *NVMe) BeginEpoch() { d.epoch.Store(true) }
 
-// EndEpoch applies buffered cache insertions in deterministic (sorted)
-// order and leaves epoch mode.
+// EndEpoch leaves epoch mode and applies buffered cache insertions in
+// deterministic (sorted) order. A round that buffered none takes no
+// lock.
 func (d *NVMe) EndEpoch() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.epoch = false
-	if len(d.pendingTouch) == 0 {
+	d.epoch.Store(false)
+	if !d.buffered.Load() {
 		return
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.buffered.Store(false)
 	slices.Sort(d.pendingTouch)
 	for _, lba := range d.pendingTouch {
 		d.insertCache(lba)
@@ -266,10 +269,11 @@ func (d *NVMe) process(slot uint64) {
 // touchCache records an access to lba. Inside an epoch the insertion is
 // buffered so hit/miss decisions keep reading the epoch-start snapshot.
 func (d *NVMe) touchCache(lba uint64) {
-	if d.epoch {
+	if d.epoch.Load() {
 		if !d.cachedLBA[lba] && !d.pendingSet[lba] {
 			d.pendingSet[lba] = true
 			d.pendingTouch = append(d.pendingTouch, lba)
+			d.buffered.Store(true)
 		}
 		return
 	}

@@ -45,7 +45,14 @@
 // the pre-vector-table engine. Because raising is commutative, routes
 // only change between rounds, and delivery happens at the barrier in a
 // fixed order, interrupt side effects — ISR cycles, ring drains, driver
-// counters — are bit-reproducible.
+// counters — are bit-reproducible. The window's device work is
+// proportional to the work the devices hold: when no ticker is armed and
+// no line is pending (bus.Bus.Quiet, a few atomic loads), the window
+// returns right after publishing the clock, the forced final flush
+// included. The clock is still published at every barrier, because
+// devices stamp work raised in the next round with it. Epoch devices
+// likewise flip their epoch state without a lock on a round that
+// buffered nothing, so a quiet round takes no device lock at all.
 package engine
 
 import (
@@ -147,6 +154,23 @@ func (r *RunResult) IRQVCPUs() int {
 	}
 	return n
 }
+
+// Process-wide engine and re-randomizer counters, resolved once so a
+// run's end and a rerand step add to them without the registry lock.
+var (
+	mRuns            = obs.Default.Counter("adelie_engine_runs_total")
+	mOps             = obs.Default.Counter("adelie_engine_ops_total")
+	mBusyCycles      = obs.Default.Counter("adelie_engine_busy_cycles_total")
+	mBlocks          = obs.Default.Counter("adelie_engine_blocks_total")
+	mChainedBlocks   = obs.Default.Counter("adelie_engine_chained_blocks_total")
+	mIndirectChained = obs.Default.Counter("adelie_engine_indirect_chained_total")
+	mIRQs            = obs.Default.Counter("adelie_engine_irqs_total")
+	mIRQCycles       = obs.Default.Counter("adelie_engine_irq_cycles_total")
+
+	mRerandEpochs        = obs.Default.Counter("adelie_rerand_epochs_total")
+	mRerandModulesMoved  = obs.Default.Counter("adelie_rerand_modules_moved_total")
+	mRerandPagesRemapped = obs.Default.Counter("adelie_rerand_pages_remapped_total")
+)
 
 // Engine drives measurements against one booted kernel.
 type Engine struct {
@@ -269,9 +293,9 @@ func (e *Engine) Run(cfg RunConfig, op OpFunc) (RunResult, error) {
 				}
 				res.RerandCycles += rep.Cycles
 				res.RerandSteps++
-				obs.Default.Counter("adelie_rerand_epochs_total").Inc()
-				obs.Default.Counter("adelie_rerand_modules_moved_total").Add(uint64(rep.ModulesMoved))
-				obs.Default.Counter("adelie_rerand_pages_remapped_total").Add(rep.PagesRemapped)
+				mRerandEpochs.Inc()
+				mRerandModulesMoved.Add(uint64(rep.ModulesMoved))
+				mRerandPagesRemapped.Add(rep.PagesRemapped)
 				if e.tr != nil {
 					// Epoch begin→end as one span: begin at the firing
 					// clock, duration = the randomizer thread's modeled
@@ -392,15 +416,14 @@ func (e *Engine) Run(cfg RunConfig, op OpFunc) (RunResult, error) {
 		// time is CPU time too, like the randomizer thread's.
 		res.CPUUsagePct = (float64(res.BusyCycles) + float64(res.RerandCycles) + float64(res.IRQCycles)) / totalCycles * 100
 	}
-	reg := obs.Default
-	reg.Counter("adelie_engine_runs_total").Inc()
-	reg.Counter("adelie_engine_ops_total").Add(uint64(cfg.Ops))
-	reg.Counter("adelie_engine_busy_cycles_total").Add(res.BusyCycles)
-	reg.Counter("adelie_engine_blocks_total").Add(res.Blocks)
-	reg.Counter("adelie_engine_chained_blocks_total").Add(res.ChainedBlocks)
-	reg.Counter("adelie_engine_indirect_chained_total").Add(res.IndirectChained)
-	reg.Counter("adelie_engine_irqs_total").Add(res.IRQs)
-	reg.Counter("adelie_engine_irq_cycles_total").Add(res.IRQCycles)
+	mRuns.Inc()
+	mOps.Add(uint64(cfg.Ops))
+	mBusyCycles.Add(res.BusyCycles)
+	mBlocks.Add(res.Blocks)
+	mChainedBlocks.Add(res.ChainedBlocks)
+	mIndirectChained.Add(res.IndirectChained)
+	mIRQs.Add(res.IRQs)
+	mIRQCycles.Add(res.IRQCycles)
 	return res, nil
 }
 
@@ -509,7 +532,8 @@ func (e *Engine) traceRound(clk *Clock, laps []lap) {
 // trace, counters and per-lane accounting are then committed in the same
 // order. With force set (end of measurement) it loops until the pending
 // set is empty, so an ISR whose unmask re-asserts the line still drains
-// before metrics derive.
+// before metrics derive. Each pass starts with the bus's lock-free quiet
+// check, so a barrier with no device work ends after SetNow.
 func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 	if e.Bus == nil {
 		return nil
@@ -521,6 +545,9 @@ func (e *Engine) serviceIRQs(clk *Clock, res *RunResult, force bool) error {
 	for iter := 0; ; iter++ {
 		if iter >= 1024 {
 			return fmt.Errorf("engine: interrupt storm: lines still pending after %d flush passes", iter)
+		}
+		if e.Bus.Quiet() {
+			return nil
 		}
 		e.Bus.Tick(force)
 		pending := ic.TakePending(e.pending[:0])

@@ -186,26 +186,6 @@ func TestServerForksConcurrentMatchSerial(t *testing.T) {
 	}
 }
 
-// TestFig6QuickGolden pins the NVMe latency figure byte-for-byte: the
-// interrupt-path refactor retired the driver's polled-CQ spin, and this
-// golden is the regression proof that the replacement consume sequence
-// left every fig6 number — throughput, IOPS, CPU%, rerand% — unchanged.
-// Regenerate (only with an understood, intended change) via
-// go test ./internal/workload -run Fig6QuickGolden -args -update.
-func TestFig6QuickGolden(t *testing.T) {
-	e, ok := Experiments.Lookup("fig6")
-	if !ok {
-		t.Fatal("fig6 not registered")
-	}
-	tab, err := e.Run(e.Params(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tab.Fprint(&buf)
-	checkGolden(t, "fig6_quick.golden", buf.Bytes())
-}
-
 // checkGolden compares got with testdata/name, or rewrites the file
 // when the test runs with -update.
 func checkGolden(t *testing.T, name string, got []byte) {
