@@ -376,9 +376,10 @@ func (c *CPU) store64(va uint64, val uint64) error {
 			binary.LittleEndian.PutUint64(b[off:off+8], val)
 			return nil
 		}
-		// Declined: L1 miss, MMIO, read-only, COW, exec-mapped, or
-		// straddling. The full probe below reproduces accounting and
-		// faults verbatim (and performs the COW detach / version bump).
+		// Declined: L1 miss, MMIO, read-only, a fork's first store to
+		// the page, exec-mapped, or straddling. The full probe below
+		// reproduces accounting and faults verbatim (and performs the
+		// COW detach / version bump).
 	}
 	e, hit, err := c.TLB.Entry(va, mm.AccessWrite)
 	if err != nil {
@@ -394,8 +395,8 @@ func (c *CPU) store64(va uint64, val uint64) error {
 	}
 	off := va & mm.PageMask
 	if off+8 <= mm.PageSize {
-		// WritableBytes detaches a copy-on-write shared frame first; in a
-		// never-forked machine it is the same direct pointer Bytes returns.
+		// A write translation is direct and private: Entry detached a
+		// copy-on-write shared frame, so the store writes e's record.
 		binary.LittleEndian.PutUint64(e.WritableBytes()[off:off+8], val)
 		e.NoteWrite()
 		return nil

@@ -644,6 +644,35 @@ func TestCOWChunkAllocRecyclesSharedFrame(t *testing.T) {
 	}
 }
 
+// TestCOWDetachCountedOnDetachingMachine: a fork left as the sole
+// holder of its template's original chunk (the template and a sibling
+// have copied theirs) counts its own detaches, not the template's.
+func TestCOWDetachCountedOnDetachingMachine(t *testing.T) {
+	tmpl := NewAddressSpace(NewPhysMem())
+	if _, err := tmpl.MapRegion(KernelBase, 2, FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	f := tmpl.Fork(tmpl.Phys().Fork())
+	s := tmpl.Fork(tmpl.Phys().Fork())
+	if err := tmpl.Write64(pageVA(0), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Read64(pageVA(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Write64(pageVA(1), 2); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		as   *AddressSpace
+		want int64
+	}{"template": {tmpl, 1}, "fork": {f, 1}, "sibling": {s, 0}} {
+		if got := c.as.Phys().COWDetaches(); got != c.want {
+			t.Errorf("%s counted %d detaches, want %d", name, got, c.want)
+		}
+	}
+}
+
 func TestPhysForkAllocsIndependentOfSize(t *testing.T) {
 	allocs := func(nframes int) float64 {
 		p := NewPhysMem()

@@ -79,7 +79,7 @@ func (c *IOTLB) writable(va uint64) (*frameData, error) {
 		return nil, err
 	}
 	sl := c.as.phys.ownSlot(e.Frame)
-	fd := sl.private()
+	fd := sl.private(&c.as.phys.detaches)
 	switch {
 	case s == nil:
 	case s.e.fd != nil:

@@ -137,9 +137,8 @@ type frameData struct {
 // one, so the FrameID namespace (and everything keyed by it: page
 // tables, module bookkeeping, decode caches) stays valid verbatim.
 type frameSlot struct {
-	mu  sync.Mutex // serializes copy-on-write on this slot
-	fd  atomic.Pointer[frameData]
-	ctr *atomic.Int64 // owning machine's COW-detach counter (PhysMem.detaches)
+	mu sync.Mutex // serializes copy-on-write on this slot
+	fd atomic.Pointer[frameData]
 }
 
 // load returns the slot's current frame record.
@@ -150,13 +149,12 @@ func (s *frameSlot) load() *frameData { return s.fd.Load() }
 // copied into a fresh private record whose content version is bumped —
 // which is exactly what invalidates decoded-instruction caches,
 // superblocks and chain links built against the shared bytes. The
-// detach is counted on the owning machine's observability counter
-// (s.ctr), sampled by the engine at round barriers; the counter lives
-// on the slot — not the hot translation Entry — so the TLB's cached
-// entries stay one cache-line-friendly word narrower. The slot must sit
-// in a chunk its machine owns (PhysMem.ownSlot): a write to a shared
-// chunk's slot would swap the record under every sharer.
-func (s *frameSlot) private() *frameData {
+// detach is counted on ctr, the detaching machine's counter
+// (PhysMem.detaches) that the engine samples at round barriers — not
+// on the slot, whose chunk a fork may end up holding alone. The slot
+// must sit in a chunk its machine owns (PhysMem.ownSlot): a write to a
+// shared chunk's slot would swap the record under every sharer.
+func (s *frameSlot) private(ctr *atomic.Int64) *frameData {
 	fd := s.fd.Load()
 	if fd.refs.Load() == 1 {
 		return fd
@@ -173,9 +171,7 @@ func (s *frameSlot) private() *frameData {
 	nfd.refs.Store(1)
 	s.fd.Store(nfd)
 	fd.refs.Add(-1)
-	if s.ctr != nil {
-		s.ctr.Add(1)
-	}
+	ctr.Add(1)
 	return nfd
 }
 
@@ -273,9 +269,7 @@ func (p *PhysMem) Alloc() FrameID {
 		cs := append(*p.chunks.Load(), c)
 		p.chunks.Store(&cs)
 	}
-	s := &c.slots[id%chunkFrames]
-	s.ctr = &p.detaches
-	s.fd.Store(newFrameData())
+	c.slots[id%chunkFrames].fd.Store(newFrameData())
 	p.n.Store(id + 1)
 	return FrameID(id)
 }
@@ -346,7 +340,6 @@ func (p *PhysMem) ownChunk(ci int) *slotChunk {
 			break
 		}
 		fd.refs.Add(1)
-		nc.slots[i].ctr = &p.detaches
 		nc.slots[i].fd.Store(fd)
 	}
 	ncs := slices.Clone(cs)
@@ -386,7 +379,7 @@ func (p *PhysMem) Frame(id FrameID) []byte { return p.frame(id).data[:] }
 // performing copy-on-write first if the frame is shared with a forked
 // sibling machine. All write paths that bypass the TLB (kernel access
 // helpers, device DMA, the loader) must use it instead of Frame.
-func (p *PhysMem) WritableFrame(id FrameID) []byte { return p.ownSlot(id).private().data[:] }
+func (p *PhysMem) WritableFrame(id FrameID) []byte { return p.ownSlot(id).private(&p.detaches).data[:] }
 
 // COWDetaches returns how many frames this machine has detached from
 // copy-on-write sharing (first writes after a fork). The engine samples
@@ -778,18 +771,22 @@ func (as *AddressSpace) Lookup(va uint64) (FrameID, PageFlags, bool) {
 }
 
 // Entry is one resolved translation, as cached by TLBs and consumed by
-// the CPU fast paths. For non-MMIO pages in a machine that was never
-// forked it carries a direct pointer to the frame record, so loads,
-// stores and instruction fetch touch memory without re-walking the page
-// tables or locking the allocator. In a forked (copy-on-write) machine
-// it instead carries the frame's slot and resolves the current record on
-// every access: a cached direct pointer would keep reading the shared
-// pre-fork bytes after a device or sibling vCPU detached the frame —
-// slot indirection makes post-COW writes visible without TLB shootdowns.
-// The slot must be the fork's own (PhysMem.ownSlot), never one in a
-// chunk still shared with the template: a detach through any other path
-// copies the chunk first and swaps the record in the copy, so an entry
-// holding the shared chunk's slot would keep returning pre-detach bytes.
+// the CPU fast paths. A direct entry points at the frame record, so
+// loads, stores and instruction fetch touch memory without re-walking
+// the page tables or locking the allocator. Every non-MMIO translation
+// of a never-forked machine is direct, and so is every write
+// translation a TLB hands out (TLB.Entry detaches the frame first). A
+// fork's other translations carry the frame's slot and resolve the
+// current record on every access, so a detach by a device or a sibling
+// vCPU shows without TLB shootdowns. The slot must be the fork's own
+// (PhysMem.ownSlot), never one in a chunk still shared with the
+// template: a detach through any other path copies the chunk first and
+// swaps the record in the copy, so an entry holding the shared chunk's
+// slot would keep returning pre-detach bytes.
+//
+// A direct entry stays valid until its machine is forked: only a fork
+// makes a private record shared again, and sim.Machine.Snapshot freezes
+// a machine before its first fork.
 //
 // Two caches hold entries: a vCPU's TLB and a device's IOTLB. Each fills
 // through TranslateEntry on the address space of the machine it serves
@@ -803,8 +800,8 @@ func (as *AddressSpace) Lookup(va uint64) (FrameID, PageFlags, bool) {
 type Entry struct {
 	Frame FrameID
 	Flags PageFlags
-	fd    *frameData // direct record; nil for MMIO pages and COW mode
-	slot  *frameSlot // COW mode; nil for MMIO pages and direct mode
+	fd    *frameData // direct record; nil for MMIO pages and slot entries
+	slot  *frameSlot // a fork's read or fetch translation; nil otherwise
 }
 
 // rec resolves the entry's current frame record (nil for MMIO pages).
@@ -828,18 +825,14 @@ func (e Entry) Bytes() []byte {
 	return fd.data[:]
 }
 
-// WritableBytes returns the frame's backing bytes for writing, detaching
-// the frame from copy-on-write sharing first if needed (nil for MMIO
-// pages). The store fast path must use it instead of Bytes: writing
-// shared bytes would leak into the snapshot template and every sibling.
+// WritableBytes returns a write translation's backing bytes (nil for
+// MMIO pages). TLB.Entry makes every write translation direct; a slot
+// entry, whose frame may still be shared, returns nil.
 func (e Entry) WritableBytes() []byte {
-	if e.fd != nil {
-		return e.fd.data[:]
-	}
-	if e.slot == nil {
+	if e.fd == nil {
 		return nil
 	}
-	return e.slot.private().data[:]
+	return e.fd.data[:]
 }
 
 // CodeWindow returns the frame's bytes from off to the end of the page —
@@ -872,8 +865,8 @@ func (e Entry) Version() uint64 {
 // detach bumps it past the shared record's, so a stale ref can never
 // validate against a frame's next life.
 type FrameRef struct {
-	fd   *frameData // nil for MMIO pages and COW mode
-	slot *frameSlot // COW mode
+	fd   *frameData // a direct entry's record; nil otherwise
+	slot *frameSlot // a slot entry's slot; nil otherwise
 }
 
 // Ref returns the frame-version handle for this translation.
@@ -997,23 +990,19 @@ func (as *AddressSpace) MapFrames(base uint64, frames []FrameID, flags PageFlags
 // same per-page permissions. The old mapping is left untouched — tearing it
 // down is the re-randomizer's job once pending calls drain.
 func (as *AddressSpace) RemapRegion(newBase, oldBase uint64, npages int) error {
-	type pageInfo struct {
-		frame FrameID
-		flags PageFlags
-	}
-	infos := make([]pageInfo, npages)
+	// Check every source page before mapping any, then walk each again
+	// to map it: mapping at newBase leaves the source pages as they are.
 	as.mu.RLock()
 	for i := 0; i < npages; i++ {
-		e := as.walk(oldBase + uint64(i)*PageSize)
-		if e == nil {
+		if as.walk(oldBase+uint64(i)*PageSize) == nil {
 			as.mu.RUnlock()
 			return fmt.Errorf("mm: RemapRegion: source page %#x not mapped", oldBase+uint64(i)*PageSize)
 		}
-		infos[i] = pageInfo{e.frame, e.flags}
 	}
 	as.mu.RUnlock()
-	for i, pi := range infos {
-		if err := as.Map(newBase+uint64(i)*PageSize, pi.frame, pi.flags); err != nil {
+	for i := 0; i < npages; i++ {
+		frame, flags, _ := as.Lookup(oldBase + uint64(i)*PageSize)
+		if err := as.Map(newBase+uint64(i)*PageSize, frame, flags); err != nil {
 			for j := 0; j < i; j++ {
 				_, _ = as.Unmap(newBase + uint64(j)*PageSize)
 			}

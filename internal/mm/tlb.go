@@ -55,7 +55,9 @@ func NewTLB(as *AddressSpace) *TLB {
 
 // Entry resolves va for the given access kind, consulting the cache
 // first. The boolean result reports whether the translation was a hit;
-// callers use it to charge a miss penalty.
+// callers use it to charge a miss penalty. A write translation is always
+// direct: in a fork, the store that would detach the frame anyway
+// detaches it here and the page is re-cached direct for StorePage.
 func (t *TLB) Entry(va uint64, access Access) (Entry, bool, error) {
 	if g := t.as.Generation(); g != t.gen {
 		// A shootdown occurred since we last filled: flush everything.
@@ -64,46 +66,48 @@ func (t *TLB) Entry(va uint64, access Access) (Entry, bool, error) {
 	}
 	page := va &^ PageMask
 	s := &t.l1[(page>>PageShift)&(l1Sets-1)]
-	if s.tag == page|1 {
-		if err := checkPerm(va, s.e.Flags, access); err != nil {
-			return Entry{Frame: NoFrame}, true, err
+	hit := s.tag == page|1
+	if !hit {
+		e, ok := t.entries[page]
+		if hit = ok; !ok {
+			t.misses++
+			var err error
+			if e, err = t.as.TranslateEntry(va, access); err != nil {
+				return Entry{Frame: NoFrame}, false, err
+			}
+			if len(t.entries) >= t.cap {
+				// FIFO eviction: drop the oldest resident translation and
+				// reuse its ring slot. Capacity pressure, not recency, is
+				// the effect the model needs — but the victim choice must
+				// be deterministic.
+				old := t.fifo[t.head]
+				delete(t.entries, old)
+				if os := &t.l1[(old>>PageShift)&(l1Sets-1)]; os.tag == old|1 {
+					os.tag = 0
+				}
+				t.fifo[t.head] = page
+				t.head++
+				if t.head == len(t.fifo) {
+					t.head = 0
+				}
+			} else {
+				t.fifo = append(t.fifo, page)
+			}
+			t.entries[page] = e
 		}
-		t.hits++
-		return s.e, true, nil
-	}
-	if e, ok := t.entries[page]; ok {
-		if err := checkPerm(va, e.Flags, access); err != nil {
-			return Entry{Frame: NoFrame}, true, err
-		}
-		t.hits++
 		s.tag, s.e = page|1, e
-		return e, true, nil
 	}
-	t.misses++
-	e, err := t.as.TranslateEntry(va, access)
-	if err != nil {
-		return Entry{Frame: NoFrame}, false, err
+	if err := checkPerm(va, s.e.Flags, access); err != nil {
+		return Entry{Frame: NoFrame}, true, err // a miss was checked by TranslateEntry
 	}
-	if len(t.entries) >= t.cap {
-		// FIFO eviction: drop the oldest resident translation and reuse
-		// its ring slot. Capacity pressure, not recency, is the effect
-		// the model needs — but the victim choice must be deterministic.
-		old := t.fifo[t.head]
-		delete(t.entries, old)
-		if os := &t.l1[(old>>PageShift)&(l1Sets-1)]; os.tag == old|1 {
-			os.tag = 0
-		}
-		t.fifo[t.head] = page
-		t.head++
-		if t.head == len(t.fifo) {
-			t.head = 0
-		}
-	} else {
-		t.fifo = append(t.fifo, page)
+	if hit {
+		t.hits++
 	}
-	t.entries[page] = e
-	s.tag, s.e = page|1, e
-	return e, false, nil
+	if access == AccessWrite && s.e.slot != nil {
+		s.e = Entry{Frame: s.e.Frame, Flags: s.e.Flags, fd: s.e.slot.private(&t.as.phys.detaches)}
+		t.entries[page] = s.e
+	}
+	return s.e, hit, nil
 }
 
 // LoadPage is the word-granularity resident load probe: one L1 lookup
@@ -143,12 +147,13 @@ func (t *TLB) LoadPage(va uint64) ([]byte, bool) {
 // StorePage is LoadPage's store twin, with the same decline-to-Entry
 // accounting contract and generation precondition. Beyond LoadPage's
 // screens it declines on read-only pages (the fallback Entry call
-// reproduces the permission fault verbatim), on copy-on-write frames
-// (the fallback's WritableBytes performs the detach), and on
-// exec-mapped frames (the fallback's NoteWrite bumps the content
+// reproduces the permission fault verbatim), on slot entries (the
+// fallback Entry call detaches the fork's frame and caches it direct),
+// and on exec-mapped frames (the fallback's NoteWrite bumps the content
 // version that invalidates decoded code) — each a correctness handoff,
 // not an approximation, and each keeps the probe inlinable. The caller
-// writes the word at va&PageMask into the returned bytes.
+// writes the word at va&PageMask into the returned bytes: a direct
+// record is private until its machine is forked (see Entry).
 func (t *TLB) StorePage(va uint64) ([]byte, bool) {
 	s := &t.l1[(va>>PageShift)&(l1Sets-1)]
 	if s.tag != va&^PageMask|1 || s.e.Flags&FlagWrite == 0 || va&PageMask > PageSize-8 {
@@ -156,7 +161,7 @@ func (t *TLB) StorePage(va uint64) ([]byte, bool) {
 	}
 	fd := s.e.fd
 	if fd == nil || fd.exec.Load() {
-		return nil, false // MMIO, COW-shared, or exec-mapped: the full path
+		return nil, false // MMIO, slot entry, or exec-mapped: the full path
 	}
 	t.hits++
 	return fd.data[:], true

@@ -1,6 +1,9 @@
 package mm
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // tlbFixture maps n pages at base and returns a TLB with the given cap.
 func tlbFixture(t *testing.T, n int, cap int) (*TLB, uint64) {
@@ -210,9 +213,10 @@ func TestWordProbeDeclinesSpecialCases(t *testing.T) {
 }
 
 // TestWordProbeDeclinesCOW: in a forked (copy-on-write) address space
-// the store probe must decline — only the full path's WritableBytes
-// performs the private-copy detach — while the load probe keeps working
-// through the slot indirection.
+// a read fill caches a slot entry, and the store probe must decline it —
+// only the full path's write translation performs the private-copy
+// detach — while the load probe keeps working through the slot
+// indirection.
 func TestWordProbeDeclinesCOW(t *testing.T) {
 	phys := NewPhysMem()
 	as := NewAddressSpace(phys)
@@ -237,5 +241,147 @@ func TestWordProbeDeclinesCOW(t *testing.T) {
 	}
 	if b[0] != 1 || b[7] != 8 {
 		t.Fatalf("LoadPage returned wrong bytes: % x", b[:8])
+	}
+}
+
+// storeWord stores v at va the way the CPU's store path does: the
+// resident probe first, the full write translation when it declines. It
+// reports whether the probe served the store.
+func storeWord(t testing.TB, tlb *TLB, va, v uint64) bool {
+	if b, ok := tlb.StorePage(va); ok {
+		binary.LittleEndian.PutUint64(b[va&PageMask:], v)
+		return true
+	}
+	e, _, err := tlb.Entry(va, AccessWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(e.WritableBytes()[va&PageMask:], v)
+	e.NoteWrite()
+	return false
+}
+
+// forkStoreFixture maps n writable pages at base in a fresh address
+// space and writes page i's first word as 100+i.
+func forkStoreFixture(t testing.TB, n int) (*AddressSpace, uint64) {
+	as := NewAddressSpace(NewPhysMem())
+	base := KernelBase + 0x400000
+	if _, err := as.MapRegion(base, n, FlagWrite); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := as.Write64(base+uint64(i)*PageSize, 100+uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return as, base
+}
+
+// TestForkStoreTakesFastPath: a fork's first write translation of a page
+// detaches the frame once and re-caches the page direct, in the L1 slot
+// and in the FIFO map, so every later store to it is served by the
+// resident probe exactly as in a never-forked machine. The fork's writes
+// stay invisible to the template and a sibling, and the fork's hit/miss
+// counts match a never-forked TLB running the same accesses.
+func TestForkStoreTakesFastPath(t *testing.T) {
+	// Pages 0 and l1Sets share an L1 slot: touching one pushes the
+	// other out of the front cache but not out of the FIFO map.
+	const n = l1Sets + 1
+	tmpl, base := forkStoreFixture(t, n)
+	fork := tmpl.Fork(tmpl.Phys().Fork())
+	sib := tmpl.Fork(tmpl.Phys().Fork())
+	plain, _ := forkStoreFixture(t, n)
+	a, b := base, base+l1Sets*PageSize
+
+	type step struct {
+		va    uint64
+		write bool
+	}
+	seq := []step{
+		{a, false}, {a, true}, {a, true}, // L1 path: read fill, detach, probe
+		{b, false}, {a, true}, // FIFO-map path: a is out of L1
+		{b, true}, {a, false}, {a, true}, // the map now holds a's direct entry
+		{b, true}, {b, true}, // map hit on b's direct entry, then the probe
+	}
+	// Stores the probe must serve: an L1-resident page's, from the
+	// fork's second store to it on.
+	wantProbe := []bool{false, false, true, false, false, false, false, true, false, true}
+	run := func(as *AddressSpace) (*TLB, []bool) {
+		tlb := NewTLB(as)
+		var probed []bool
+		for i, s := range seq {
+			if !s.write {
+				if _, _, err := tlb.Entry(s.va, AccessRead); err != nil {
+					t.Fatal(err)
+				}
+				probed = append(probed, false)
+				continue
+			}
+			probed = append(probed, storeWord(t, tlb, s.va, 900+uint64(i)))
+		}
+		return tlb, probed
+	}
+	ftlb, fprobed := run(fork)
+	for i, want := range wantProbe {
+		if fprobed[i] != want {
+			t.Errorf("fork step %d (%+v): store served by probe = %v, want %v", i, seq[i], fprobed[i], want)
+		}
+	}
+	if got := fork.Phys().COWDetaches(); got != 2 {
+		t.Errorf("fork detached %d frames, want 2 (one per written page)", got)
+	}
+	if got := tmpl.Phys().COWDetaches(); got != 0 {
+		t.Errorf("template counted %d detaches, want 0", got)
+	}
+	ptlb, _ := run(plain)
+	for _, as := range []*AddressSpace{fork, plain} {
+		if got, err := as.Read64(a); err != nil || got != 907 {
+			t.Errorf("page a reads %d, %v after the stores, want 907", got, err)
+		}
+		if got, err := as.Read64(b); err != nil || got != 909 {
+			t.Errorf("page b reads %d, %v after the stores, want 909", got, err)
+		}
+	}
+	for name, as := range map[string]*AddressSpace{"template": tmpl, "sibling": sib} {
+		if got, err := as.Read64(a); err != nil || got != 100 {
+			t.Errorf("%s page a reads %d, %v; the fork's store leaked", name, got, err)
+		}
+		if got, err := as.Read64(b); err != nil || got != 100+l1Sets {
+			t.Errorf("%s page b reads %d, %v; the fork's store leaked", name, got, err)
+		}
+	}
+	fh, fm, ff := ftlb.Stats()
+	ph, pm, pf := ptlb.Stats()
+	if fh != ph || fm != pm || ff != pf {
+		t.Errorf("fork TLB counts hits/misses/flushes %d/%d/%d, never-forked %d/%d/%d", fh, fm, ff, ph, pm, pf)
+	}
+	sib.Phys().Release()
+	fork.Phys().Release()
+}
+
+// BenchmarkForkStore: stores to pages a fork already owns cost the same
+// as in a never-forked machine — the probe serves both.
+func BenchmarkForkStore(b *testing.B) {
+	const n = 8
+	for _, forked := range []bool{false, true} {
+		name := "never-forked"
+		if forked {
+			name = "fork"
+		}
+		b.Run(name, func(b *testing.B) {
+			as, base := forkStoreFixture(b, n)
+			if forked {
+				as = as.Fork(as.Phys().Fork())
+			}
+			tlb := NewTLB(as)
+			for i := 0; i < n; i++ {
+				storeWord(b, tlb, base+uint64(i)*PageSize, 0) // detach in the fork
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				storeWord(b, tlb, base+uint64(i%n)*PageSize+8, uint64(i))
+			}
+		})
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"adelie/internal/cpu"
 )
 
 // Registry invariants: the contract benchtool, bench_test and the CI
@@ -208,4 +210,39 @@ func TestRegistryQuickGolden(t *testing.T) {
 		tab.Fprint(&buf)
 	}
 	checkGolden(t, "quick_all.golden", buf.Bytes())
+}
+
+// TestRegistryForkPoolGolden is the fork-pool column of the determinism
+// matrix: with every machine a copy-on-write fork of a pooled template,
+// the registry's -quick output must match quick_all.golden byte for
+// byte under each CPU execution mode (full, indirect cache off,
+// chaining off). A fork's memory runs its own path — slot entries for
+// shared frames, a detach on each page's first store — so it gets its
+// own cells beside the cold-boot golden. The mode is set before the
+// pool boots its templates: a fork's vCPUs inherit their template's.
+func TestRegistryForkPoolGolden(t *testing.T) {
+	for _, mode := range []struct {
+		name            string
+		chain, indirect bool
+	}{{"full", true, true}, {"no-indirect", true, false}, {"no-chain", false, true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			wasChain, wasIndirect := cpu.SetChaining(mode.chain), cpu.SetIndirect(mode.indirect)
+			t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
+			EnableForkPool()
+			defer DisableForkPool()
+			before := ForkPoolStats()
+			var buf bytes.Buffer
+			for _, e := range Experiments.All() {
+				tab, err := e.Run(e.Params(true))
+				if err != nil {
+					t.Fatalf("%s: %v", e.Name, err)
+				}
+				tab.Fprint(&buf)
+			}
+			if ForkPoolStats().Forks == before.Forks {
+				t.Fatal("no machine came from the fork pool")
+			}
+			diffGolden(t, "quick_all.golden", buf.Bytes())
+		})
+	}
 }

@@ -190,16 +190,24 @@ func TestServerForksConcurrentMatchSerial(t *testing.T) {
 // when the test runs with -update.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join("testdata", name), got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
+	diffGolden(t, name, got)
+}
+
+// diffGolden fails t at the first line where got differs from
+// testdata/name. It never rewrites the file: a check that must agree
+// with a golden another test owns uses it directly.
+func diffGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
