@@ -24,46 +24,63 @@ func retImm(imm int64) []byte {
 	)
 }
 
-// TestDecodeCacheHitsOnStraightLineCode verifies the hot-path cache is
-// actually exercised: re-executing the same code must be served from
-// cached superblocks — via the dispatch entry cache — not fresh decodes.
-func TestDecodeCacheHitsOnStraightLineCode(t *testing.T) {
-	c := machine(t, []isa.Inst{
-		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 7},
-		{Op: isa.OpRET},
-	})
-	if got := run(t, c); got != 7 {
-		t.Fatalf("first run = %d", got)
+// Block-cache tests: the per-vCPU cache of decoded superblocks is keyed
+// by frame and validated by the frame's content version, so patched code
+// always runs its new bytes, revoked code always faults, and code moved
+// by a zero-copy remap stays decoded.
+
+// remap maps the frames behind npages pages at oldBase again at newBase,
+// each with its own flags: a zero-copy module move, as the kernel's
+// re-randomization step makes one (Lookup + Map per page).
+func remap(t *testing.T, as *mm.AddressSpace, newBase, oldBase uint64, npages int) {
+	t.Helper()
+	for i := uint64(0); i < uint64(npages); i++ {
+		frame, flags, ok := as.Lookup(oldBase + i*mm.PageSize)
+		if !ok {
+			t.Fatalf("source page %#x not mapped", oldBase+i*mm.PageSize)
+		}
+		if err := as.Map(newBase+i*mm.PageSize, frame, flags); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, misses0 := c.BlockCacheStats()
-	chained0 := c.ChainedBlocks
-	if got := run(t, c); got != 7 {
-		t.Fatalf("second run = %d", got)
+}
+
+// warmRuns runs the code at codeBase twice, expecting want, so the second
+// run reuses the cached block (through the dispatch entry cache, or a
+// block-cache hit with chaining off), and returns the cache's miss count.
+func warmRuns(t *testing.T, c *CPU, want uint64) uint64 {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		if got := run(t, c); got != want {
+			t.Fatalf("run %d = %d, want %d", i, got, want)
+		}
 	}
-	if c.ChainedBlocks <= chained0 {
-		t.Fatalf("second run was not served from cache: chained %d → %d", chained0, c.ChainedBlocks)
+	hits, misses := c.BlockCacheStats()
+	if misses != 1 || hits+c.ChainedBlocks == 0 {
+		t.Fatalf("block cache not warm: %d hits, %d misses, %d chained", hits, misses, c.ChainedBlocks)
 	}
-	if _, misses1 := c.BlockCacheStats(); misses1 != misses0 {
-		t.Fatalf("second run rebuilt blocks: misses %d → %d", misses0, misses1)
+	return misses
+}
+
+// rebuilt fails unless the block cache missed since it read misses0: the
+// patched code was decoded again, not served stale.
+func rebuilt(t *testing.T, c *CPU, misses0 uint64) {
+	t.Helper()
+	if _, misses := c.BlockCacheStats(); misses == misses0 {
+		t.Fatal("patched code ran without a block rebuild")
 	}
 }
 
 // TestDecodeCacheInvalidatedByAliasWrite is the W^X hole test: map the
 // code frame a second time with write permission, patch the code through
 // the alias, and verify the vCPU executes the new bytes — a stale cached
-// decode must never run.
+// block must never run.
 func TestDecodeCacheInvalidatedByAliasWrite(t *testing.T) {
 	c := machine(t, []isa.Inst{
 		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 1},
 		{Op: isa.OpRET},
 	})
-	if got := run(t, c); got != 1 {
-		t.Fatalf("original code = %d, want 1", got)
-	}
-	// Warm the decode cache on the original bytes.
-	if got := run(t, c); got != 1 {
-		t.Fatalf("warm run = %d, want 1", got)
-	}
+	misses := warmRuns(t, c, 1)
 
 	frame, _, ok := c.AS.Lookup(codeBase)
 	if !ok {
@@ -78,8 +95,9 @@ func TestDecodeCacheInvalidatedByAliasWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := run(t, c); got != 2 {
-		t.Fatalf("patched code = %d, want 2 (stale decode executed)", got)
+		t.Fatalf("patched code = %d, want 2 (stale block executed)", got)
 	}
+	rebuilt(t, c, misses)
 }
 
 // TestDecodeCacheInvalidatedByStore64Alias repeats the W^X hole through
@@ -89,9 +107,7 @@ func TestDecodeCacheInvalidatedByStore64Alias(t *testing.T) {
 		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 1},
 		{Op: isa.OpRET},
 	})
-	if got := run(t, c); got != 1 {
-		t.Fatalf("original code = %d, want 1", got)
-	}
+	misses := warmRuns(t, c, 1)
 	frame, _, ok := c.AS.Lookup(codeBase)
 	if !ok {
 		t.Fatal("code page not mapped")
@@ -112,8 +128,9 @@ func TestDecodeCacheInvalidatedByStore64Alias(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := run(t, c); got != 3 {
-		t.Fatalf("patched code = %d, want 3 (stale decode executed)", got)
+		t.Fatalf("patched code = %d, want 3 (stale block executed)", got)
 	}
+	rebuilt(t, c, misses)
 }
 
 // TestDecodeCacheInvalidatedByForceWrite covers the loader/re-randomizer
@@ -123,75 +140,45 @@ func TestDecodeCacheInvalidatedByForceWrite(t *testing.T) {
 		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 1},
 		{Op: isa.OpRET},
 	})
-	if got := run(t, c); got != 1 {
-		t.Fatalf("original code = %d, want 1", got)
-	}
+	misses := warmRuns(t, c, 1)
 	if err := c.AS.WriteBytesForce(codeBase, retImm(4)); err != nil {
 		t.Fatal(err)
 	}
 	if got := run(t, c); got != 4 {
-		t.Fatalf("patched code = %d, want 4 (stale decode executed)", got)
+		t.Fatalf("patched code = %d, want 4 (stale block executed)", got)
 	}
+	rebuilt(t, c, misses)
 }
 
 // TestProtectRevokesExecutionDespiteWarmCache: dropping exec permission
-// must stop execution even though the decode cache still holds the page.
+// must stop execution even though the block cache still holds the page.
 func TestProtectRevokesExecutionDespiteWarmCache(t *testing.T) {
 	c := machine(t, []isa.Inst{
 		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 1},
 		{Op: isa.OpRET},
 	})
-	if got := run(t, c); got != 1 {
-		t.Fatalf("original code = %d", got)
-	}
+	warmRuns(t, c, 1)
 	if err := c.AS.Protect(codeBase, 0); err != nil { // read-only, NX
 		t.Fatal(err)
 	}
 	if _, err := c.Call(codeBase); err == nil {
-		t.Fatal("execution succeeded on an NX page with a warm decode cache")
+		t.Fatal("execution succeeded on an NX page with a warm block cache")
 	}
 }
 
 // TestUnmapRevokesExecutionDespiteWarmCache: unmapping the page (the
-// re-randomizer's delayed teardown) must fault despite cached decodes.
+// re-randomizer's delayed teardown) must fault despite cached blocks.
 func TestUnmapRevokesExecutionDespiteWarmCache(t *testing.T) {
 	c := machine(t, []isa.Inst{
 		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 1},
 		{Op: isa.OpRET},
 	})
-	if got := run(t, c); got != 1 {
-		t.Fatalf("original code = %d", got)
-	}
+	warmRuns(t, c, 1)
 	if _, err := c.AS.Unmap(codeBase); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Call(codeBase); err == nil {
-		t.Fatal("execution succeeded on an unmapped page with a warm decode cache")
-	}
-}
-
-// TestRemapKeepsDecodeWarm: a zero-copy remap (same frames, new VA) must
-// not force a re-decode — the cache is keyed by frame, mirroring the
-// paper's moves never copying module text.
-func TestRemapKeepsDecodeWarm(t *testing.T) {
-	c := machine(t, []isa.Inst{
-		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 9},
-		{Op: isa.OpRET},
-	})
-	if got := run(t, c); got != 9 {
-		t.Fatalf("original code = %d", got)
-	}
-	newBase := mm.KernelBase + 0x920000
-	if err := c.AS.RemapRegion(newBase, codeBase, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, misses0 := c.DecodeCacheStats()
-	if got, err := c.Call(newBase); err != nil || got != 9 {
-		t.Fatalf("remapped code = (%d, %v), want 9", got, err)
-	}
-	_, misses1 := c.DecodeCacheStats()
-	if misses1 != misses0 {
-		t.Fatalf("remap forced %d re-decodes; frame-keyed cache should stay warm", misses1-misses0)
+		t.Fatal("execution succeeded on an unmapped page with a warm block cache")
 	}
 }
 

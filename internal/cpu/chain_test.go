@@ -172,9 +172,7 @@ func TestChainRemapKeepsBlocksWarm(t *testing.T) {
 		}
 	}
 	newBase := uint64(mm.KernelBase + 0x940000)
-	if err := c.AS.RemapRegion(newBase, codeBase, 1); err != nil {
-		t.Fatal(err)
-	}
+	remap(t, c.AS, newBase, codeBase, 1)
 	_, misses0 := c.BlockCacheStats()
 	hits0, _ := c.ChainStats()
 	// Two calls at the new base: the first re-records the links at the

@@ -9,10 +9,10 @@ import "adelie/internal/mm"
 // template's. natives is the fork kernel's table; the caller points
 // Kernel at the fork's kernel.
 //
-// The decoded-instruction and superblock caches start empty: they are
-// host-side accelerators whose population is invisible to cycle
-// accounting (the same documented equivalence that lets ADELIE_NOCHAIN=1
-// disable chaining without changing results).
+// The superblock cache starts empty: it is a host-side accelerator whose
+// population is invisible to cycle accounting (the same documented
+// equivalence that lets ADELIE_NOCHAIN=1 disable chaining without
+// changing results).
 //
 // The clone is built directly rather than through New, so it allocates
 // only the TLB it keeps.
@@ -34,13 +34,10 @@ func (c *CPU) CloneFor(as *mm.AddressSpace, natives map[uint64]*Native) *CPU {
 		Blocks:          c.Blocks,
 		ChainedBlocks:   c.ChainedBlocks,
 		IndirectChained: c.IndirectChained,
-		decoded:         make(map[mm.FrameID]*pageDecode),
 		blocks:          make(map[mm.FrameID]*pageBlocks),
 		lastBlockFrame:  mm.NoFrame,
 		chainOn:         c.chainOn,
 		indirectOn:      c.indirectOn,
-		decodeHits:      c.decodeHits,
-		decodeMisses:    c.decodeMisses,
 		blockHits:       c.blockHits,
 		blockMisses:     c.blockMisses,
 		chainMisses:     c.chainMisses,

@@ -79,21 +79,12 @@ type CPU struct {
 
 	fetchBuf [isa.MaxInstLen]byte
 
-	// decoded is the per-vCPU decoded-instruction cache: one page of
-	// pre-decoded instructions per physical frame. Keying by frame (not
-	// VA) means a zero-copy re-randomization remap — same frames, new
-	// addresses — keeps its decoded code warm, mirroring how the paper's
-	// moves never copy module text. Entries are validated against the
-	// frame's content version, so writes to a code page through any
-	// mapping (including a W^X-violating writable alias) invalidate the
-	// stale decode before it can execute. It backs the single-step path
-	// (Step, and block execution's straddler fallback); the hot path is
-	// the superblock cache below.
-	decoded map[mm.FrameID]*pageDecode
-
 	// blocks is the per-vCPU superblock cache: decoded basic blocks per
-	// physical frame, keyed by entry offset and validated by the same
-	// frame content versions as decoded. See superblock.go.
+	// physical frame, keyed by entry offset and validated by the frame's
+	// content version. Keying by frame (not VA) means a zero-copy
+	// re-randomization remap — same frames, new addresses — keeps its
+	// blocks warm, mirroring how the paper's moves never copy module
+	// text. See superblock.go.
 	blocks map[mm.FrameID]*pageBlocks
 
 	// lastBlockFrame/lastPB short-circuit the blocks map for the common
@@ -150,13 +141,11 @@ type CPU struct {
 	// dynamic target matched the cached successor).
 	IndirectChained uint64
 
-	// decodeHits/decodeMisses count per-instruction cache consultations;
 	// blockHits/blockMisses count superblock consultations;
 	// chainMisses counts linkable block exits that had to fall back to
 	// the dispatch path (ChainedBlocks is the hit count). Metrics only.
-	decodeHits, decodeMisses uint64
-	blockHits, blockMisses   uint64
-	chainMisses              uint64
+	blockHits, blockMisses uint64
+	chainMisses            uint64
 
 	// sampler, when non-nil, is the observability profiler hook: invoked
 	// with the current RIP every sampleEvery simulated cycles, checked at
@@ -170,72 +159,17 @@ type CPU struct {
 	sampleNext  uint64
 }
 
-// decodeChunkBytes is the granularity at which decode storage is
-// allocated within a page. Code rarely fills whole pages (module
-// functions are tens to hundreds of bytes), so chunking keeps the
-// cache's footprint proportional to the code actually executed while
-// the hit path stays a bounds-free double index.
-const decodeChunkBytes = 512
-
-// decodeChunk caches decodes for one chunk's worth of byte offsets.
-type decodeChunk struct {
-	valid [decodeChunkBytes / 64]uint64
-	insts [decodeChunkBytes]isa.Inst
-}
-
-// pageDecode caches the decode of one physical frame's worth of code;
-// chunks materialize on first use.
-type pageDecode struct {
-	ver    uint64 // frame content version this decode belongs to
-	chunks [mm.PageSize / decodeChunkBytes]*decodeChunk
-}
-
-func (p *pageDecode) get(off int) (isa.Inst, bool) {
-	ch := p.chunks[off/decodeChunkBytes]
-	if ch == nil {
-		return isa.Inst{}, false
-	}
-	o := off % decodeChunkBytes
-	if ch.valid[o>>6]&(1<<(uint(o)&63)) == 0 {
-		return isa.Inst{}, false
-	}
-	return ch.insts[o], true
-}
-
-func (p *pageDecode) set(off int, in isa.Inst) {
-	ci := off / decodeChunkBytes
-	ch := p.chunks[ci]
-	if ch == nil {
-		ch = &decodeChunk{}
-		p.chunks[ci] = ch
-	}
-	o := off % decodeChunkBytes
-	ch.insts[o] = in
-	ch.valid[o>>6] |= 1 << (uint(o) & 63)
-}
-
-// maxDecodedPages bounds the cache footprint per vCPU. Module working
-// sets are a handful of text pages; when the bound is hit the whole
-// cache is dropped (simple and deterministic).
-const maxDecodedPages = 128
-
 // New returns a CPU executing in the given address space.
 func New(id int, as *mm.AddressSpace) *CPU {
 	return &CPU{
 		ID: id, AS: as, TLB: mm.NewTLB(as),
 		natives:        make(map[uint64]*Native),
 		nativeHi:       ^uint64(0),
-		decoded:        make(map[mm.FrameID]*pageDecode),
 		blocks:         make(map[mm.FrameID]*pageBlocks),
 		lastBlockFrame: mm.NoFrame,
 		chainOn:        chainingEnabled.Load(),
 		indirectOn:     indirectEnabled.Load(),
 	}
-}
-
-// DecodeCacheStats returns the decoded-instruction cache hit/miss counts.
-func (c *CPU) DecodeCacheStats() (hits, misses uint64) {
-	return c.decodeHits, c.decodeMisses
 }
 
 // BlockCacheStats returns the superblock cache hit/miss counts.
@@ -420,65 +354,42 @@ func (c *CPU) Pop() (uint64, error) {
 	return v, nil
 }
 
-// fetch returns the instruction at RIP, enforcing execute permission.
-// The fast path is a decoded-instruction cache hit: one TLB lookup, one
-// frame-version check, one array index — straight-line driver code
-// decodes once per (frame, content version), not per step.
-func (c *CPU) fetch() (isa.Inst, error) {
+// fetch decodes the instruction at RIP straight from the frame bytes,
+// enforcing execute permission. Step is the only caller: block execution
+// reaches it only at an entry that cannot start a block (an instruction
+// straddling the page end, or bytes that do not decode).
+func (c *CPU) fetch() (inst, error) {
 	rip := c.RIP
 	e, hit, err := c.TLB.Entry(rip, mm.AccessExec)
 	if err != nil {
-		return isa.Inst{}, err
+		return inst{}, err
 	}
 	if !hit {
 		c.Cycles += CostTLBMiss
 	}
 	off := int(rip & mm.PageMask)
-	ver := e.Version()
-	pd := c.decoded[e.Frame]
-	if pd != nil && pd.ver == ver {
-		if in, ok := pd.get(off); ok {
-			c.decodeHits++
-			return in, nil
-		}
-	} else {
-		if len(c.decoded) >= maxDecodedPages {
-			clear(c.decoded)
-		}
-		pd = &pageDecode{ver: ver}
-		c.decoded[e.Frame] = pd
-	}
-	c.decodeMisses++
-
-	// Decode directly from the frame bytes — no copy on the common path.
 	page := e.Bytes()
 	in, derr := isa.Decode(page[off:])
 	if derr == isa.ErrTruncated && mm.PageSize-off < isa.MaxInstLen {
 		// Instruction straddles the page boundary: splice the head bytes
 		// with the start of the next page (which must be executable) and
-		// decode once more. Straddlers are not cached — their decode
-		// depends on two frames' contents.
+		// decode once more.
 		n := copy(c.fetchBuf[:], page[off:])
 		pageEnd := (rip &^ mm.PageMask) + mm.PageSize
 		e2, hit2, err := c.TLB.Entry(pageEnd, mm.AccessExec)
 		if err != nil {
-			return isa.Inst{}, err
+			return inst{}, err
 		}
 		if !hit2 {
 			c.Cycles += CostTLBMiss
 		}
 		m := copy(c.fetchBuf[n:], e2.Bytes())
 		in, derr = isa.Decode(c.fetchBuf[:n+m])
-		if derr != nil {
-			return isa.Inst{}, derr
-		}
-		return in, nil
 	}
 	if derr != nil {
-		return isa.Inst{}, derr
+		return inst{}, derr
 	}
-	pd.set(off, in)
-	return in, nil
+	return decoded(in), nil
 }
 
 // Step executes a single instruction. It returns (halted, error); halted
@@ -503,7 +414,8 @@ func (c *CPU) Step() (bool, error) {
 	if c.sampler != nil && c.Cycles >= c.sampleNext {
 		c.takeSample()
 	}
-	return c.exec(&in)
+	_, halted, err := c.execBlock([]inst{in})
+	return halted, err
 }
 
 // runNative invokes a native kernel function at c.RIP and performs its
@@ -522,189 +434,6 @@ func (c *CPU) runNative(n *Native) (bool, error) {
 	}
 	c.RIP = ret
 	return c.RIP == HostReturn, nil
-}
-
-// exec executes one decoded instruction at c.RIP, updating RIP. It is
-// the dispatch core shared by Step and block execution; the caller has
-// already done fetch and instruction accounting.
-func (c *CPU) exec(in *isa.Inst) (bool, error) {
-	next := c.RIP + uint64(in.Len)
-
-	switch in.Op {
-	case isa.OpNOP:
-	case isa.OpHLT:
-		c.RIP = next
-		return true, nil
-	case isa.OpRET:
-		v, err := c.Pop()
-		if err != nil {
-			return false, c.fault("ret", err)
-		}
-		c.RIP = v
-		return c.RIP == HostReturn, nil
-
-	case isa.OpPUSH:
-		if err := c.Push(c.Regs[in.R1]); err != nil {
-			return false, c.fault("push", err)
-		}
-	case isa.OpPOP:
-		v, err := c.Pop()
-		if err != nil {
-			return false, c.fault("pop", err)
-		}
-		c.Regs[in.R1] = v
-
-	case isa.OpMOVABS, isa.OpMOVI:
-		c.Regs[in.R1] = uint64(in.Imm)
-	case isa.OpMOV:
-		c.Regs[in.R1] = c.Regs[in.R2]
-	case isa.OpLOAD:
-		v, err := c.load64(c.Regs[in.R2] + uint64(int64(in.Disp)))
-		if err != nil {
-			return false, c.fault("load", err)
-		}
-		c.Regs[in.R1] = v
-	case isa.OpSTORE:
-		if err := c.store64(c.Regs[in.R2]+uint64(int64(in.Disp)), c.Regs[in.R1]); err != nil {
-			return false, c.fault("store", err)
-		}
-	case isa.OpLEARIP:
-		c.Regs[in.R1] = next + uint64(int64(in.Disp))
-	case isa.OpLDRIP:
-		v, err := c.load64(next + uint64(int64(in.Disp)))
-		if err != nil {
-			return false, c.fault("rip-relative load", err)
-		}
-		c.Regs[in.R1] = v
-	case isa.OpSTRIP:
-		if err := c.store64(next+uint64(int64(in.Disp)), c.Regs[in.R1]); err != nil {
-			return false, c.fault("rip-relative store", err)
-		}
-	case isa.OpXORM:
-		va := c.Regs[in.R2] + uint64(int64(in.Disp))
-		v, err := c.load64(va)
-		if err != nil {
-			return false, c.fault("xor-mem load", err)
-		}
-		if err := c.store64(va, v^c.Regs[in.R1]); err != nil {
-			return false, c.fault("xor-mem store", err)
-		}
-
-	case isa.OpADD:
-		c.Regs[in.R1] += c.Regs[in.R2]
-	case isa.OpSUB:
-		c.Regs[in.R1] -= c.Regs[in.R2]
-	case isa.OpXOR:
-		c.Regs[in.R1] ^= c.Regs[in.R2]
-	case isa.OpAND:
-		c.Regs[in.R1] &= c.Regs[in.R2]
-	case isa.OpOR:
-		c.Regs[in.R1] |= c.Regs[in.R2]
-	case isa.OpIMUL:
-		c.Regs[in.R1] *= c.Regs[in.R2]
-	case isa.OpUDIV:
-		if c.Regs[in.R2] == 0 {
-			return false, c.fault("divide by zero", nil)
-		}
-		c.Regs[in.R1] /= c.Regs[in.R2]
-	case isa.OpADDI:
-		c.Regs[in.R1] += uint64(in.Imm)
-	case isa.OpSUBI:
-		c.Regs[in.R1] -= uint64(in.Imm)
-	case isa.OpXORI:
-		c.Regs[in.R1] ^= uint64(in.Imm)
-	case isa.OpANDI:
-		c.Regs[in.R1] &= uint64(in.Imm)
-	case isa.OpSHLI:
-		c.Regs[in.R1] <<= uint64(in.Imm) & 63
-	case isa.OpSHRI:
-		c.Regs[in.R1] >>= uint64(in.Imm) & 63
-
-	case isa.OpCMP:
-		c.setFlags(c.Regs[in.R1], c.Regs[in.R2])
-	case isa.OpCMPI:
-		c.setFlags(c.Regs[in.R1], uint64(in.Imm))
-	case isa.OpTEST:
-		v := c.Regs[in.R1] & c.Regs[in.R2]
-		c.ZF = v == 0
-		c.SF = int64(v) < 0
-		c.CF = false
-
-	case isa.OpCALL:
-		if err := c.Push(next); err != nil {
-			return false, c.fault("call", err)
-		}
-		c.RIP = next + uint64(int64(in.Disp))
-		return false, nil
-	case isa.OpJMP:
-		c.RIP = next + uint64(int64(in.Disp))
-		return false, nil
-	case isa.OpCALLR:
-		if err := c.Push(next); err != nil {
-			return false, c.fault("call", err)
-		}
-		c.RIP = c.Regs[in.R1]
-		return false, nil
-	case isa.OpJMPR:
-		c.RIP = c.Regs[in.R1]
-		return c.RIP == HostReturn, nil
-	case isa.OpCALLM:
-		target, err := c.load64(next + uint64(int64(in.Disp)))
-		if err != nil {
-			return false, c.fault("got-indirect call", err)
-		}
-		if err := c.Push(next); err != nil {
-			return false, c.fault("call", err)
-		}
-		c.RIP = target
-		return false, nil
-	case isa.OpJMPM:
-		target, err := c.load64(next + uint64(int64(in.Disp)))
-		if err != nil {
-			return false, c.fault("got-indirect jmp", err)
-		}
-		c.RIP = target
-		return c.RIP == HostReturn, nil
-
-	case isa.OpJE, isa.OpJNE, isa.OpJL, isa.OpJGE, isa.OpJLE, isa.OpJG, isa.OpJB, isa.OpJAE:
-		if c.cond(in.Op) {
-			c.RIP = next + uint64(int64(in.Disp))
-			return false, nil
-		}
-
-	default:
-		return false, c.fault("unimplemented opcode "+in.Op.Name(), nil)
-	}
-	c.RIP = next
-	return false, nil
-}
-
-func (c *CPU) setFlags(a, b uint64) {
-	c.ZF = a == b
-	c.SF = int64(a) < int64(b)
-	c.CF = a < b
-}
-
-func (c *CPU) cond(op isa.Op) bool {
-	switch op {
-	case isa.OpJE:
-		return c.ZF
-	case isa.OpJNE:
-		return !c.ZF
-	case isa.OpJL:
-		return c.SF
-	case isa.OpJGE:
-		return !c.SF
-	case isa.OpJLE:
-		return c.ZF || c.SF
-	case isa.OpJG:
-		return !c.ZF && !c.SF
-	case isa.OpJB:
-		return c.CF
-	case isa.OpJAE:
-		return !c.CF
-	}
-	return false
 }
 
 // DefaultMaxInsts bounds a single Call to catch runaway module code.

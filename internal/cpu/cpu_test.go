@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ const (
 
 // machine maps a code region, a data region and a stack, writes the given
 // instructions at codeBase, and returns a ready CPU.
-func machine(t *testing.T, code []isa.Inst) *CPU {
+func machine(t testing.TB, code []isa.Inst) *CPU {
 	t.Helper()
 	as := mm.NewAddressSpace(mm.NewPhysMem())
 	if _, err := as.MapRegion(codeBase, 4, mm.FlagExec); err != nil {
@@ -403,35 +404,38 @@ func TestHalt(t *testing.T) {
 	}
 }
 
-func BenchmarkInterpreterLoop(b *testing.B) {
-	as := mm.NewAddressSpace(mm.NewPhysMem())
-	if _, err := as.MapRegion(codeBase, 1, mm.FlagExec); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := as.MapRegion(stackBase, stackPgs, mm.FlagWrite); err != nil {
-		b.Fatal(err)
-	}
-	var buf []byte
-	for _, in := range []isa.Inst{
-		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 0},
-		{Op: isa.OpMOVI, R1: isa.RCX, Imm: 100},
-		{Op: isa.OpADD, R1: isa.RAX, R2: isa.RCX},
-		{Op: isa.OpSUBI, R1: isa.RCX, Imm: 1},
-		{Op: isa.OpCMPI, R1: isa.RCX, Imm: 0},
-		{Op: isa.OpJNE, Disp: -19},
-		{Op: isa.OpRET},
-	} {
-		buf = in.Append(buf)
-	}
-	if err := as.WriteBytesForce(codeBase, buf); err != nil {
-		b.Fatal(err)
-	}
-	c := New(0, as)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Regs[isa.RSP] = stackTop
-		if _, err := c.Call(codeBase); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkBlockDispatch runs one ALU loop whose body holds 1, 10 or 40
+// instruction pairs, so the host time per simulated instruction shifts
+// from the block transition (a 5-instruction body) to the executor's
+// per-instruction dispatch (an 83-instruction body). Each sub-benchmark
+// reports ns/inst; the difference between them is the cost of a chained
+// block transition.
+func BenchmarkBlockDispatch(b *testing.B) {
+	const iters = 1000 // loop trips per Call
+	for _, pairs := range []int{1, 10, 40} {
+		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
+			var body []isa.Inst
+			for range pairs {
+				body = append(body,
+					isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 3},
+					isa.Inst{Op: isa.OpXOR, R1: isa.RBX, R2: isa.RAX})
+			}
+			body = append(body,
+				isa.Inst{Op: isa.OpSUBI, R1: isa.RCX, Imm: 1},
+				isa.Inst{Op: isa.OpCMPI, R1: isa.RCX, Imm: 0})
+			back := -int32(len(encode(body...)) + 5) // JNE to the body start
+			code := append([]isa.Inst{{Op: isa.OpMOVI, R1: isa.RCX, Imm: iters}}, body...)
+			code = append(code, isa.Inst{Op: isa.OpJNE, Disp: back}, isa.Inst{Op: isa.OpRET})
+			c := machine(b, code)
+			b.ReportAllocs()
+			insts := c.Insts
+			for b.Loop() {
+				c.Regs[isa.RSP] = stackTop
+				if _, err := c.Call(codeBase); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Insts-insts), "ns/inst")
+		})
 	}
 }

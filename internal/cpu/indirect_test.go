@@ -279,9 +279,7 @@ func TestIndirectStaleAcrossRemapEpoch(t *testing.T) {
 		t.Fatal("indirect link not warm before the remap")
 	}
 	newBase := uint64(mm.KernelBase + 0x950000)
-	if err := c.AS.RemapRegion(newBase, codeBase, 1); err != nil {
-		t.Fatal(err)
-	}
+	remap(t, c.AS, newBase, codeBase, 1)
 	_, misses0 := c.BlockCacheStats()
 	i0 := c.IndirectChained
 	for i := 0; i < 2; i++ {

@@ -5,20 +5,20 @@ package cpu
 // fetchBlock decodes forward from the entry PC to the next control-flow
 // instruction (or the page boundary, a native kernel entry point, or an
 // undecodable byte) and caches the whole run keyed by (frame, entry
-// offset), validated by the frame's content version — the same
-// invalidation that protects the per-instruction decode cache, so a
-// write to a code page through any mapping (including a W^X-violating
-// writable alias) drops stale blocks before they can execute, and a
-// zero-copy re-randomization remap (same frames, new addresses) keeps
-// blocks warm.
+// offset), validated by the frame's content version, so a write to a
+// code page through any mapping (including a W^X-violating writable
+// alias) drops stale blocks before they can execute, and a zero-copy
+// re-randomization remap (same frames, new addresses) keeps blocks warm.
+// Each instruction is stored in executor form (inst: a dense kind plus
+// its operands, see exec.go).
 //
-// runChain then executes cached blocks in a tight loop: one TLB lookup
-// and one exec-permission check per block instead of per instruction, no
-// per-instruction fetch, no native-table probe between straight-line
-// instructions (control can only land on a kernel entry point via a
-// branch, which terminates a block). Cycle and instruction accounting is
-// accumulated per block and lands in the same CPU counters the engine's
-// closed-queueing model replays.
+// runChain then hands cached blocks to execBlock, the one executor: one
+// TLB lookup and one exec-permission check per block instead of per
+// instruction, no per-instruction fetch, no native-table probe between
+// straight-line instructions (control can only land on a kernel entry
+// point via a branch, which terminates a block). Cycle and instruction
+// accounting is accumulated per block and lands in the same CPU
+// counters the engine's closed-queueing model replays.
 //
 // Trace linking. A block whose final instruction is a *direct* branch
 // (CALL/JMP/Jcc) — or that was cut at a page boundary and falls through —
@@ -95,20 +95,19 @@ package cpu
 // same documented exception block execution already has against
 // single-stepping — run-to-run determinism always holds.
 //
-// Cost vectors. fetchBlock classifies each block's accounting shape at
-// decode time: a block whose instructions touch no memory and cannot
-// fault mid-block (no UDIV) is marked pure, and runChain retires it with
-// a check-free execute loop plus one precomputed instruction/cycle
-// summary instead of per-instruction bookkeeping. Blocks with memory
-// operations keep per-access accounting but run it through the TLB's
-// resident word probes (mm.TLB.LoadPage/StorePage) while inside a chain:
-// between block boundaries no native, actor or IRQ can run, so the
-// address-space generation cannot change mid-chain and the per-access
-// generation re-check is provably redundant. Any access that turns out
-// to be MMIO disarms the fast probe for the rest of the block (device
-// reads are charged and routed on the slow path), and page-straddling
-// accesses take the slow path as before — every charged cycle, TLB hit
-// and miss is bit-identical in all three modes by construction.
+// Resident memory probes. runChain arms c.memFast for every block, and
+// execBlock serves each load and store through the TLB's resident word
+// probes (mm.TLB.LoadPage/StorePage) while it is armed: between block
+// boundaries no native, actor or IRQ can run, so the address-space
+// generation cannot change mid-chain and the per-access generation
+// re-check is provably redundant. A declined probe falls back to
+// load64/store64/Push/Pop with identical accounting. Any access that
+// turns out to be MMIO disarms the probes for the rest of the block
+// (device reads are charged and routed on the slow path), and
+// page-straddling accesses take the slow path as before — every charged
+// cycle, TLB hit and miss is bit-identical in all three modes by
+// construction. Step runs the same executor on one instruction with the
+// probes disarmed.
 //
 // Memory-model note: like hardware that requires an instruction-sync
 // barrier after self-modifying stores, a store issued from inside a
@@ -119,7 +118,6 @@ package cpu
 // the successor frame the same way.
 
 import (
-	"encoding/binary"
 	"sync/atomic"
 
 	"adelie/internal/isa"
@@ -199,7 +197,7 @@ func entrySlot(va uint64) uint64 { return (va ^ va>>4 ^ va>>12) & (entryCacheSlo
 // boundary, a native entry point, or an undecodable byte, in which case
 // execution falls through to the next block fetch.
 type superblock struct {
-	insts []isa.Inst
+	insts []inst
 
 	// gen is the vCPU's blockGen when the block was built; chain links
 	// refuse to enter a block from an older native-table epoch.
@@ -214,13 +212,6 @@ type superblock struct {
 	// must match ilink.va for the link to be followed.
 	indirect bool
 
-	// pure is the decode-time cost-vector classification: no instruction
-	// in the block touches memory or can fault mid-block, so runChain
-	// retires it with a check-free loop and the precomputed nInsts
-	// summary instead of per-instruction bookkeeping.
-	pure   bool
-	nInsts uint64 // len(insts), precomputed for one-shot accounting
-
 	// links caches up to two resolved successors of a direct exit — a
 	// conditional exit has exactly two targets (taken and fall-through).
 	links [2]chainLink
@@ -230,31 +221,12 @@ type superblock struct {
 	ilink chainLink
 }
 
-// pureOp reports whether op can neither touch memory nor fault: the
-// allowlist behind the cost-vector pure classification. Branches and HLT
-// appear because they are legal *final* instructions of a pure block
-// (fetchBlock guarantees mid-block instructions are never branches);
-// none of them performs a memory access. Stack ops (PUSH/POP, CALL*,
-// RET), loads/stores and UDIV (divide fault) are excluded.
-func pureOp(op isa.Op) bool {
-	switch op {
-	case isa.OpNOP, isa.OpHLT,
-		isa.OpMOVABS, isa.OpMOVI, isa.OpMOV, isa.OpLEARIP,
-		isa.OpADD, isa.OpSUB, isa.OpXOR, isa.OpAND, isa.OpOR, isa.OpIMUL,
-		isa.OpADDI, isa.OpSUBI, isa.OpXORI, isa.OpANDI, isa.OpSHLI, isa.OpSHRI,
-		isa.OpCMP, isa.OpCMPI, isa.OpTEST,
-		isa.OpJMP, isa.OpJMPR,
-		isa.OpJE, isa.OpJNE, isa.OpJL, isa.OpJGE, isa.OpJLE, isa.OpJG,
-		isa.OpJB, isa.OpJAE:
-		return true
-	}
-	return false
-}
-
 // blockChunkBytes is the granularity at which superblock pointer storage
-// is allocated within a page, mirroring decodeChunkBytes: entry points
-// cluster in the code actually executed, and a chunked array keeps the
-// hit path a bounds-free double index instead of a map probe.
+// is allocated within a page. Code rarely fills whole pages (module
+// functions are tens to hundreds of bytes) and entry points cluster in
+// the code actually executed, so chunking keeps the cache's footprint
+// proportional to that code while the hit path stays a bounds-free
+// double index instead of a map probe.
 const blockChunkBytes = 512
 
 // blockChunk holds the superblocks entered within one chunk's offsets.
@@ -288,10 +260,10 @@ func (p *pageBlocks) set(off int, sb *superblock) {
 	ch.blocks[off%blockChunkBytes] = sb
 }
 
-// maxBlockPages bounds the superblock cache footprint per vCPU, same
-// policy as the per-instruction decode cache: when the bound is hit the
+// maxBlockPages bounds the superblock cache footprint per vCPU. Module
+// working sets are a handful of text pages; when the bound is hit the
 // whole cache is dropped (simple and deterministic).
-const maxBlockPages = maxDecodedPages
+const maxBlockPages = 128
 
 // maxChainBlocks bounds how many linked blocks one stepBlock call may
 // retire before returning to the dispatch loop, keeping the Run loop's
@@ -360,331 +332,25 @@ func (c *CPU) stepBlock() (bool, error) {
 // runChain executes sb and then follows chain links block→block —
 // running native call-site links inline — until an exit dispatches
 // (uncached or mismatched indirect target, host return, native→native
-// transfer, invalidated link) or the chain bound is reached. Per-block
-// accounting is identical to per-block dispatch: pure blocks replay
-// their precomputed cost vector, memory blocks run per-access accounting
-// through the resident fast probe.
+// transfer, invalidated link) or the chain bound is reached. Every block
+// runs through execBlock with the resident memory probes armed, and is
+// charged once after it retires: its instructions, one cycle each, and
+// one Blocks count.
 func (c *CPU) runChain(sb *superblock) (bool, error) {
 	// The address-space generation can only change inside a native
 	// (chainNative refreshes it); hoisting the atomic read out of the
 	// per-transition link validation is therefore exact.
 	asGen := c.AS.Generation()
 	for depth := 0; ; depth++ {
-		var (
-			n      uint64
-			halted bool
-			err    error
-		)
-		insts := sb.insts
-		if !sb.pure {
-			// Memory block: per-access accounting, but arm the resident
-			// fast probe — the address-space generation cannot change
-			// between here and the end of the block (no native, actor or
-			// IRQ runs mid-chain), so the per-access generation re-check
-			// is redundant. MMIO disarms it (see load64/store64).
-			c.memFast = true
-		}
-		// Fused execute loop: RIP stays in a local, the hot opcodes run
-		// inline (one exec call per block-final control transfer instead
-		// of one per instruction), and accounting lands in one shot
-		// below. fetchBlock guarantees only the final instruction can
-		// branch or halt; faults sync c.RIP before capture so Fault.RIP
-		// is identical to per-instruction execution.
-		rip := c.RIP
-	exec:
-		for i := range insts {
-			in := &insts[i]
-			n++
-			next := rip + uint64(in.Len)
-			switch in.Op {
-			case isa.OpMOVI, isa.OpMOVABS:
-				c.Regs[in.R1] = uint64(in.Imm)
-			case isa.OpMOV:
-				c.Regs[in.R1] = c.Regs[in.R2]
-			case isa.OpLEARIP:
-				c.Regs[in.R1] = next + uint64(int64(in.Disp))
-			case isa.OpADD:
-				c.Regs[in.R1] += c.Regs[in.R2]
-			case isa.OpSUB:
-				c.Regs[in.R1] -= c.Regs[in.R2]
-			case isa.OpXOR:
-				c.Regs[in.R1] ^= c.Regs[in.R2]
-			case isa.OpAND:
-				c.Regs[in.R1] &= c.Regs[in.R2]
-			case isa.OpOR:
-				c.Regs[in.R1] |= c.Regs[in.R2]
-			case isa.OpIMUL:
-				c.Regs[in.R1] *= c.Regs[in.R2]
-			case isa.OpADDI:
-				c.Regs[in.R1] += uint64(in.Imm)
-			case isa.OpSUBI:
-				c.Regs[in.R1] -= uint64(in.Imm)
-			case isa.OpXORI:
-				c.Regs[in.R1] ^= uint64(in.Imm)
-			case isa.OpANDI:
-				c.Regs[in.R1] &= uint64(in.Imm)
-			case isa.OpSHLI:
-				c.Regs[in.R1] <<= uint64(in.Imm) & 63
-			case isa.OpSHRI:
-				c.Regs[in.R1] >>= uint64(in.Imm) & 63
-			case isa.OpCMP:
-				c.setFlags(c.Regs[in.R1], c.Regs[in.R2])
-			case isa.OpCMPI:
-				c.setFlags(c.Regs[in.R1], uint64(in.Imm))
-			case isa.OpTEST:
-				v := c.Regs[in.R1] & c.Regs[in.R2]
-				c.ZF = v == 0
-				c.SF = int64(v) < 0
-				c.CF = false
-			case isa.OpNOP:
-			// Memory ops probe the TLB's inlinable resident word path
-			// first (see mm.TLB.LoadPage/StorePage — zero calls on a
-			// hit); a declined probe counts nothing and falls back to
-			// load64/store64, whose full path performs identical
-			// accounting. A declined probe re-probes inside the
-			// fallback — harmless duplicate work on the rare path.
-			case isa.OpLOAD:
-				addr := c.Regs[in.R2] + uint64(int64(in.Disp))
-				if c.memFast {
-					if b, ok := c.TLB.LoadPage(addr); ok {
-						off := addr & mm.PageMask
-						c.Regs[in.R1] = binary.LittleEndian.Uint64(b[off : off+8])
-						break
-					}
-				}
-				v, lerr := c.load64(addr)
-				if lerr != nil {
-					c.RIP = rip
-					err = c.fault("load", lerr)
-					break exec
-				}
-				c.Regs[in.R1] = v
-			case isa.OpSTORE:
-				addr := c.Regs[in.R2] + uint64(int64(in.Disp))
-				if c.memFast {
-					if b, ok := c.TLB.StorePage(addr); ok {
-						off := addr & mm.PageMask
-						binary.LittleEndian.PutUint64(b[off:off+8], c.Regs[in.R1])
-						break
-					}
-				}
-				if serr := c.store64(addr, c.Regs[in.R1]); serr != nil {
-					c.RIP = rip
-					err = c.fault("store", serr)
-					break exec
-				}
-			case isa.OpLDRIP:
-				addr := next + uint64(int64(in.Disp))
-				if c.memFast {
-					if b, ok := c.TLB.LoadPage(addr); ok {
-						off := addr & mm.PageMask
-						c.Regs[in.R1] = binary.LittleEndian.Uint64(b[off : off+8])
-						break
-					}
-				}
-				v, lerr := c.load64(addr)
-				if lerr != nil {
-					c.RIP = rip
-					err = c.fault("rip-relative load", lerr)
-					break exec
-				}
-				c.Regs[in.R1] = v
-			case isa.OpSTRIP:
-				addr := next + uint64(int64(in.Disp))
-				if c.memFast {
-					if b, ok := c.TLB.StorePage(addr); ok {
-						off := addr & mm.PageMask
-						binary.LittleEndian.PutUint64(b[off:off+8], c.Regs[in.R1])
-						break
-					}
-				}
-				if serr := c.store64(addr, c.Regs[in.R1]); serr != nil {
-					c.RIP = rip
-					err = c.fault("rip-relative store", serr)
-					break exec
-				}
-			case isa.OpPUSH:
-				// Mirrors Push exactly: value read first (PUSH RSP pushes
-				// the pre-decrement value), RSP stays decremented on fault.
-				v := c.Regs[in.R1]
-				c.Regs[isa.RSP] -= 8
-				addr := c.Regs[isa.RSP]
-				if c.memFast {
-					if b, ok := c.TLB.StorePage(addr); ok {
-						off := addr & mm.PageMask
-						binary.LittleEndian.PutUint64(b[off:off+8], v)
-						break
-					}
-				}
-				if perr := c.store64(addr, v); perr != nil {
-					c.RIP = rip
-					err = c.fault("push", perr)
-					break exec
-				}
-			case isa.OpPOP:
-				// Mirrors Pop exactly: RSP increments before the result
-				// lands in R1, so POP RSP ends with the popped value.
-				addr := c.Regs[isa.RSP]
-				if c.memFast {
-					if b, ok := c.TLB.LoadPage(addr); ok {
-						off := addr & mm.PageMask
-						c.Regs[isa.RSP] = addr + 8
-						c.Regs[in.R1] = binary.LittleEndian.Uint64(b[off : off+8])
-						break
-					}
-				}
-				v, perr := c.Pop()
-				if perr != nil {
-					c.RIP = rip
-					err = c.fault("pop", perr)
-					break exec
-				}
-				c.Regs[in.R1] = v
-			case isa.OpJMP:
-				rip = next + uint64(int64(in.Disp))
-				continue // block-final by construction
-			case isa.OpJE, isa.OpJNE, isa.OpJL, isa.OpJGE, isa.OpJLE, isa.OpJG, isa.OpJB, isa.OpJAE:
-				if c.cond(in.Op) {
-					rip = next + uint64(int64(in.Disp))
-				} else {
-					rip = next
-				}
-				continue // block-final by construction
-			// Block-final control transfers with memory operands mirror
-			// exec's cases op for op; each probes the resident word path
-			// first and falls back to the shared exec core (or completes
-			// through Push/store64, which account identically) otherwise.
-			case isa.OpRET:
-				addr := c.Regs[isa.RSP]
-				if c.memFast {
-					if b, ok := c.TLB.LoadPage(addr); ok {
-						off := addr & mm.PageMask
-						c.Regs[isa.RSP] = addr + 8
-						rip = binary.LittleEndian.Uint64(b[off : off+8])
-						if rip == HostReturn {
-							halted = true
-							break exec
-						}
-						continue // block-final by construction
-					}
-				}
-				c.RIP = rip
-				halted, err = c.exec(in)
-				rip = c.RIP
-				if halted || err != nil {
-					break exec
-				}
-				continue
-			case isa.OpCALL:
-				if c.memFast {
-					sp := c.Regs[isa.RSP] - 8
-					if b, ok := c.TLB.StorePage(sp); ok {
-						off := sp & mm.PageMask
-						binary.LittleEndian.PutUint64(b[off:off+8], next)
-						c.Regs[isa.RSP] = sp
-						rip = next + uint64(int64(in.Disp))
-						continue // block-final by construction
-					}
-				}
-				if perr := c.Push(next); perr != nil {
-					c.RIP = rip
-					err = c.fault("call", perr)
-					break exec
-				}
-				rip = next + uint64(int64(in.Disp))
-				continue
-			case isa.OpCALLR:
-				if c.memFast {
-					sp := c.Regs[isa.RSP] - 8
-					if b, ok := c.TLB.StorePage(sp); ok {
-						off := sp & mm.PageMask
-						binary.LittleEndian.PutUint64(b[off:off+8], next)
-						c.Regs[isa.RSP] = sp
-						rip = c.Regs[in.R1]
-						continue // block-final by construction
-					}
-				}
-				if perr := c.Push(next); perr != nil {
-					c.RIP = rip
-					err = c.fault("call", perr)
-					break exec
-				}
-				rip = c.Regs[in.R1]
-				continue
-			case isa.OpJMPR:
-				rip = c.Regs[in.R1]
-				if rip == HostReturn {
-					halted = true
-					break exec
-				}
-				continue // block-final by construction
-			case isa.OpCALLM:
-				gva := next + uint64(int64(in.Disp))
-				if c.memFast {
-					if b, ok := c.TLB.LoadPage(gva); ok {
-						off := gva & mm.PageMask
-						target := binary.LittleEndian.Uint64(b[off : off+8])
-						// The GOT load is done (and counted); the push must
-						// complete here — re-entering exec would charge the
-						// load twice.
-						sp := c.Regs[isa.RSP] - 8
-						if b2, ok2 := c.TLB.StorePage(sp); ok2 {
-							off2 := sp & mm.PageMask
-							binary.LittleEndian.PutUint64(b2[off2:off2+8], next)
-							c.Regs[isa.RSP] = sp
-						} else if perr := c.Push(next); perr != nil {
-							c.RIP = rip
-							err = c.fault("call", perr)
-							break exec
-						}
-						rip = target
-						continue // block-final by construction
-					}
-				}
-				c.RIP = rip
-				halted, err = c.exec(in)
-				rip = c.RIP
-				if halted || err != nil {
-					break exec
-				}
-				continue
-			case isa.OpJMPM:
-				gva := next + uint64(int64(in.Disp))
-				if c.memFast {
-					if b, ok := c.TLB.LoadPage(gva); ok {
-						off := gva & mm.PageMask
-						rip = binary.LittleEndian.Uint64(b[off : off+8])
-						if rip == HostReturn {
-							halted = true
-							break exec
-						}
-						continue // block-final by construction
-					}
-				}
-				c.RIP = rip
-				halted, err = c.exec(in)
-				rip = c.RIP
-				if halted || err != nil {
-					break exec
-				}
-				continue
-			default:
-				// Control transfers (CALL*, RET, JMPR/JMPM, HLT) and rare
-				// ops: the shared exec core, with RIP synced across it.
-				c.RIP = rip
-				halted, err = c.exec(in)
-				rip = c.RIP
-				if halted || err != nil {
-					break exec
-				}
-				continue
-			}
-			rip = next
-		}
-		c.RIP = rip
+		// Arm the resident probes: no native, actor or IRQ runs between
+		// here and the end of the block, so the address-space generation
+		// cannot change and the per-access re-check is redundant. MMIO
+		// disarms them (see load64/store64).
+		c.memFast = true
+		n, halted, err := c.execBlock(sb.insts)
 		c.memFast = false
-		c.Insts += n
-		c.Cycles += n * CostInst
+		c.Insts += uint64(n)
+		c.Cycles += uint64(n) * CostInst
 		c.Blocks++
 		if c.sampler != nil && c.Cycles >= c.sampleNext {
 			c.takeSample()
@@ -703,7 +369,7 @@ func (c *CPU) runChain(sb *superblock) (bool, error) {
 		default:
 			return false, nil // HLT exit, or indirect with the cache off
 		}
-		// rip still holds the exit target from the execute loop above.
+		rip := c.RIP // the exit target
 		// Link lookup. Direct exits key up to two slots (taken and
 		// fall-through); indirect exits use the monomorphic cache and
 		// require the dynamic target to match the recorded VA.
@@ -897,8 +563,8 @@ func (c *CPU) fetchBlock() (*superblock, mm.Entry, error) {
 
 	window := e.CodeWindow(off)
 	sb := &superblock{gen: c.blockGen}
-	o := 0
-	for {
+	var last isa.Op
+	for o := 0; ; {
 		in, derr := isa.Decode(window[o:])
 		if derr != nil {
 			// Truncated at the page edge means a (potential) straddler;
@@ -907,7 +573,8 @@ func (c *CPU) fetchBlock() (*superblock, mm.Entry, error) {
 			// fault if execution ever reaches that byte.
 			break
 		}
-		sb.insts = append(sb.insts, in)
+		sb.insts = append(sb.insts, decoded(in))
+		last = in.Op
 		o += in.Len
 		if in.Op.IsBranch() || in.Op == isa.OpHLT {
 			break
@@ -925,23 +592,13 @@ func (c *CPU) fetchBlock() (*superblock, mm.Entry, error) {
 		pb.set(off, noBlock) // entry straddles the page or is undecodable
 		return nil, e, nil
 	}
-	switch last := sb.insts[len(sb.insts)-1].Op; {
+	switch {
 	case last == isa.OpHLT:
 		// Halt: no successor to link.
 	case last == isa.OpRET, last.IsIndirectBranch():
 		sb.indirect = true // dynamic target: monomorphic indirect cache
 	default:
 		sb.linkable = true // direct branch or fall-through cut
-	}
-	// Cost-vector classification: a block whose every instruction is on
-	// the pure allowlist retires with one precomputed summary.
-	sb.nInsts = uint64(len(sb.insts))
-	sb.pure = true
-	for i := range sb.insts {
-		if !pureOp(sb.insts[i].Op) {
-			sb.pure = false
-			break
-		}
 	}
 	pb.set(off, sb)
 	return sb, e, nil

@@ -127,9 +127,7 @@ func TestSuperblockRemapKeepsBlocksWarm(t *testing.T) {
 		t.Fatalf("original code = %d", got)
 	}
 	newBase := mm.KernelBase + 0x940000
-	if err := c.AS.RemapRegion(newBase, codeBase, 1); err != nil {
-		t.Fatal(err)
-	}
+	remap(t, c.AS, newBase, codeBase, 1)
 	_, misses0 := c.BlockCacheStats()
 	if got, err := c.Call(newBase); err != nil || got != 6 {
 		t.Fatalf("remapped code = (%d, %v), want 6", got, err)
@@ -218,34 +216,29 @@ func TestUnbuildableEntryNegativelyCached(t *testing.T) {
 	}
 }
 
-// TestStepPathUsesDecodeCache keeps the per-instruction decode cache (the
-// single-step fallback path) covered now that Run executes superblocks.
-func TestStepPathUsesDecodeCache(t *testing.T) {
+// TestStepBypassesBlockCache: Step decodes each instruction straight
+// from the frame bytes. It neither consults nor fills the block cache,
+// and it runs patched bytes at once.
+func TestStepBypassesBlockCache(t *testing.T) {
 	c := machine(t, []isa.Inst{
 		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 2},
 		{Op: isa.OpRET},
 	})
-	exec := func() {
-		if err := c.Push(HostReturn); err != nil {
-			t.Fatal(err)
-		}
-		c.RIP = codeBase
-		for {
-			halted, err := c.Step()
-			if err != nil {
+	for i, want := range []uint64{2, 2, 5} {
+		if i == 2 {
+			if err := c.AS.WriteBytesForce(codeBase, retImm(5)); err != nil {
 				t.Fatal(err)
 			}
-			if halted {
-				return
-			}
+		}
+		if err := execute(c, true); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Regs[isa.RAX]; got != want {
+			t.Fatalf("step run %d = %d, want %d", i, got, want)
 		}
 	}
-	exec()
-	hits0, _ := c.DecodeCacheStats()
-	exec()
-	hits1, misses := c.DecodeCacheStats()
-	if hits1 <= hits0 {
-		t.Fatalf("second step-path run decoded from scratch: hits %d → %d (misses %d)", hits0, hits1, misses)
+	if hits, misses := c.BlockCacheStats(); hits != 0 || misses != 0 {
+		t.Fatalf("Step touched the block cache: %d hits, %d misses", hits, misses)
 	}
 }
 

@@ -764,12 +764,12 @@ func (m *ptModel) fork() *ptModel {
 	return &ptModel{as: as, live: maps.Clone(m.live), gone: maps.Clone(m.gone), base: m.base}
 }
 
-// move remaps the run at base (RemapRegion, then UnmapRegion of the old
-// range, as a re-randomization step does) and checks that the path to
+// move remaps the run at base (Lookup + Map per page, then UnmapRegion of
+// the old range, as a re-randomization step does) and checks that the path to
 // every page of the new range is owned by the address space.
 func (m *ptModel) move(t *testing.T, base uint64) {
 	t.Helper()
-	if err := m.as.RemapRegion(base, m.base, runPages); err != nil {
+	if err := remap(m.as, base, m.base, runPages); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.as.UnmapRegion(m.base, runPages, false); err != nil {

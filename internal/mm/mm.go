@@ -3,9 +3,8 @@
 // page permissions (including NX / W^X enforcement), and TLBs.
 //
 // The central operation for the paper is zero-copy remapping (Fig. 2a):
-// RemapRegion installs page-table entries at a new random base that point
-// at the same physical frames as the old region, so moving a module never
-// copies its code or data. Unmapping the old range is deferred by the
+// the re-randomizer Maps the same physical frames at a new random base,
+// so moving a module never copies its code or data. Unmapping the old range is deferred by the
 // re-randomizer until pending calls drain (internal/smr + internal/rerand).
 package mm
 
@@ -113,8 +112,8 @@ func (e *PageFault) Error() string {
 
 // frameData is one physical frame plus the metadata the execution fast
 // paths need. The content version is bumped on every write to a frame
-// that is (or ever was) mapped executable; per-vCPU decoded-instruction
-// caches validate against it, which closes the W^X hole of writing a
+// that is (or ever was) mapped executable; the per-vCPU caches of decoded
+// code (cpu's superblocks) validate against it, which closes the W^X hole of writing a
 // code page through a writable alias mapping.
 //
 // refs counts the slots pointing at this record, across every slot
@@ -135,7 +134,7 @@ type frameData struct {
 // whose current frameData pointer is swapped on copy-on-write. Slots live
 // in chunks a machine shares with its fork relatives until it writes
 // one, so the FrameID namespace (and everything keyed by it: page
-// tables, module bookkeeping, decode caches) stays valid verbatim.
+// tables, module bookkeeping, block caches) stays valid verbatim.
 type frameSlot struct {
 	mu sync.Mutex // serializes copy-on-write on this slot
 	fd atomic.Pointer[frameData]
@@ -147,13 +146,13 @@ func (s *frameSlot) load() *frameData { return s.fd.Load() }
 // private returns the slot's frame record, detaching it from any
 // copy-on-write sharing first: if the record is shared, its bytes are
 // copied into a fresh private record whose content version is bumped —
-// which is exactly what invalidates decoded-instruction caches,
-// superblocks and chain links built against the shared bytes. The
-// detach is counted on ctr, the detaching machine's counter
-// (PhysMem.detaches) that the engine samples at round barriers — not
-// on the slot, whose chunk a fork may end up holding alone. The slot
-// must sit in a chunk its machine owns (PhysMem.ownSlot): a write to a
-// shared chunk's slot would swap the record under every sharer.
+// which is exactly what invalidates superblocks and chain links built
+// against the shared bytes. The detach is counted on ctr, the detaching
+// machine's counter (PhysMem.detaches) that the engine samples at round
+// barriers — not on the slot, whose chunk a fork may end up holding
+// alone. The slot must sit in a chunk its machine owns
+// (PhysMem.ownSlot): a write to a shared chunk's slot would swap the
+// record under every sharer.
 func (s *frameSlot) private(ctr *atomic.Int64) *frameData {
 	fd := s.fd.Load()
 	if fd.refs.Load() == 1 {
@@ -251,8 +250,8 @@ func (p *PhysMem) Alloc() FrameID {
 			return id
 		}
 		f.data = [PageSize]byte{}
-		// A recycled frame may carry decoded-instruction cache entries
-		// from its previous life; invalidate them and reset exec.
+		// A recycled frame may carry decoded blocks from its previous
+		// life; invalidate them and reset exec.
 		f.ver.Add(1)
 		f.exec.Store(false)
 		return id
@@ -461,7 +460,7 @@ func (p *PhysMem) NoteWrite(id FrameID) {
 }
 
 // MarkExec flags a frame as reachable through an executable mapping,
-// arming write tracking for decoded-instruction invalidation. The flag
+// arming write tracking for decoded-code invalidation. The flag
 // is sticky until the frame is freed and recycled: conservative, but it
 // keeps the check on the store fast path a single atomic load.
 func (p *PhysMem) MarkExec(id FrameID) { p.frame(id).exec.Store(true) }
@@ -970,46 +969,6 @@ func (as *AddressSpace) MapRegion(base uint64, npages int, flags PageFlags) ([]F
 		frames = append(frames, f)
 	}
 	return frames, nil
-}
-
-// MapFrames maps existing frames contiguously at base without allocating.
-func (as *AddressSpace) MapFrames(base uint64, frames []FrameID, flags PageFlags) error {
-	for i, f := range frames {
-		if err := as.Map(base+uint64(i)*PageSize, f, flags); err != nil {
-			for j := 0; j < i; j++ {
-				_, _ = as.Unmap(base + uint64(j)*PageSize)
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// RemapRegion implements the zero-copy move of Fig. 2a: it maps the frames
-// currently backing [oldBase, oldBase+npages*PageSize) at newBase with the
-// same per-page permissions. The old mapping is left untouched — tearing it
-// down is the re-randomizer's job once pending calls drain.
-func (as *AddressSpace) RemapRegion(newBase, oldBase uint64, npages int) error {
-	// Check every source page before mapping any, then walk each again
-	// to map it: mapping at newBase leaves the source pages as they are.
-	as.mu.RLock()
-	for i := 0; i < npages; i++ {
-		if as.walk(oldBase+uint64(i)*PageSize) == nil {
-			as.mu.RUnlock()
-			return fmt.Errorf("mm: RemapRegion: source page %#x not mapped", oldBase+uint64(i)*PageSize)
-		}
-	}
-	as.mu.RUnlock()
-	for i := 0; i < npages; i++ {
-		frame, flags, _ := as.Lookup(oldBase + uint64(i)*PageSize)
-		if err := as.Map(newBase+uint64(i)*PageSize, frame, flags); err != nil {
-			for j := 0; j < i; j++ {
-				_, _ = as.Unmap(newBase + uint64(j)*PageSize)
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // UnmapRegion removes npages translations starting at base. If freeFrames

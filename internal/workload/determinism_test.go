@@ -282,6 +282,13 @@ func TestDDChainRate(t *testing.T) {
 	if ichain < 5 {
 		t.Errorf("indirect-chained blocks = %.2f%% of %d, want >= 5%%", ichain, dd.Blocks)
 	}
+	// Exact counters: a change to execution, accounting or linking that
+	// keeps the rates above still moves one of these.
+	want := DDRow{Insts: 169728, Cycles: 2441828, Blocks: 36096, ChainedBlocks: 36089, IndirectChained: 3199}
+	got := DDRow{Insts: dd.Insts, Cycles: dd.Cycles, Blocks: dd.Blocks, ChainedBlocks: dd.ChainedBlocks, IndirectChained: dd.IndirectChained}
+	if got != want {
+		t.Errorf("dd counters = %+v, want %+v", got, want)
+	}
 }
 
 // TestCoalescingSweepDistinct: the acceptance property — the max-frames

@@ -127,14 +127,17 @@ var expFig5a = &Experiment{
 // ---------------------------------------------------------------------------
 // Fig. 5b — dd buffer-cache read microbenchmark.
 
-// DDRow is one point of Fig. 5b. Blocks/ChainedBlocks/IndirectChained
-// report the interpreter's superblock counters for the run (the chain
-// rates TestDDChainRate pins); they ride along and are not part of the
+// DDRow is one point of Fig. 5b. Insts/Cycles (vCPU 0's retired
+// instructions and cycles over the run) and Blocks/ChainedBlocks/
+// IndirectChained report the interpreter's counters for the run (the
+// values TestDDChainRate pins); they ride along and are not part of the
 // rendered figure.
 type DDRow struct {
 	Config          Config
 	BlockKB         int
 	MBps            float64
+	Insts           uint64
+	Cycles          uint64
 	Blocks          uint64
 	ChainedBlocks   uint64
 	IndirectChained uint64
@@ -181,6 +184,8 @@ func dd(seed int64, cfg Config, blockKB, ops int) (DDRow, error) {
 		}
 		return 0, nil
 	}
+	c0 := m.K.CPU(0) // the one lane of a one-worker run
+	insts, cycles := c0.Insts, c0.Cycles
 	res, err := m.Run(sim.RunConfig{
 		Ops: ops, Workers: 1, SyscallCycles: syscallCost(cfg),
 		BytesPerOp: float64(blockKB) * 1024,
@@ -189,6 +194,7 @@ func dd(seed int64, cfg Config, blockKB, ops int) (DDRow, error) {
 		return DDRow{}, err
 	}
 	return DDRow{Config: cfg, BlockKB: blockKB, MBps: res.MBPerSec,
+		Insts: c0.Insts - insts, Cycles: c0.Cycles - cycles,
 		Blocks: res.Blocks, ChainedBlocks: res.ChainedBlocks,
 		IndirectChained: res.IndirectChained}, nil
 }
