@@ -71,6 +71,35 @@ func rebuilt(t *testing.T, c *CPU, misses0 uint64) {
 	}
 }
 
+// TestDecodeCacheHitsOnStraightLineCode verifies the block cache itself
+// serves re-execution: with chaining off there is no dispatch entry cache
+// to lean on, so the second run must be a block-cache hit, not a rebuild.
+func TestDecodeCacheHitsOnStraightLineCode(t *testing.T) {
+	was := SetChaining(false)
+	defer SetChaining(was)
+	c := machine(t, []isa.Inst{
+		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 7},
+		{Op: isa.OpRET},
+	})
+	if got := run(t, c); got != 7 {
+		t.Fatalf("first run = %d", got)
+	}
+	hits0, misses0 := c.BlockCacheStats()
+	if got := run(t, c); got != 7 {
+		t.Fatalf("second run = %d", got)
+	}
+	hits1, misses1 := c.BlockCacheStats()
+	if hits1 <= hits0 {
+		t.Fatalf("second run was not served from the block cache: hits %d → %d", hits0, hits1)
+	}
+	if misses1 != misses0 {
+		t.Fatalf("second run rebuilt blocks: misses %d → %d", misses0, misses1)
+	}
+	if c.ChainedBlocks != 0 {
+		t.Fatalf("chaining off, yet %d blocks were chained", c.ChainedBlocks)
+	}
+}
+
 // TestDecodeCacheInvalidatedByAliasWrite is the W^X hole test: map the
 // code frame a second time with write permission, patch the code through
 // the alias, and verify the vCPU executes the new bytes — a stale cached
@@ -179,6 +208,35 @@ func TestUnmapRevokesExecutionDespiteWarmCache(t *testing.T) {
 	}
 	if _, err := c.Call(codeBase); err == nil {
 		t.Fatal("execution succeeded on an unmapped page with a warm block cache")
+	}
+}
+
+// TestRemapKeepsDecodeWarm: a zero-copy remap of a two-page module (same
+// frames, new VA) must not force a re-decode of either page, including
+// the instruction that straddles the page boundary — the cache is keyed
+// by frame, mirroring the paper's moves never copying module text.
+func TestRemapKeepsDecodeWarm(t *testing.T) {
+	var code []isa.Inst
+	for i := 0; i < mm.PageSize-3; i++ {
+		code = append(code, isa.Inst{Op: isa.OpNOP})
+	}
+	want := uint64(0x0123_4567_89AB_CDEF)
+	code = append(code,
+		isa.Inst{Op: isa.OpMOVABS, R1: isa.RAX, Imm: int64(want)},
+		isa.Inst{Op: isa.OpRET},
+	)
+	c := machine(t, code)
+	if got := run(t, c); got != want {
+		t.Fatalf("original code = %#x, want %#x", got, want)
+	}
+	newBase := mm.KernelBase + 0x920000
+	remap(t, c.AS, newBase, codeBase, 2)
+	_, misses0 := c.BlockCacheStats()
+	if got, err := c.Call(newBase); err != nil || got != want {
+		t.Fatalf("remapped code = (%#x, %v), want %#x", got, err, want)
+	}
+	if _, misses1 := c.BlockCacheStats(); misses1 != misses0 {
+		t.Fatalf("remap forced %d re-decodes; frame-keyed cache should stay warm", misses1-misses0)
 	}
 }
 
