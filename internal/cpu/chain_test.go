@@ -21,6 +21,15 @@ func chainOff(t *testing.T, f func()) {
 	f()
 }
 
+// fullMode turns trace linking and the indirect target cache on for
+// CPUs the test creates, whichever mode the environment selected, and
+// restores the previous defaults when the test ends.
+func fullMode(t *testing.T) {
+	t.Helper()
+	wasChain, wasIndirect := SetChaining(true), SetIndirect(true)
+	t.Cleanup(func() { SetChaining(wasChain); SetIndirect(wasIndirect) })
+}
+
 // loopCode is a multi-block program: an init block, a loop body block
 // ending in a conditional branch (two linkable exits), and a RET block.
 // Sum 1..n into RAX.
@@ -42,6 +51,7 @@ func loopCode(n int64) []isa.Inst {
 // bouncing through the dispatch loop, with cycle and instruction
 // accounting identical to unchained block execution.
 func TestChainFollowsHotLoop(t *testing.T) {
+	fullMode(t)
 	chained := machine(t, loopCode(10))
 	if got := run(t, chained); got != 55 {
 		t.Fatalf("sum = %d, want 55", got)
@@ -114,6 +124,7 @@ func crossPageMachine(t *testing.T) *CPU {
 // TestChainCrossPageLink: a direct branch to the next page links after
 // the first execution and the link is actually followed.
 func TestChainCrossPageLink(t *testing.T) {
+	fullMode(t)
 	c := crossPageMachine(t)
 	if got := run(t, c); got != 7 {
 		t.Fatalf("first run = %d, want 7", got)
@@ -134,6 +145,7 @@ func TestChainCrossPageLink(t *testing.T) {
 // content-version guard can catch it — and verify no stale chained block
 // executes.
 func TestChainInvalidatedByAliasWriteToSuccessor(t *testing.T) {
+	fullMode(t)
 	c := crossPageMachine(t)
 	for i := 0; i < 2; i++ { // second run warms the A→B link
 		if got := run(t, c); got != 7 {
@@ -165,6 +177,7 @@ func TestChainInvalidatedByAliasWriteToSuccessor(t *testing.T) {
 // links, which are VA-guarded, re-record at the new addresses and chain
 // again.
 func TestChainRemapKeepsBlocksWarm(t *testing.T) {
+	fullMode(t)
 	c := machine(t, loopCode(10))
 	for i := 0; i < 2; i++ {
 		if got := run(t, c); got != 55 {
@@ -195,6 +208,7 @@ func TestChainRemapKeepsBlocksWarm(t *testing.T) {
 // fault exactly like the dispatch path — the address-space generation
 // guard sends the exit back through translation.
 func TestChainToUnmappedTargetFaults(t *testing.T) {
+	fullMode(t)
 	c := crossPageMachine(t)
 	for i := 0; i < 2; i++ {
 		if got := run(t, c); got != 7 {
@@ -247,6 +261,7 @@ func TestChainNativeRegisteredInSuccessor(t *testing.T) {
 // must still trip Run's instruction budget — chains are bounded, so the
 // dispatch loop (and with it the engine's clock boundary) keeps firing.
 func TestChainBoundedByInstructionBudget(t *testing.T) {
+	fullMode(t)
 	// A single-instruction block that jumps to itself: JMP disp -5
 	// (its own length) links to its own superblock.
 	c := machine(t, []isa.Inst{{Op: isa.OpJMP, Disp: -5}})

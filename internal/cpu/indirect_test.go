@@ -77,6 +77,7 @@ func callLoopMachine(t *testing.T, n int64) *CPU {
 // cycle/instruction accounting bit-identical to both the indirect-off
 // and fully-unchained modes — the three-mode contract at unit scale.
 func TestIndirectCacheChainsCallRetLoop(t *testing.T) {
+	fullMode(t)
 	const n, want = 40, 40 * 41 / 2
 	full := callLoopMachine(t, n)
 	for i := 0; i < 2; i++ {
@@ -236,6 +237,7 @@ func retpolineMachine(t *testing.T, n int64) (*CPU, uint64) {
 // the callee via the indirect cache, with accounting identical to the
 // unchained run.
 func TestIndirectCacheChainsRetpolineThunk(t *testing.T) {
+	fullMode(t)
 	const n, want = 30, 30 * 31 / 2
 	full, _ := retpolineMachine(t, n)
 	for i := 0; i < 2; i++ {
@@ -269,6 +271,7 @@ func TestIndirectCacheChainsRetpolineThunk(t *testing.T) {
 // return target through the dispatch path — never execute the stale
 // block — and then chain again at the new addresses.
 func TestIndirectStaleAcrossRemapEpoch(t *testing.T) {
+	fullMode(t)
 	c := callLoopMachine(t, 10)
 	for i := 0; i < 2; i++ {
 		if got := run(t, c); got != 55 {
@@ -300,6 +303,7 @@ func TestIndirectStaleAcrossRemapEpoch(t *testing.T) {
 // own page is untouched, so only the link's content-version guard can
 // catch it — and verify no stale chained block executes.
 func TestIndirectInvalidatedByAliasWriteToSuccessor(t *testing.T) {
+	fullMode(t)
 	// Successor on its own page so the alias write cannot also
 	// invalidate the RET block's page.
 	c := machine(t, []isa.Inst{{Op: isa.OpNOP}})
@@ -356,6 +360,7 @@ func TestIndirectInvalidatedByAliasWriteToSuccessor(t *testing.T) {
 // indirect cache is per-vCPU state evolving deterministically (run with
 // -race: the block caches must never share mutable state across vCPUs).
 func TestIndirectTwoVCPUDeterminism(t *testing.T) {
+	fullMode(t)
 	c1 := callLoopMachine(t, 50)
 	run(t, c1)
 	run(t, c1)

@@ -11,6 +11,7 @@ import (
 // one basic block; re-execution must be served from the block cache and
 // the Blocks counter must advance once per block, not per instruction.
 func TestSuperblockRetiresWholeBlocks(t *testing.T) {
+	fullMode(t)
 	c := machine(t, []isa.Inst{
 		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 3},
 		{Op: isa.OpMOVI, R1: isa.RBX, Imm: 4},
@@ -88,6 +89,7 @@ func TestSuperblockLoopSemantics(t *testing.T) {
 // granularity: patch the code frame through a writable alias mapping and
 // verify no stale cached block executes.
 func TestSuperblockInvalidatedByAliasWrite(t *testing.T) {
+	fullMode(t)
 	c := machine(t, []isa.Inst{
 		{Op: isa.OpMOVI, R1: isa.RAX, Imm: 1},
 		{Op: isa.OpRET},

@@ -5,42 +5,16 @@ import "encoding/binary"
 // ReadBytes copies n bytes starting at va into a fresh slice, honouring
 // page permissions and crossing page boundaries.
 func (as *AddressSpace) ReadBytes(va uint64, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for n > 0 {
-		frame, _, err := as.Translate(va, AccessRead)
-		if err != nil {
-			return nil, err
-		}
-		off := int(va & PageMask)
-		chunk := PageSize - off
-		if chunk > n {
-			chunk = n
-		}
-		out = append(out, as.phys.Frame(frame)[off:off+chunk]...)
-		va += uint64(chunk)
-		n -= chunk
+	out := make([]byte, n)
+	if err := as.copyBytes(va, out, AccessRead, false); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // WriteBytes stores b at va, honouring page permissions.
 func (as *AddressSpace) WriteBytes(va uint64, b []byte) error {
-	for len(b) > 0 {
-		frame, _, err := as.Translate(va, AccessWrite)
-		if err != nil {
-			return err
-		}
-		off := int(va & PageMask)
-		chunk := PageSize - off
-		if chunk > len(b) {
-			chunk = len(b)
-		}
-		copy(as.phys.WritableFrame(frame)[off:off+chunk], b[:chunk])
-		as.phys.NoteWrite(frame)
-		va += uint64(chunk)
-		b = b[chunk:]
-	}
-	return nil
+	return as.copyBytes(va, b, AccessWrite, true)
 }
 
 // WriteBytesForce stores b at va ignoring write protection. It exists for
@@ -48,20 +22,31 @@ func (as *AddressSpace) WriteBytes(va uint64, b []byte) error {
 // run-time patching of already-loaded text (paper Fig. 4); regular
 // execution must use WriteBytes.
 func (as *AddressSpace) WriteBytesForce(va uint64, b []byte) error {
+	return as.copyBytes(va, b, AccessRead, true)
+}
+
+// copyBytes copies between b and the pages from va on, one page at a
+// time, translating each for access: into b, or out of b when store is
+// set (a forced store translates for AccessRead, so only a mapping is
+// required). A store detaches each frame from copy-on-write sharing
+// first and notes the write; the pages before a faulting one are
+// written.
+func (as *AddressSpace) copyBytes(va uint64, b []byte, access Access, store bool) error {
 	for len(b) > 0 {
-		frame, _, err := as.Translate(va, AccessRead)
+		frame, _, err := as.Translate(va, access)
 		if err != nil {
 			return err
 		}
-		off := int(va & PageMask)
-		chunk := PageSize - off
-		if chunk > len(b) {
-			chunk = len(b)
+		off := va & PageMask
+		var n int
+		if store {
+			n = copy(as.phys.WritableFrame(frame)[off:], b)
+			as.phys.NoteWrite(frame)
+		} else {
+			n = copy(b, as.phys.Frame(frame)[off:])
 		}
-		copy(as.phys.WritableFrame(frame)[off:off+chunk], b[:chunk])
-		as.phys.NoteWrite(frame)
-		va += uint64(chunk)
-		b = b[chunk:]
+		va += uint64(n)
+		b = b[n:]
 	}
 	return nil
 }
@@ -137,19 +122,11 @@ func (as *AddressSpace) Write64Force(va uint64, val uint64) error {
 
 // Read64Force loads a 64-bit value requiring only that the page is
 // mapped — the device-DMA read of NVMe submission entries and NIC
-// descriptors. Like Read64 it reads in place unless the value straddles
-// a page.
+// descriptors.
 func (as *AddressSpace) Read64Force(va uint64) (uint64, error) {
-	frame, _, err := as.Translate(va, AccessRead)
-	if err != nil {
+	var b [8]byte
+	if err := as.copyBytes(va, b[:], AccessRead, false); err != nil {
 		return 0, err
 	}
-	if off := va & PageMask; off+8 <= PageSize {
-		return binary.LittleEndian.Uint64(as.phys.Frame(frame)[off : off+8]), nil
-	}
-	b, err := as.ReadBytes(va, 8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }

@@ -2,6 +2,7 @@ package mm
 
 import (
 	"bytes"
+	"fmt"
 	"maps"
 	"runtime"
 	"slices"
@@ -356,7 +357,7 @@ func TestPageTableForkReclaimKeepsParentTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := indexes(ptVAs[2])
-	if e := fork.root.entries[ix[0]]; e == nil || e.child.entries[ix[1]] != nil {
+	if c := fork.root.next[ix[0]]; c == nil || c.next[ix[1]] != nil {
 		t.Fatal("the fork did not reclaim the emptied subtree")
 	}
 	if f, _, ok := parent.Lookup(ptVAs[2]); !ok || f == NoFrame {
@@ -799,6 +800,43 @@ func (m *ptModel) mapPage(t *testing.T, va uint64) {
 	m.checkOwnedPath(t, va)
 }
 
+// unmapPage unmaps va and checks the frame Unmap returns against the
+// model, or that an unmapped va is refused.
+func (m *ptModel) unmapPage(t *testing.T, va uint64) {
+	t.Helper()
+	f, err := m.as.Unmap(va)
+	want, ok := m.live[va]
+	switch {
+	case !ok && err == nil:
+		t.Fatalf("Unmap of unmapped va %#x succeeded", va)
+	case ok && (err != nil || f != want.frame):
+		t.Fatalf("Unmap %#x = (%d, %v), want frame %d", va, f, err, want.frame)
+	case ok:
+		delete(m.live, va)
+		m.gone[va] = true
+	}
+}
+
+// protect sets the flags of va and checks that the path to it is owned
+// by the address space afterwards, or that an unmapped va is refused.
+func (m *ptModel) protect(t *testing.T, va uint64, flags PageFlags) {
+	t.Helper()
+	err := m.as.Protect(va, flags)
+	want, ok := m.live[va]
+	if !ok {
+		if err == nil {
+			t.Fatalf("Protect of unmapped va %#x succeeded", va)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.flags = flags
+	m.live[va] = want
+	m.checkOwnedPath(t, va)
+}
+
 // checkOwnedPath checks that every table on the path to va is owned by
 // the address space, as writablePath promises after a write there.
 func (m *ptModel) checkOwnedPath(t *testing.T, va uint64) {
@@ -812,14 +850,14 @@ func (m *ptModel) checkOwnedPath(t *testing.T, va uint64) {
 		if l == numLevels-1 {
 			return
 		}
-		tab = tab.entries[ix[l]].child
+		tab = tab.next[ix[l]]
 	}
 }
 
 // check compares the address space's translations and MappedPages with
-// the model, and checks every table's used count and the spare list.
-// It returns the interior tables reachable from the root and the
-// spare tables.
+// the model, and checks every table's used count and kind and the spare
+// lists. It returns the tables reachable from the root and the spare
+// tables.
 func (m *ptModel) check(t *testing.T, who string) (tree, spares map[*table]bool) {
 	t.Helper()
 	for va, want := range m.live {
@@ -841,18 +879,26 @@ func (m *ptModel) check(t *testing.T, who string) (tree, spares map[*table]bool)
 	var leaves int
 	var visit func(tab *table, level int)
 	visit = func(tab *table, level int) {
+		if (tab.ptes != nil) != (level == numLevels-1) || (tab.next != nil) == (tab.ptes != nil) {
+			t.Errorf("%s: level-%d table has the wrong kind", who, level)
+			return
+		}
 		var n int
-		for _, e := range tab.entries {
-			if e == nil {
-				continue
+		if tab.ptes != nil {
+			for _, e := range tab.ptes {
+				if e != 0 {
+					n++
+				}
 			}
-			n++
-			if level == numLevels-1 {
-				leaves++
-				continue
+			leaves += n
+		} else {
+			for _, c := range tab.next {
+				if c != nil {
+					n++
+					tree[c] = true
+					visit(c, level+1)
+				}
 			}
-			tree[e.child] = true
-			visit(e.child, level+1)
 		}
 		if n != tab.used {
 			t.Errorf("%s: level-%d table holds %d entries, used says %d", who, level, n, tab.used)
@@ -862,15 +908,23 @@ func (m *ptModel) check(t *testing.T, who string) (tree, spares map[*table]bool)
 	if leaves != len(m.live) {
 		t.Errorf("%s: tree holds %d leaf entries, want %d", who, leaves, len(m.live))
 	}
-	for _, e := range m.as.spare {
-		switch tab := e.child; {
-		case spares[tab]:
-			t.Errorf("%s: a table is on the spare list twice", who)
-		case tree[tab]:
-			t.Errorf("%s: a spare table is still in the tree", who)
-		case tab.used != 0 || tab.entries != [1 << levelBits]*pte{}:
-			t.Errorf("%s: a spare table holds entries (used %d)", who, tab.used)
-		default:
+	for _, l := range []struct {
+		head *table
+		leaf bool
+	}{{m.as.spare, false}, {m.as.spareLeaves, true}} {
+		for tab := l.head; tab != nil; tab = tab.link {
+			switch {
+			case spares[tab]:
+				t.Errorf("%s: a table is on a spare list twice", who)
+				return tree, spares
+			case tree[tab]:
+				t.Errorf("%s: a spare table is still in the tree", who)
+			case (tab.ptes != nil) != l.leaf || (tab.next != nil) == l.leaf:
+				t.Errorf("%s: a table is on the wrong spare list", who)
+			case tab.used != 0 || (tab.ptes != nil && *tab.ptes != [1 << levelBits]pte{}) ||
+				(tab.next != nil && *tab.next != [1 << levelBits]*table{}):
+				t.Errorf("%s: a spare table holds entries (used %d)", who, tab.used)
+			}
 			spares[tab] = true
 		}
 	}
@@ -919,8 +973,8 @@ func TestPageTableRecycleTemplateAndFork(t *testing.T) {
 			t.Fatalf("move %d: %d tables in tree and spares, want the steady %d", n, got, steady)
 		}
 	}
-	if len(tmpl.as.spare) == 0 {
-		t.Fatal("the template holds no spare levels after its moves")
+	if tmpl.as.spare == nil || tmpl.as.spareLeaves == nil {
+		t.Fatal("the template holds no spare tables after its moves")
 	}
 	// Both sides of a Fork taken while the template holds spares move
 	// their runs, interleaved, to bases the other side also uses.
@@ -966,8 +1020,9 @@ func TestPageTableRecycleForkOfFork(t *testing.T) {
 
 func TestPageTableRecycleAllocatesNoTable(t *testing.T) {
 	// Each cycle unmaps the one mapped page and maps its frame on a
-	// path of its own: once warm, the cycle allocates only the new leaf
-	// pte, never a table or an interior pte.
+	// path of its own: once warm, every table on the path comes from the
+	// spare lists and the PTE is written in place, so the cycle
+	// allocates nothing.
 	as := NewAddressSpace(NewPhysMem())
 	frame := as.Phys().Alloc()
 	va := func(n int) uint64 { return KernelBase + uint64(n%7+1)<<(PageShift+4*levelBits) }
@@ -984,7 +1039,65 @@ func TestPageTableRecycleAllocatesNoTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 1 {
-		t.Fatalf("an Unmap-then-Map cycle at a fresh path allocates %v objects, want 1 (the leaf pte)", allocs)
+	if allocs != 0 {
+		t.Fatalf("an Unmap-then-Map cycle at a fresh path allocates %v objects, want 0", allocs)
 	}
+}
+
+// fuzzVA maps a byte to one of 256 kernel pages laid out so that ops
+// share table paths at every level: bits 0-2 pick the page within a
+// leaf, bits 3-4 the leaf, bits 5-6 the level-3 table and bit 7 the
+// level-2 table. Byte 0 is the run models' static page.
+func fuzzVA(b byte) uint64 {
+	v := uint64(b)
+	return KernelBase | v>>7<<(PageShift+3*levelBits) | v>>5&3<<(PageShift+2*levelBits) |
+		v>>3&3<<(PageShift+levelBits) | v&7<<PageShift
+}
+
+// FuzzPageTableOps decodes its input into Map, Unmap, Protect, move and
+// Fork operations on a family of address spaces forked from one
+// template, two bytes an op. The first byte picks the op (mod 5), the
+// family member (high nibble) and Protect's flags; the second picks the
+// page. After every op each member is checked against its model, and
+// the family against the sharing invariants (checkFamily): the model
+// says what must hold, the checker looks at the tables themselves.
+func FuzzPageTableOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxOps, maxFamily = 64, 4
+		family := []*ptModel{newRunModel(t, 0)}
+		ms := map[string]*ptModel{"m0": family[0]}
+		defer func() {
+			for _, m := range family[1:] {
+				m.as.Phys().Release()
+			}
+		}()
+		moves := 0
+		for n := 0; n < maxOps && len(data) >= 2; n++ {
+			sel, va := data[0], fuzzVA(data[1])
+			data = data[2:]
+			m := family[int(sel>>4)%len(family)]
+			switch sel % 5 {
+			case 0:
+				if _, ok := m.live[va]; !ok {
+					m.mapPage(t, va)
+				} else if err := m.as.Map(va, 0, FlagWrite); err == nil {
+					t.Fatalf("Map over mapped va %#x succeeded", va)
+				}
+			case 1:
+				m.unmapPage(t, va)
+			case 2:
+				m.protect(t, va, []PageFlags{0, FlagWrite, FlagExec}[sel/5%3])
+			case 3:
+				moves++
+				m.move(t, runBase(0, moves))
+			case 4:
+				if len(family) < maxFamily {
+					c := m.fork()
+					ms[fmt.Sprint("m", len(family))] = c
+					family = append(family, c)
+				}
+			}
+			checkFamily(t, ms)
+		}
+	})
 }

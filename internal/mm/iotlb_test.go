@@ -194,7 +194,7 @@ func TestIOTLBMatchesAddressSpace(t *testing.T) {
 }
 
 func TestIOTLBHitsWithoutWalk(t *testing.T) {
-	// A cached page is served from its slot: with the page's pte swapped
+	// A cached page is served from its slot: with the page's PTE cleared
 	// behind the cache's back (no generation bump), the IOTLB still reads
 	// the cached frame. This is what makes it a cache; the generation
 	// check is what keeps it honest (TestIOTLBMatchesAddressSpace).
@@ -206,12 +206,12 @@ func TestIOTLBHitsWithoutWalk(t *testing.T) {
 	}
 	ix := indexes(ioData)
 	leaf := as.writablePath(&ix)[numLevels-1]
-	old := leaf.entries[ix[numLevels-1]]
-	leaf.entries[ix[numLevels-1]] = nil
+	old := leaf.ptes[ix[numLevels-1]]
+	leaf.ptes[ix[numLevels-1]] = 0
 	if got, err := c.Read64Force(ioData); err != nil || got != v {
 		t.Fatalf("cached read = (%#x, %v), want (%#x, nil) without a walk", got, err, v)
 	}
-	leaf.entries[ix[numLevels-1]] = old
+	leaf.ptes[ix[numLevels-1]] = old
 	// MMIO pages are read through the page tables and never cached.
 	if _, err := c.Read64Force(ioMMIO); err != nil {
 		t.Fatal(err)

@@ -484,30 +484,35 @@ type mmioRegion struct {
 	handler MMIOHandler
 }
 
-// pte is a page-table entry. Interior levels hold a child table; the leaf
-// level holds a frame and its permissions.
-type pte struct {
-	child *table
-	frame FrameID
-	flags PageFlags
-	leaf  bool
-}
+// pte is a leaf page-table entry packed into one word, as a hardware
+// walker reads it: the frame number above PageShift, the PageFlags in
+// the low byte and ptePresent above them. The zero word maps nothing.
+type pte uint64
 
-// table is one page-table level. Tables are shared copy-on-write between
-// an address space and its forks: only the address space whose tag
-// equals owner may write one in place; every other sharer copies it first
-// (AddressSpace.writablePath). Ptes reachable from a shared table are
-// never written either — Protect installs a new leaf pte.
+const ptePresent pte = 1 << 8
+
+func mkPTE(f FrameID, fl PageFlags) pte { return pte(f)<<PageShift | ptePresent | pte(fl) }
+func (e pte) frame() FrameID            { return FrameID(e >> PageShift) }
+func (e pte) flags() PageFlags          { return PageFlags(e) }
+
+// table is one page-table level. An interior level holds its child
+// tables in next; a leaf level holds 512 packed PTEs in ptes, an array
+// with no Go pointers in it. Each table has exactly one of the two.
 //
-// An interior table that Unmap empties is not dropped: it goes, with the
-// pte that held it, onto its address space's spare list, and the next
-// missing interior table on any path is taken from there (see
-// AddressSpace.writablePath). A spare's entries are all nil, so reuse
-// needs no clearing.
+// Tables are shared copy-on-write between an address space and its
+// forks: only the address space whose tag equals owner may write one in
+// place; every other sharer copies it first (AddressSpace.writablePath).
+//
+// A table that Unmap empties is not dropped: it goes onto its address
+// space's spare list for its kind, linked through link, and the next
+// missing table of that kind on any path is taken from there. A spare's
+// entries are all zero, so reuse needs no clearing.
 type table struct {
-	entries [1 << levelBits]*pte
-	used    int    // number of non-nil entries, for table reclamation
-	owner   uint64 // tag of the address space that may write this table
+	next  *[1 << levelBits]*table
+	ptes  *[1 << levelBits]pte
+	used  int    // number of non-zero entries, for table reclamation
+	owner uint64 // tag of the address space that may write this table
+	link  *table // next table on a spare list
 }
 
 // tags hands out address-space owner tags; 0 is never issued.
@@ -521,10 +526,10 @@ var tags atomic.Uint64
 // keep even the read lock off the per-access paths.
 //
 // A re-randomized module lands on a fresh page-table path at every step
-// and leaves its old one empty, so the address space keeps the interior
-// levels Unmap reclaims on a private spare list and reuses them instead
-// of allocating new 4 KB tables. The list needs no cap: every level on
-// it was once in the tree and the tree takes from the list before
+// and leaves its old one empty, so the address space keeps the tables
+// Unmap reclaims on private spare lists and reuses them instead of
+// allocating new 4 KB tables. The lists need no cap: every table on
+// them was once in the tree and the tree takes from them before
 // allocating, so tree plus spares never exceed the tree's peak size.
 type AddressSpace struct {
 	mu   sync.RWMutex
@@ -533,9 +538,9 @@ type AddressSpace struct {
 	mmio []mmioRegion
 	cow  bool   // forked machine: translations resolve frames via slots
 	tag  uint64 // owner tag of the tables this address space writes in place
-	// spare holds reclaimed interior levels, each a pte detached from
-	// the tree with its empty child table; guarded by mu.
-	spare []*pte
+	// spare and spareLeaves head the lists of reclaimed interior and
+	// leaf tables; guarded by mu.
+	spare, spareLeaves *table
 
 	mapped     int           // currently mapped pages
 	gen        atomic.Uint64 // bumped on unmap/protect: TLB shootdown signal
@@ -545,7 +550,7 @@ type AddressSpace struct {
 // NewAddressSpace returns an empty address space over phys.
 func NewAddressSpace(phys *PhysMem) *AddressSpace {
 	tag := tags.Add(1)
-	return &AddressSpace{root: &table{owner: tag}, phys: phys, tag: tag}
+	return &AddressSpace{root: &table{next: new([1 << levelBits]*table), owner: tag}, phys: phys, tag: tag}
 }
 
 // Phys returns the physical memory this address space maps.
@@ -584,22 +589,16 @@ func indexes(va uint64) [numLevels]int {
 	return ix
 }
 
-// walk returns the leaf pte for va, or nil. Caller holds as.mu.
-func (as *AddressSpace) walk(va uint64) *pte {
+// walk returns the leaf PTE for va, zero if none. Caller holds as.mu.
+func (as *AddressSpace) walk(va uint64) pte {
 	t := as.root
 	ix := indexes(va)
 	for i := 0; i < numLevels-1; i++ {
-		e := t.entries[ix[i]]
-		if e == nil || e.child == nil {
-			return nil
+		if t = t.next[ix[i]]; t == nil {
+			return 0
 		}
-		t = e.child
 	}
-	e := t.entries[ix[numLevels-1]]
-	if e == nil || !e.leaf {
-		return nil
-	}
-	return e
+	return t.ptes[ix[numLevels-1]]
 }
 
 // writablePath returns the tables on the path to the leaf for ix, root
@@ -610,9 +609,9 @@ func (as *AddressSpace) walk(va uint64) *pte {
 // changes no translation, so it bumps no generation. Caller holds as.mu
 // for writing.
 //
-// A missing interior table is taken, with the pte that held it, from the
-// spare list Unmap fills, and created only if the list is empty. Reuse
-// is safe for three reasons:
+// A missing table is taken from the spare list of its kind Unmap fills,
+// and created only if the list is empty. Reuse is safe for three
+// reasons:
 //   - Unmap reclaims only tables on the path writablePath just returned,
 //     so every spare carries owner == as.tag.
 //   - Fork retags both sides, so a table owned by as.tag was created
@@ -620,11 +619,7 @@ func (as *AddressSpace) walk(va uint64) *pte {
 //     no tree reaches it at all. Fork also empties both sides' spare
 //     lists, so a spare never carries a tag Fork has retired.
 //   - A table is reclaimed only once used drops to 0, so all its
-//     entries are nil and reuse needs no clearing.
-//
-// The pte goes with its table: writablePath installs a pte of its own
-// for every table it creates or copies, so a pte pointing at a table as
-// owns sits in as's tree alone.
+//     entries are zero and reuse needs no clearing.
 func (as *AddressSpace) writablePath(ix *[numLevels]int) [numLevels]*table {
 	var path [numLevels]*table
 	if as.root.owner != as.tag {
@@ -633,35 +628,56 @@ func (as *AddressSpace) writablePath(ix *[numLevels]int) [numLevels]*table {
 	t := as.root
 	for i := 0; i < numLevels-1; i++ {
 		path[i] = t
-		e := t.entries[ix[i]]
+		c := t.next[ix[i]]
 		switch {
-		case e == nil:
-			if n := len(as.spare); n > 0 {
-				e, as.spare = as.spare[n-1], as.spare[:n-1]
-			} else {
-				e = &pte{child: &table{owner: as.tag}}
-			}
-			t.entries[ix[i]] = e
+		case c == nil:
+			c = as.takeSpare(i+1 == numLevels-1)
+			t.next[ix[i]] = c
 			t.used++
-		case e.child.owner != as.tag:
-			e = &pte{child: e.child.copyFor(as.tag)}
-			t.entries[ix[i]] = e
+		case c.owner != as.tag:
+			c = c.copyFor(as.tag)
+			t.next[ix[i]] = c
 		}
-		t = e.child
+		t = c
 	}
 	path[numLevels-1] = t
 	return path
 }
 
-// copyFor returns a copy of t owned by tag. The copy shares t's ptes and,
-// through them, its child tables. Tables are sparse, so it copies only
-// the used entries into a zeroed table: a whole-array copy would pay a
-// GC write barrier on every one of the 512 slots while a cycle runs.
+// takeSpare pops a reclaimed table of the kind asked for, or makes one.
+func (as *AddressSpace) takeSpare(leaf bool) *table {
+	list := &as.spare
+	if leaf {
+		list = &as.spareLeaves
+	}
+	t := *list
+	switch {
+	case t != nil:
+		*list, t.link = t.link, nil
+	case leaf:
+		t = &table{ptes: new([1 << levelBits]pte), owner: as.tag}
+	default:
+		t = &table{next: new([1 << levelBits]*table), owner: as.tag}
+	}
+	return t
+}
+
+// copyFor returns a copy of t owned by tag. A leaf is copied as one
+// array. An interior copy shares t's child tables; tables are sparse,
+// so it copies only the used entries into a zeroed array: a whole-array
+// copy would pay a GC write barrier on every one of the 512 slots while
+// a cycle runs.
 func (t *table) copyFor(tag uint64) *table {
 	nt := &table{used: t.used, owner: tag}
+	if t.ptes != nil {
+		ptes := *t.ptes
+		nt.ptes = &ptes
+		return nt
+	}
+	nt.next = new([1 << levelBits]*table)
 	for i, n := 0, 0; n < t.used; i++ {
-		if e := t.entries[i]; e != nil {
-			nt.entries[i] = e
+		if c := t.next[i]; c != nil {
+			nt.next[i] = c
 			n++
 		}
 	}
@@ -684,12 +700,12 @@ func (as *AddressSpace) Map(va uint64, frame FrameID, flags PageFlags) error {
 	}
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if as.walk(va) != nil {
+	if as.walk(va) != 0 {
 		return fmt.Errorf("mm: Map: va %#x already mapped", va)
 	}
 	ix := indexes(va)
 	t := as.writablePath(&ix)[numLevels-1]
-	t.entries[ix[numLevels-1]] = &pte{frame: frame, flags: flags, leaf: true}
+	t.ptes[ix[numLevels-1]] = mkPTE(frame, flags)
 	t.used++
 	as.mapped++
 	if flags&FlagExec != 0 {
@@ -701,8 +717,8 @@ func (as *AddressSpace) Map(va uint64, frame FrameID, flags PageFlags) error {
 // Unmap removes the translation for the page containing va and issues a
 // TLB shootdown. It returns the frame that was mapped there; the caller
 // decides whether to free it (zero-copy remapping keeps frames alive while
-// both old and new mappings exist). Interior tables the unmap empties
-// are detached bottom-up and kept on the spare list for writablePath to
+// both old and new mappings exist). Tables the unmap empties are
+// detached bottom-up and kept on the spare lists for writablePath to
 // reuse; every one of them is on the path writablePath returned, so it
 // is owned by as and reachable from no other tree.
 func (as *AddressSpace) Unmap(va uint64) (FrameID, error) {
@@ -712,26 +728,30 @@ func (as *AddressSpace) Unmap(va uint64) (FrameID, error) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	e := as.walk(va)
-	if e == nil {
+	if e == 0 {
 		return NoFrame, fmt.Errorf("mm: Unmap: va %#x not mapped", va)
 	}
 	ix := indexes(va)
 	path := as.writablePath(&ix)
 	t := path[numLevels-1]
-	t.entries[ix[numLevels-1]] = nil
+	t.ptes[ix[numLevels-1]] = 0
 	t.used--
 	as.mapped--
-	// Reclaim now-empty interior tables, bottom-up.
+	// Reclaim now-empty tables, bottom-up.
 	for i := numLevels - 2; i >= 0 && t.used == 0; i-- {
 		parent := path[i]
-		as.spare = append(as.spare, parent.entries[ix[i]])
-		parent.entries[ix[i]] = nil
+		if t.ptes != nil {
+			t.link, as.spareLeaves = as.spareLeaves, t
+		} else {
+			t.link, as.spare = as.spare, t
+		}
+		parent.next[ix[i]] = nil
 		parent.used--
 		t = parent
 	}
 	as.gen.Add(1)
 	as.shootdowns.Add(1)
-	return e.frame, nil
+	return e.frame(), nil
 }
 
 // Protect changes the permissions of an already-mapped page (e.g. the
@@ -744,14 +764,13 @@ func (as *AddressSpace) Protect(va uint64, flags PageFlags) error {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	e := as.walk(va &^ PageMask)
-	if e == nil {
+	if e == 0 {
 		return fmt.Errorf("mm: Protect: va %#x not mapped", va)
 	}
-	// The leaf pte may be shared with a fork: install a new one.
 	ix := indexes(va)
-	as.writablePath(&ix)[numLevels-1].entries[ix[numLevels-1]] = &pte{frame: e.frame, flags: flags, leaf: true}
+	as.writablePath(&ix)[numLevels-1].ptes[ix[numLevels-1]] = mkPTE(e.frame(), flags)
 	if flags&FlagExec != 0 {
-		as.phys.MarkExec(e.frame)
+		as.phys.MarkExec(e.frame())
 	}
 	as.gen.Add(1)
 	as.shootdowns.Add(1)
@@ -763,10 +782,10 @@ func (as *AddressSpace) Lookup(va uint64) (FrameID, PageFlags, bool) {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	e := as.walk(va &^ PageMask)
-	if e == nil {
+	if e == 0 {
 		return NoFrame, 0, false
 	}
-	return e.frame, e.flags, true
+	return e.frame(), e.flags(), true
 }
 
 // Entry is one resolved translation, as cached by TLBs and consumed by
@@ -914,18 +933,18 @@ func (as *AddressSpace) TranslateEntry(va uint64, access Access) (Entry, error) 
 	as.mu.RLock()
 	e := as.walk(va &^ PageMask)
 	as.mu.RUnlock()
-	if e == nil {
+	if e == 0 {
 		return Entry{Frame: NoFrame}, &PageFault{VA: va, Access: access, Reason: "not mapped"}
 	}
-	if err := checkPerm(va, e.flags, access); err != nil {
+	if err := checkPerm(va, e.flags(), access); err != nil {
 		return Entry{Frame: NoFrame}, err
 	}
-	out := Entry{Frame: e.frame, Flags: e.flags}
-	if e.flags&FlagMMIO == 0 {
+	out := Entry{Frame: e.frame(), Flags: e.flags()}
+	if out.Flags&FlagMMIO == 0 {
 		if as.cow {
-			out.slot = as.phys.ownSlot(e.frame)
+			out.slot = as.phys.ownSlot(out.Frame)
 		} else {
-			out.fd = as.phys.frame(e.frame)
+			out.fd = as.phys.frame(out.Frame)
 		}
 	}
 	return out, nil
@@ -1012,7 +1031,7 @@ func (as *AddressSpace) RegisterMMIO(base uint64, npages int, handler MMIOHandle
 // page-table tree, and parent and clone both take fresh owner tags, so
 // neither may write a table of the shared tree in place any more — the
 // first Map, Unmap or Protect on either side copies just the tables on
-// its path (writablePath). Both sides start with no spare levels: the
+// its path (writablePath). Both sides start with no spare tables: the
 // parent's carry the tag Fork retires, and a snapshot template, forked
 // many times and never written again, would pin them for its lifetime
 // (see writablePath). The clone runs in COW mode:
@@ -1024,7 +1043,7 @@ func (as *AddressSpace) Fork(phys *PhysMem) *AddressSpace {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	as.tag = tags.Add(1)
-	as.spare = nil
+	as.spare, as.spareLeaves = nil, nil
 	nas := &AddressSpace{
 		root:   as.root,
 		phys:   phys,

@@ -11,11 +11,9 @@
 package rerand
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"adelie/internal/cpu"
 	"adelie/internal/isa"
@@ -212,24 +210,6 @@ func (r *Randomizer) Step() (StepReport, error) {
 		uint64(rep.StacksRetired)*CostPerStack
 	r.cycles.Add(rep.Cycles)
 	return rep, nil
-}
-
-// Run drives Step on a wall-clock period until the context is cancelled —
-// the "randomizer kthread" of §4.2. Most experiments instead call Step
-// from the simulator's clock for determinism.
-func (r *Randomizer) Run(ctx context.Context, period time.Duration) error {
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-			if _, err := r.Step(); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // Stats aggregates the counters the artifact's dmesg output reports.

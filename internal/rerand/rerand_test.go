@@ -1,11 +1,9 @@
 package rerand
 
 import (
-	"context"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"adelie/internal/isa"
 	"adelie/internal/kcc"
@@ -255,24 +253,13 @@ func TestLogDmesgFormat(t *testing.T) {
 	}
 }
 
-func TestRunTicker(t *testing.T) {
-	_, r, mod, _ := setup(t, plugin.Options{})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
-	defer cancel()
-	err := r.Run(ctx, 5*time.Millisecond)
-	if err != context.DeadlineExceeded {
-		t.Fatalf("Run returned %v", err)
-	}
-	if mod.Rerandomizations == 0 {
-		t.Fatal("ticker never stepped")
-	}
-}
-
 // TestStepAllocBudget bounds what a warm step allocates. Every step
 // moves the module to a fresh page-table path; the address space reuses
-// the levels the previous step's unmap reclaimed, so a step allocates
-// no 4 KB table. A step that allocated its table path would read about
-// 19.7 KB.
+// the tables the previous step's unmap reclaimed and writes each PTE in
+// place, so a step allocates no table and nothing per mapped page.
+// Measured on go1.24 linux/amd64: 7 objects a step, 136 bytes (160
+// under -race, the budget). A step that allocated its table path would
+// read about 19.7 KB.
 func TestStepAllocBudget(t *testing.T) {
 	k, r, _, _ := setup(t, plugin.Options{Retpoline: true, StackRerand: true, RetEncrypt: true})
 	step := func() {
@@ -281,16 +268,17 @@ func TestStepAllocBudget(t *testing.T) {
 		}
 		k.SMR.Flush()
 	}
-	step() // warm-up: the first unmap fills the spare list
-	const steps, budget = 8, 2048
+	step() // warm-up: the first unmap fills the spare lists
+	const steps, maxBytes, maxObjects = 8, 160, 7
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < steps; i++ {
 		step()
 	}
 	runtime.ReadMemStats(&ms1)
-	if per := (ms1.TotalAlloc - ms0.TotalAlloc) / steps; per >= budget {
-		t.Fatalf("a warm step allocates %d bytes, budget %d", per, budget)
+	bytes, objects := (ms1.TotalAlloc-ms0.TotalAlloc)/steps, float64(ms1.Mallocs-ms0.Mallocs)/steps
+	if bytes > maxBytes || objects > maxObjects {
+		t.Fatalf("a warm step allocates %d bytes in %v objects, budget %d bytes in %d", bytes, objects, maxBytes, maxObjects)
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 // count of basic blocks retired by superblock execution, which must be
 // nonzero (the hot path is actually in use) and lane-order independent.
 func TestSuperblockRetirementDeterministic(t *testing.T) {
+	wasChain, wasIndirect := cpu.SetChaining(true), cpu.SetIndirect(true)
+	t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
 	run := func() sim.RunResult {
 		m, err := newMachine(CfgPICRet, 411, "dummy")
 		if err != nil {
@@ -228,6 +230,8 @@ func TestNICInterruptDeterministic(t *testing.T) {
 // execution. The scenario overflows the RX ring under coalescing so
 // drops, drains and re-asserted lines are all in play.
 func TestISRDeliveryUnaffectedByChaining(t *testing.T) {
+	wasChain, wasIndirect := cpu.SetChaining(true), cpu.SetIndirect(true)
+	t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
 	run := func() (CoalesceRow, sim.RunResult, []string) {
 		row, res, m, err := nicCoalesceRun(16, 200, 240)
 		if err != nil {
