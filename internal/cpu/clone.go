@@ -21,9 +21,7 @@ func (c *CPU) CloneFor(as *mm.AddressSpace, natives map[uint64]*Native) *CPU {
 		ID:              c.ID,
 		Regs:            c.Regs,
 		RIP:             c.RIP,
-		ZF:              c.ZF,
-		SF:              c.SF,
-		CF:              c.CF,
+		flags:           c.flags,
 		AS:              as,
 		TLB:             c.TLB.CloneFor(as),
 		natives:         natives,

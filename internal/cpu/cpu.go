@@ -50,11 +50,11 @@ type CPU struct {
 	Regs [isa.NumRegs]uint64
 	RIP  uint64
 
-	// Flags, set by CMP/TEST only (AK64 simplification: ALU operations do
-	// not update flags; compiled code always compares explicitly).
-	ZF bool // equal
-	SF bool // signed less-than outcome of the last compare
-	CF bool // unsigned below outcome of the last compare
+	// flags holds the outcome of the last CMP/TEST as ZF | SF<<1 | CF<<2:
+	// equal, signed less-than, unsigned below (AK64 simplification: ALU
+	// operations do not update flags; compiled code always compares
+	// explicitly). It is condTaken's bit index.
+	flags uint8
 
 	AS  *mm.AddressSpace
 	TLB *mm.TLB
@@ -122,6 +122,10 @@ type CPU struct {
 	// and the per-access generation re-check is redundant. Cleared at
 	// every block boundary and on the first MMIO access of a block.
 	memFast bool
+
+	// mega is the loop megablock runMega last handed execBlock: the one
+	// whose kGuard records execBlock runs.
+	mega *megablock
 
 	// Blocks counts basic blocks retired via block execution. The engine
 	// samples it per round slot the same way it samples Cycles.

@@ -407,28 +407,19 @@ func TestHalt(t *testing.T) {
 // BenchmarkBlockDispatch runs one ALU loop whose body holds 1, 10 or 40
 // instruction pairs, so the host time per simulated instruction shifts
 // from the block transition (a 5-instruction body) to the executor's
-// per-instruction dispatch (an 83-instruction body). Each sub-benchmark
-// reports ns/inst; the difference between them is the cost of a chained
-// block transition.
+// per-instruction dispatch (an 83-instruction body), and the two-block
+// loop of ext4_get_block's extent scan (shape=scan, see scanLoop: a
+// 3-instruction load-compare block whose JB is never taken, then an
+// 8-instruction block that branches back). Each sub-benchmark reports
+// ns/inst and the blocks retired per loop trip; the difference between
+// the pairs=1 and pairs=40 ns/inst is the cost of a block transition.
 func BenchmarkBlockDispatch(b *testing.B) {
 	const iters = 1000 // loop trips per Call
-	for _, pairs := range []int{1, 10, 40} {
-		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
-			var body []isa.Inst
-			for range pairs {
-				body = append(body,
-					isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 3},
-					isa.Inst{Op: isa.OpXOR, R1: isa.RBX, R2: isa.RAX})
-			}
-			body = append(body,
-				isa.Inst{Op: isa.OpSUBI, R1: isa.RCX, Imm: 1},
-				isa.Inst{Op: isa.OpCMPI, R1: isa.RCX, Imm: 0})
-			back := -int32(len(encode(body...)) + 5) // JNE to the body start
-			code := append([]isa.Inst{{Op: isa.OpMOVI, R1: isa.RCX, Imm: iters}}, body...)
-			code = append(code, isa.Inst{Op: isa.OpJNE, Disp: back}, isa.Inst{Op: isa.OpRET})
-			c := machine(b, code)
+	for _, sh := range dispatchShapes(iters) {
+		b.Run(sh.name, func(b *testing.B) {
+			c := machine(b, sh.code)
 			b.ReportAllocs()
-			insts := c.Insts
+			insts, blocks := c.Insts, c.Blocks
 			for b.Loop() {
 				c.Regs[isa.RSP] = stackTop
 				if _, err := c.Call(codeBase); err != nil {
@@ -436,6 +427,35 @@ func BenchmarkBlockDispatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Insts-insts), "ns/inst")
+			b.ReportMetric(float64(c.Blocks-blocks)/float64(b.N*iters), "blocks/iter")
 		})
 	}
+}
+
+// dispatchShape is one of BenchmarkBlockDispatch's loops.
+type dispatchShape struct {
+	name string
+	code []isa.Inst
+}
+
+// dispatchShapes returns BenchmarkBlockDispatch's loops, each running
+// iters trips per Call.
+func dispatchShapes(iters int64) []dispatchShape {
+	var shapes []dispatchShape
+	for _, pairs := range []int{1, 10, 40} {
+		var body []isa.Inst
+		for range pairs {
+			body = append(body,
+				isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 3},
+				isa.Inst{Op: isa.OpXOR, R1: isa.RBX, R2: isa.RAX})
+		}
+		body = append(body,
+			isa.Inst{Op: isa.OpSUBI, R1: isa.RCX, Imm: 1},
+			isa.Inst{Op: isa.OpCMPI, R1: isa.RCX, Imm: 0})
+		back := -int32(len(encode(body...)) + 5) // JNE to the body start
+		code := append([]isa.Inst{{Op: isa.OpMOVI, R1: isa.RCX, Imm: iters}}, body...)
+		code = append(code, isa.Inst{Op: isa.OpJNE, Disp: back}, isa.Inst{Op: isa.OpRET})
+		shapes = append(shapes, dispatchShape{fmt.Sprintf("pairs=%d", pairs), code})
+	}
+	return append(shapes, dispatchShape{"shape=scan", scanLoop(iters)})
 }

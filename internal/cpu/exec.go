@@ -57,6 +57,7 @@ const (
 	kJMPR
 	kJMPM
 	kRET
+	kGuard // no opcode: a loop megablock constituent's final branch
 )
 
 // kinds maps every AK64 opcode byte to its executor kind; bytes that are
@@ -106,8 +107,14 @@ func decoded(in isa.Inst) inst {
 // on a hit). A declined probe counts nothing and falls back to
 // load64/store64/Push/Pop, whose full path re-probes and accounts exactly
 // as an unarmed access does.
+//
+// b may be the records of c.mega, a loop megablock, whose kGuard records
+// end one constituent block each and go on to the next (see runMega).
+// The count returned then runs from m.base, the start of the last
+// constituent, and m.part names it on a guard exit.
 func (c *CPU) execBlock(b []inst) (int, bool, error) {
 	rip := c.RIP
+lap:
 	for i := range b {
 		in := &b[i]
 		next := rip + uint64(in.len)
@@ -159,9 +166,7 @@ func (c *CPU) execBlock(b []inst) (int, bool, error) {
 			c.setFlags(c.Regs[in.r1], uint64(in.imm))
 		case kTEST:
 			v := c.Regs[in.r1] & c.Regs[in.r2]
-			c.ZF = v == 0
-			c.SF = int64(v) < 0
-			c.CF = false
+			c.flags = b2u(v == 0) | b2u(int64(v) < 0)<<1
 
 		case kLOAD:
 			addr := c.Regs[in.r2] + uint64(int64(in.disp))
@@ -254,38 +259,8 @@ func (c *CPU) execBlock(b []inst) (int, bool, error) {
 
 		// Control transfers end their block; each leaves the target in
 		// next.
-		case kJMP:
-			next += uint64(int64(in.disp))
-		case kJE:
-			if c.ZF {
-				next += uint64(int64(in.disp))
-			}
-		case kJNE:
-			if !c.ZF {
-				next += uint64(int64(in.disp))
-			}
-		case kJL:
-			if c.SF {
-				next += uint64(int64(in.disp))
-			}
-		case kJGE:
-			if !c.SF {
-				next += uint64(int64(in.disp))
-			}
-		case kJLE:
-			if c.ZF || c.SF {
-				next += uint64(int64(in.disp))
-			}
-		case kJG:
-			if !c.ZF && !c.SF {
-				next += uint64(int64(in.disp))
-			}
-		case kJB:
-			if c.CF {
-				next += uint64(int64(in.disp))
-			}
-		case kJAE:
-			if !c.CF {
+		case kJMP, kJE, kJNE, kJL, kJGE, kJLE, kJG, kJB, kJAE:
+			if condTaken[in.k]>>(c.flags&7)&1 != 0 {
 				next += uint64(int64(in.disp))
 			}
 		case kCALL:
@@ -396,6 +371,28 @@ func (c *CPU) execBlock(b []inst) (int, bool, error) {
 				c.RIP = next
 				return i + 1, true, nil
 			}
+
+		// A megablock constituent's final branch (see superblock.go):
+		// leave at the target unless it stays on the recorded path, the
+		// chain bound allows another block and no store rewrote the
+		// frame; otherwise end the constituent (runMega charges it when
+		// the pass ends) and run the next one in this call.
+		case kGuard:
+			m := c.mega
+			if uint8(in.r2)>>(c.flags&7)&1 != 0 {
+				next += uint64(int64(in.disp))
+			}
+			if next != uint64(in.imm) || m.left == 0 ||
+				(m.stores || !c.memFast) && m.ref.Version() != m.ver {
+				c.RIP, m.part = next, int(in.r1)
+				return i + 1, false, nil
+			}
+			m.left--
+			c.memFast = true
+			if m.base = i + 1; m.base == len(b) {
+				m.base, m.laps, rip = 0, m.laps+1, next
+				goto lap // the back edge
+			}
 		}
 		rip = next
 	}
@@ -410,8 +407,21 @@ func (c *CPU) faultAt(rip uint64, reason string, err error) error {
 	return c.fault(reason, err)
 }
 
+// condTaken holds, for each JMP/Jcc kind, one bit per flags state (see
+// CPU.flags) that takes the branch: one table for branches and guards.
+// Readers mask the flags with 7, which spares the shift a range check.
+var condTaken = [256]uint8{
+	kJMP: 0xff, kJE: 0xaa, kJNE: 0x55, kJL: 0xcc, kJGE: 0x33,
+	kJLE: 0xee, kJG: 0x11, kJB: 0xf0, kJAE: 0x0f,
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func (c *CPU) setFlags(a, b uint64) {
-	c.ZF = a == b
-	c.SF = int64(a) < int64(b)
-	c.CF = a < b
+	c.flags = b2u(a == b) | b2u(int64(a) < int64(b))<<1 | b2u(a < b)<<2
 }

@@ -95,7 +95,7 @@ func (tc execCase) program() ([]isa.Inst, uint64) {
 // outcome is everything an instruction can change, plus its fault shape.
 type outcome struct {
 	Regs           [isa.NumRegs]uint64
-	ZF, SF, CF     bool
+	Flags          uint8
 	RIP            uint64
 	Insts, Cycles  uint64
 	Data, Stack    [8]uint64 // first words of the data page and stack top
@@ -118,7 +118,7 @@ func (tc execCase) run(t *testing.T, step bool) outcome {
 		t.Fatal(err)
 	}
 	err := execute(c, step)
-	o := outcome{Regs: c.Regs, ZF: c.ZF, SF: c.SF, CF: c.CF, RIP: c.RIP, Insts: c.Insts, Cycles: c.Cycles}
+	o := outcome{Regs: c.Regs, Flags: c.flags, RIP: c.RIP, Insts: c.Insts, Cycles: c.Cycles}
 	for i := range o.Data {
 		o.Data[i], _ = c.AS.Read64(dataBase + uint64(i)*8)
 		o.Stack[i], _ = c.AS.Read64(stackTop - uint64(i+1)*8)

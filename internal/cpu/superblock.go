@@ -84,6 +84,22 @@ package cpu
 // chain-rate metric is therefore the fraction of all block entries that
 // skipped dispatch resolution, whatever boundary they crossed.
 //
+// Loop megablocks. Recording a direct link may close a cycle of at most
+// maxMegaParts valid direct links on one page, each block ending in a
+// JMP/Jcc (a self-loop, or ext4_get_block's two-block extent scan);
+// formMega copies the cycle's records into one list on the link's
+// target, each final branch a kGuard. runMega enters it under the
+// link's triple (blockGen is implied: only a current block is reached)
+// and execBlock runs the cycle in one pass: a guard goes on to the next
+// block while control stays on the recorded path, the chain bound
+// allows another block and — after a store or an MMIO access — the
+// frame's content version is unchanged; otherwise it leaves at the real
+// target, whose link runChain follows. So a store through a W^X alias
+// into the loop is seen at the next block entry, as a link sees it.
+// runMega charges the blocks a pass went through as followed links, so
+// every counter and fault matches per-block chaining; a sampler keeps
+// megablocks off, so samples do too. ADELIE_NOCHAIN=1 turns them off.
+//
 // Accounting equivalence. A followed link — direct or indirect — skips
 // the successor's TLB lookup. For working sets within TLB capacity that
 // lookup was a hit by construction (the translation entered the TLB when
@@ -219,6 +235,32 @@ type superblock struct {
 	// ilink is the monomorphic indirect target cache: the last successor
 	// a RET/indirect exit resolved to. One slot, newest target wins.
 	ilink chainLink
+
+	// mega is the loop megablock headed by this block, if one formed.
+	mega *megablock
+}
+
+// maxMegaParts bounds the blocks one loop megablock fuses.
+const maxMegaParts = 4
+
+// megablock is a cycle of direct-linked blocks on one page fused into one
+// record list: each constituent's records, with its final JMP/Jcc turned
+// into a kGuard record that keeps the branch's disp and len and holds
+// the branch's condTaken mask in r2, the constituent's index in parts in
+// r1 and the VA the recorded path goes on at in imm. It is valid for
+// entry at va while the address-space generation is gen and the frame's
+// content version is ver. The per-entry fields are execBlock's state.
+type megablock struct {
+	insts    []inst
+	parts    []*superblock
+	va       uint64
+	gen, ver uint64
+	ref      mm.FrameRef
+	stores   bool // a constituent stores: guards re-check the frame version
+	left     int  // per entry: internal boundaries the chain bound allows
+	base     int  // per entry: index of the running constituent's first record
+	laps     int  // per entry: passes over the whole cycle
+	part     int  // per entry: the constituent a guard left from
 }
 
 // blockChunkBytes is the granularity at which superblock pointer storage
@@ -335,7 +377,8 @@ func (c *CPU) stepBlock() (bool, error) {
 // transfer, invalidated link) or the chain bound is reached. Every block
 // runs through execBlock with the resident memory probes armed, and is
 // charged once after it retires: its instructions, one cycle each, and
-// one Blocks count.
+// one Blocks count. A block heading a loop megablock goes through
+// runMega.
 func (c *CPU) runChain(sb *superblock) (bool, error) {
 	// The address-space generation can only change inside a native
 	// (chainNative refreshes it); hoisting the atomic read out of the
@@ -347,7 +390,12 @@ func (c *CPU) runChain(sb *superblock) (bool, error) {
 		// cannot change and the per-access re-check is redundant. MMIO
 		// disarms them (see load64/store64).
 		c.memFast = true
-		n, halted, err := c.execBlock(sb.insts)
+		n, halted, err := 0, false, error(nil)
+		if m := sb.mega; m == nil {
+			n, halted, err = c.execBlock(sb.insts)
+		} else {
+			n, depth, sb, halted, err = c.runMega(sb, m, asGen, depth)
+		}
 		c.memFast = false
 		c.Insts += uint64(n)
 		c.Cycles += uint64(n) * CostInst
@@ -451,9 +499,66 @@ func (c *CPU) runChain(sb *superblock) (bool, error) {
 			sb.ilink = nl // monomorphic: the newest target wins
 		} else {
 			sb.links[directSlot(sb, li)] = nl
+			c.formMega(nsb, rip, asGen) // the new link may close a loop
 		}
 		sb = nsb
 	}
+}
+
+// formMega fuses into head's loop megablock the first cycle of at most
+// maxMegaParts valid direct links it finds from head, entered at va, back
+// to head on va's page. runChain calls it when it records a direct link,
+// the last of a cycle's links to be recorded; a re-formation reuses the
+// megablock's storage.
+func (c *CPU) formMega(head *superblock, va, asGen uint64) {
+	var buf [maxMegaParts]*chainLink
+	cycle := c.megaCycle(head, head, va&^mm.PageMask, asGen, buf[:0])
+	if cycle == nil {
+		return
+	}
+	m := head.mega
+	if m == nil {
+		m = &megablock{}
+		head.mega = m
+	}
+	m.insts, m.parts, m.stores = m.insts[:0], m.parts[:0], false
+	sb := head
+	for i, l := range cycle {
+		for _, in := range sb.insts {
+			m.stores = m.stores || in.k == kSTORE || in.k == kSTRIP || in.k == kXORM || in.k == kPUSH
+		}
+		g := sb.insts[len(sb.insts)-1]
+		g.k, g.r1, g.r2, g.imm = kGuard, isa.Reg(i), isa.Reg(condTaken[g.k]), int64(l.va)
+		m.insts = append(append(m.insts, sb.insts[:len(sb.insts)-1]...), g)
+		m.parts = append(m.parts, sb)
+		sb = l.sb
+	}
+	back := cycle[len(cycle)-1]
+	m.va, m.gen, m.ver, m.ref = va, asGen, back.ver, back.ref
+}
+
+// megaCycle extends path by a depth-first search from sb for valid direct
+// links that stay on page and reach head, returning nil if none does
+// within maxMegaParts links. Every block on the path must end in a JMP or
+// Jcc, the branches a guard can carry.
+func (c *CPU) megaCycle(sb, head *superblock, page, asGen uint64, path []*chainLink) []*chainLink {
+	if k := sb.insts[len(sb.insts)-1].k; len(path) == maxMegaParts || k < kJMP || k > kJAE {
+		return nil
+	}
+	for i := range sb.links {
+		l := &sb.links[i]
+		if l.sb == nil || l.va&^mm.PageMask != page ||
+			l.sb.gen != c.blockGen || l.gen != asGen || l.ref.Version() != l.ver {
+			continue
+		}
+		if l.sb == head {
+			return append(path, l)
+		}
+		if p := c.megaCycle(l.sb, head, page, asGen, append(path, l)); p != nil {
+			return p
+		}
+	}
+	return nil
 }
 
 // directSlot picks the links slot a direct exit's new record goes into:
@@ -602,4 +707,26 @@ func (c *CPU) fetchBlock() (*superblock, mm.Entry, error) {
 	}
 	pb.set(off, sb)
 	return sb, e, nil
+}
+
+// runMega runs sb, a megablock head, as runChain runs a block: through
+// its megablock m when that is valid for entry here, charging the
+// constituents the pass went through, and on its own otherwise. It
+// returns the count runChain charges for the block the pass ended in,
+// that block's chain depth and the block, and (halted, err) as
+// execBlock.
+func (c *CPU) runMega(sb *superblock, m *megablock, asGen uint64, depth int) (int, int, *superblock, bool, error) {
+	if c.sampler != nil || m.gen != asGen || m.va != c.RIP || m.ref.Version() != m.ver {
+		n, halted, err := c.execBlock(sb.insts)
+		return n, depth, sb, halted, err
+	}
+	m.left, m.base, m.laps, m.part = maxChainBlocks-depth, 0, 0, 0
+	c.mega = m
+	n, halted, err := c.execBlock(m.insts)
+	k, done := uint64(maxChainBlocks-depth-m.left), uint64(m.laps*len(m.insts)+m.base)
+	c.Insts += done
+	c.Cycles += done * CostInst
+	c.Blocks += k
+	c.ChainedBlocks += k
+	return n - m.base, depth + int(k), m.parts[m.part], halted, err
 }

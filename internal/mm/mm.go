@@ -542,9 +542,8 @@ type AddressSpace struct {
 	// leaf tables; guarded by mu.
 	spare, spareLeaves *table
 
-	mapped     int           // currently mapped pages
-	gen        atomic.Uint64 // bumped on unmap/protect: TLB shootdown signal
-	shootdowns atomic.Int64  // number of shootdowns issued
+	mapped int           // currently mapped pages
+	gen    atomic.Uint64 // bumped on unmap/protect: one per TLB shootdown
 }
 
 // NewAddressSpace returns an empty address space over phys.
@@ -562,7 +561,8 @@ func (as *AddressSpace) Generation() uint64 { return as.gen.Load() }
 
 // Shootdowns returns the cumulative number of TLB shootdowns issued by
 // unmap/protect operations (the re-randomization cost §4.3 discusses).
-func (as *AddressSpace) Shootdowns() int64 { return as.shootdowns.Load() }
+// Each one bumps the generation once, so the count is the generation.
+func (as *AddressSpace) Shootdowns() int64 { return int64(as.gen.Load()) }
 
 // MappedPages returns the number of currently mapped pages.
 func (as *AddressSpace) MappedPages() int {
@@ -750,7 +750,6 @@ func (as *AddressSpace) Unmap(va uint64) (FrameID, error) {
 		t = parent
 	}
 	as.gen.Add(1)
-	as.shootdowns.Add(1)
 	return e.frame(), nil
 }
 
@@ -773,7 +772,6 @@ func (as *AddressSpace) Protect(va uint64, flags PageFlags) error {
 		as.phys.MarkExec(e.frame())
 	}
 	as.gen.Add(1)
-	as.shootdowns.Add(1)
 	return nil
 }
 
@@ -1053,7 +1051,6 @@ func (as *AddressSpace) Fork(phys *PhysMem) *AddressSpace {
 		mapped: as.mapped,
 	}
 	nas.gen.Store(as.gen.Load())
-	nas.shootdowns.Store(as.shootdowns.Load())
 	return nas
 }
 

@@ -183,6 +183,18 @@ func RunSweep(e *Experiment, base Params, param string, values []int64, parallel
 		return nil
 	}
 
+	// A worker recovers a point's panic as that point's error: nothing
+	// can recover a panic on a worker goroutine, so it would end the
+	// process, and the deferred DisableForkPool with it.
+	workerPoint := func(i int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%s -p %s=%d: panic: %v", e.Name, param, values[i], r)
+			}
+		}()
+		return runPoint(i)
+	}
+
 	if !parallel {
 		for i := range values {
 			if err := runPoint(i); err != nil {
@@ -215,7 +227,7 @@ func RunSweep(e *Experiment, base Params, param string, values []int64, parallel
 				if i >= len(values) {
 					return
 				}
-				if err := runPoint(i); err != nil {
+				if err := workerPoint(i); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err

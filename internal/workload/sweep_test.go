@@ -3,7 +3,9 @@ package workload
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -103,6 +105,39 @@ func TestSweepForkParallelMatchesSerial(t *testing.T) {
 	parallel := sweep(true)
 	if serial != parallel {
 		t.Fatalf("parallel sweep output diverges from serial:\n%s\n---\n%s", serial, parallel)
+	}
+}
+
+// TestSweepWorkerPanicIsPointError: a point that panics on a parallel
+// sweep's worker becomes that point's error, naming the experiment,
+// parameter and value; the other worker still runs every other point,
+// and the sweep's fork-pool bracket is released.
+func TestSweepWorkerPanicIsPointError(t *testing.T) {
+	var done atomic.Int64
+	e := &Experiment{
+		Name:       "panicky",
+		ParamSpecs: []ParamSpec{{Name: "ops", Default: 1, Min: 1, Max: 100}},
+		Run: func(p Params) (*Table, error) {
+			if p.Int("ops") == 3 {
+				panic("point blew up")
+			}
+			done.Add(1)
+			return &Table{}, nil
+		},
+	}
+	values := []int64{1, 2, 3, 4, 5, 6}
+	_, err := RunSweep(e, e.Params(false), "ops", values, true, 2)
+	if err == nil || !strings.Contains(err.Error(), "panicky -p ops=3: panic: point blew up") {
+		t.Fatalf("RunSweep error = %v, want the panicking point named", err)
+	}
+	if got := done.Load(); got != int64(len(values)-1) {
+		t.Fatalf("%d points completed, want the other %d", got, len(values)-1)
+	}
+	forkPool.mu.Lock()
+	refs := forkPool.refs
+	forkPool.mu.Unlock()
+	if refs != 0 || forkPool.on.Load() {
+		t.Fatalf("fork pool still enabled after the sweep (refs %d)", refs)
 	}
 }
 
