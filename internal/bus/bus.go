@@ -314,19 +314,11 @@ type PendingIRQ struct {
 	VCPU  int    // route target at drain time (vector-table entry)
 }
 
-// DeliveredIRQ is one ISR dispatch, recorded for determinism audits.
-type DeliveredIRQ struct {
-	Line    int
-	VCPU    int // the vCPU the ISR ran on
-	AtCycle uint64
-	Handled bool
-}
-
 // IntController collects lines raised during a round and hands them to
 // the engine at the barrier, in ascending line order. Each line carries
 // a route — the vector-table entry naming its target vCPU (default 0) —
 // which TakePending stamps onto the drained set so the engine can group
-// delivery per lane. It also keeps the delivery trace and per-line
+// delivery per lane. It also keeps the per-line delivery counts and
 // latency sums the coalescing figures read.
 type IntController struct {
 	mu      sync.Mutex
@@ -338,11 +330,8 @@ type IntController struct {
 	// see an empty set without taking mu (HasPending, TakePending).
 	npending atomic.Int32
 
-	raised    []uint64 // per line
-	delivered []uint64
-	spurious  []uint64
+	delivered []uint64 // per line
 	latSum    []uint64 // Σ (deliveredAt - pendingSince), cycles
-	trace     []DeliveredIRQ
 }
 
 // NewIntController returns an empty controller.
@@ -355,9 +344,7 @@ func (ic *IntController) addLine() int {
 	defer ic.mu.Unlock()
 	n := ic.lines
 	ic.lines++
-	ic.raised = append(ic.raised, 0)
 	ic.delivered = append(ic.delivered, 0)
-	ic.spurious = append(ic.spurious, 0)
 	ic.latSum = append(ic.latSum, 0)
 	ic.routes = append(ic.routes, 0)
 	return n
@@ -374,16 +361,6 @@ func (ic *IntController) SetRoute(line, vcpu int) {
 		return
 	}
 	ic.routes[line] = vcpu
-}
-
-// Route returns a line's current target vCPU (0 for unknown lines).
-func (ic *IntController) Route(line int) int {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	if line < 0 || line >= len(ic.routes) {
-		return 0
-	}
-	return ic.routes[line]
 }
 
 // Process-wide interrupt counters, resolved once: raise runs on the hot
@@ -403,7 +380,6 @@ var (
 func (ic *IntController) raise(line int, pendingSince uint64) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
-	ic.raised[line]++
 	mIRQsRaised.Inc()
 	if since, ok := ic.pending[line]; !ok || pendingSince < since {
 		ic.pending[line] = pendingSince
@@ -436,21 +412,12 @@ func (ic *IntController) TakePending(dst []PendingIRQ) []PendingIRQ {
 	return dst
 }
 
-// traceCap bounds the delivery trace: counters carry the aggregate
-// stats forever, the trace exists for determinism audits, and keeping
-// its prefix (identically in every run, so comparisons stay valid)
-// stops a long per-frame-interrupt measurement from growing memory per
-// dispatch.
-const traceCap = 1 << 16
-
-// NoteDelivered records one dispatch: the delivery trace, the per-line
-// counters, and the latency from the oldest covered work to delivery.
+// NoteDelivered records one dispatch: the per-line delivery count and
+// the latency from the oldest covered work to delivery, or a spurious
+// interrupt when no ISR handled it.
 func (ic *IntController) NoteDelivered(p PendingIRQ, atCycle uint64, handled bool) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
-	if len(ic.trace) < traceCap {
-		ic.trace = append(ic.trace, DeliveredIRQ{Line: p.Line, VCPU: p.VCPU, AtCycle: atCycle, Handled: handled})
-	}
 	if handled {
 		ic.delivered[p.Line]++
 		if atCycle > p.Since {
@@ -458,30 +425,8 @@ func (ic *IntController) NoteDelivered(p PendingIRQ, atCycle uint64, handled boo
 		}
 		mIRQsDelivered.Inc()
 	} else {
-		ic.spurious[p.Line]++
 		mIRQsSpurious.Inc()
 	}
-}
-
-// Raised returns how many times a line was asserted (before coalescing).
-func (ic *IntController) Raised(line int) uint64 {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	return ic.raised[line]
-}
-
-// Delivered returns how many ISR dispatches a line received.
-func (ic *IntController) Delivered(line int) uint64 {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	return ic.delivered[line]
-}
-
-// Spurious returns deliveries that found no registered ISR.
-func (ic *IntController) Spurious(line int) uint64 {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	return ic.spurious[line]
 }
 
 // AvgLatencyCycles returns the mean cycles from oldest-pending-work to
@@ -493,12 +438,4 @@ func (ic *IntController) AvgLatencyCycles(line int) float64 {
 		return 0
 	}
 	return float64(ic.latSum[line]) / float64(ic.delivered[line])
-}
-
-// Trace returns the delivery sequence — (line, cycle, handled) per
-// dispatch — which determinism tests compare across runs.
-func (ic *IntController) Trace() []DeliveredIRQ {
-	ic.mu.Lock()
-	defer ic.mu.Unlock()
-	return append([]DeliveredIRQ(nil), ic.trace...)
 }

@@ -59,7 +59,7 @@ func (b *Bus) CloneFor(as *mm.AddressSpace, replace func(Device) Device) (*Bus, 
 }
 
 // clone deep-copies the interrupt controller: line count, pending set,
-// per-line counters and the delivery trace all carry over so a forked
+// routes and per-line counters all carry over so a forked
 // machine's coalescing figures continue from the snapshot point.
 func (ic *IntController) clone() *IntController {
 	ic.mu.Lock()
@@ -67,12 +67,9 @@ func (ic *IntController) clone() *IntController {
 	n := &IntController{
 		lines:     ic.lines,
 		pending:   make(map[int]uint64, len(ic.pending)),
-		raised:    append([]uint64(nil), ic.raised...),
 		delivered: append([]uint64(nil), ic.delivered...),
-		spurious:  append([]uint64(nil), ic.spurious...),
 		latSum:    append([]uint64(nil), ic.latSum...),
 		routes:    append([]int(nil), ic.routes...),
-		trace:     append([]DeliveredIRQ(nil), ic.trace...),
 	}
 	for line, since := range ic.pending {
 		n.pending[line] = since

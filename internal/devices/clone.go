@@ -61,7 +61,6 @@ func (n *NIC) CloneFor(as *mm.AddressSpace) *NIC {
 		Name:         n.Name,
 		txRing:       n.txRing,
 		ringLen:      n.ringLen,
-		hostRxCap:    n.hostRxCap,
 		TxFrames:     n.TxFrames,
 		RxFrames:     n.RxFrames,
 		TxBytes:      n.TxBytes,

@@ -57,7 +57,7 @@ func TestNVMeWriteThenRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.MMIOWrite(NVMeRegDoorbell, 0)
-	if string(d.ReadBlockDirect(3)[:10]) != "persist me" {
+	if string(d.media[3][:10]) != "persist me" {
 		t.Fatal("write did not reach media")
 	}
 	// Read it back through the queue into a different buffer.

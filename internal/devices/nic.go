@@ -55,8 +55,7 @@ type NIC struct {
 	// with the wire, so overflow frames count as consumed (HostConsumed)
 	// instead of accumulating, and long runs cannot wedge on a full
 	// host ring.
-	hostRx    [][]byte
-	hostRxCap int
+	hostRx [][]byte
 
 	TxFrames, RxFrames, TxBytes, RxBytes uint64
 	Dropped                              uint64
@@ -113,14 +112,13 @@ const (
 // Descriptor layout (2 words): buffer VA, byte length. A zero length
 // marks a free RX descriptor.
 
-// DefaultHostRxCap bounds the host-side capture queue of a ringless
+// hostRxCap bounds the host-side capture queue of a ringless
 // (load-generator) adapter.
-const DefaultHostRxCap = 1024
+const hostRxCap = 1024
 
 // NewNIC creates a single-queue adapter DMA-attached to as.
 func NewNIC(as *mm.AddressSpace) *NIC {
-	return &NIC{as: as, Name: "nic", hostRxCap: DefaultHostRxCap,
-		queues: []*nicQueue{{coalesceFrames: 1}}}
+	return &NIC{as: as, Name: "nic", queues: []*nicQueue{{coalesceFrames: 1}}}
 }
 
 // DevName implements bus.Device.
@@ -196,16 +194,6 @@ func (n *NIC) QueueIRQLine(q int) int {
 	return n.queues[q].irq.Num()
 }
 
-// QueueRxFrames returns how many frames RSS steered into a queue.
-func (n *NIC) QueueRxFrames(q int) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if q < 0 || q >= len(n.queues) {
-		return 0
-	}
-	return n.queues[q].RxFrames
-}
-
 // SetCoalescing configures interrupt moderation on every queue: a
 // queue's line asserts once maxFrames frames are pending on it, or —
 // checked at clock boundaries — once its oldest pending frame has
@@ -221,17 +209,6 @@ func (n *NIC) SetCoalescing(maxFrames, delayCycles uint64) {
 	for _, q := range n.queues {
 		q.coalesceFrames, q.coalesceDelay = maxFrames, delayCycles
 	}
-}
-
-// SetHostRxCap bounds the host-side capture queue (load-generator
-// receive path); frames past the cap are consumed, not stored.
-func (n *NIC) SetHostRxCap(cap int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if cap < 1 {
-		cap = 1
-	}
-	n.hostRxCap = cap
 }
 
 // Armed implements bus.Ticker: whether any queue holds coalesced frames
@@ -479,8 +456,8 @@ func (n *NIC) Deliver(frame []byte) {
 		// Trimming waits until 2×cap so the compaction cost amortizes to
 		// O(1) per frame instead of an O(cap) memmove per delivery.
 		n.hostRx = append(n.hostRx, frame)
-		if len(n.hostRx) >= 2*n.hostRxCap {
-			over := len(n.hostRx) - n.hostRxCap
+		if len(n.hostRx) >= 2*hostRxCap {
+			over := len(n.hostRx) - hostRxCap
 			n.hostRx = append(n.hostRx[:0], n.hostRx[over:]...)
 			n.HostConsumed += uint64(over)
 		}

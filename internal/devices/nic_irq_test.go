@@ -45,7 +45,7 @@ func TestNICAssertsPerFrameByDefault(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		n.Deliver([]byte(fmt.Sprintf("f%d", i)))
 	}
-	if got := b.IC().Raised(line); got != 3 {
+	if got := n.IRQsAsserted; got != 3 {
 		t.Fatalf("raised = %d, want 3", got)
 	}
 	if n.IRQsAsserted != 3 {
@@ -65,12 +65,12 @@ func TestNICCoalescingFrameThreshold(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		n.Deliver([]byte("x"))
 	}
-	if got := b.IC().Raised(n.IRQLine()); got != 0 {
+	if got := n.IRQsAsserted; got != 0 || b.IC().HasPending() {
 		t.Fatalf("asserted below threshold: %d", got)
 	}
 	n.Deliver([]byte("x"))
-	if got := b.IC().Raised(n.IRQLine()); got != 1 {
-		t.Fatalf("raised = %d, want 1", got)
+	if got := n.IRQsAsserted; got != 1 || !b.IC().HasPending() {
+		t.Fatalf("raised = %d, want 1 pending on the bus", got)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestNICCoalescingDelayFlushOnTick(t *testing.T) {
 	b.SetNow(1000)
 	n.Deliver([]byte("x"))
 	n.Tick(1400, false) // 400 < 500: not yet
-	if got := b.IC().Raised(n.IRQLine()); got != 0 {
+	if got := n.IRQsAsserted; got != 0 {
 		t.Fatalf("asserted before delay: %d", got)
 	}
 	n.Tick(1500, false)
@@ -94,7 +94,7 @@ func TestNICCoalescingDelayFlushOnTick(t *testing.T) {
 	// Force tick flushes regardless of thresholds.
 	n.Deliver([]byte("y"))
 	n.Tick(1501, true)
-	if got := b.IC().Raised(n.IRQLine()); got != 2 {
+	if got := n.IRQsAsserted; got != 2 {
 		t.Fatalf("force tick did not flush: raised=%d", got)
 	}
 }
@@ -110,17 +110,17 @@ func TestNICMaskDefersAndUnmaskReasserts(t *testing.T) {
 	}
 	n.Deliver([]byte("a"))
 	n.Deliver([]byte("b"))
-	if got := b.IC().Raised(n.IRQLine()); got != 0 {
+	if got := n.IRQsAsserted; got != 0 || b.IC().HasPending() {
 		t.Fatalf("masked NIC asserted %d times", got)
 	}
 	n.MMIOWrite(NICRegIntCtl, 0) // unmask → re-assert
-	if got := b.IC().Raised(n.IRQLine()); got != 1 {
-		t.Fatalf("unmask re-assert: raised=%d, want 1", got)
+	if got := n.IRQsAsserted; got != 1 || !b.IC().HasPending() {
+		t.Fatalf("unmask re-assert: raised=%d, want 1 pending on the bus", got)
 	}
 	// Nothing pending after the re-assert: a further unmask is silent.
 	n.MMIOWrite(NICRegIntCtl, 1)
 	n.MMIOWrite(NICRegIntCtl, 0)
-	if got := b.IC().Raised(n.IRQLine()); got != 1 {
+	if got := n.IRQsAsserted; got != 1 {
 		t.Fatalf("spurious re-assert: raised=%d", got)
 	}
 }
@@ -141,26 +141,25 @@ func TestNICNoIRQWithoutBus(t *testing.T) {
 // recent frames.
 func TestHostRxCapConsumesOverflow(t *testing.T) {
 	as := mm.NewAddressSpace(mm.NewPhysMem())
-	n := NewNIC(as) // no ring: host-driven side
-	n.SetHostRxCap(4)
-	const total = 13 // trims at deliveries 8 and 12, then one more lands
+	n := NewNIC(as)               // no ring: host-driven side
+	const total = 3*hostRxCap + 1 // trims at 2×cap and 3×cap, then one more lands
 	for i := 0; i < total; i++ {
-		n.Deliver([]byte(fmt.Sprintf("f%02d", i)))
+		n.Deliver([]byte(fmt.Sprintf("f%05d", i)))
 	}
 	if n.RxFrames != total {
 		t.Fatalf("RxFrames = %d, want %d", n.RxFrames, total)
 	}
 	frames := n.TakeHostFrames()
-	if len(frames) >= 8 { // bounded below 2×cap
-		t.Fatalf("stored = %d, cap 4 not enforced", len(frames))
+	if len(frames) >= 2*hostRxCap {
+		t.Fatalf("stored = %d, cap %d not enforced", len(frames), hostRxCap)
 	}
 	if n.HostConsumed+uint64(len(frames)) != total {
 		t.Fatalf("consumed %d + stored %d != %d", n.HostConsumed, len(frames), total)
 	}
-	if got := string(frames[len(frames)-1]); got != "f12" {
-		t.Fatalf("newest kept frame = %q, want f12", got)
+	if got, want := string(frames[len(frames)-1]), fmt.Sprintf("f%05d", total-1); got != want {
+		t.Fatalf("newest kept frame = %q, want %s", got, want)
 	}
-	if got := string(frames[0]); got != fmt.Sprintf("f%02d", n.HostConsumed) {
+	if got := string(frames[0]); got != fmt.Sprintf("f%05d", n.HostConsumed) {
 		t.Fatalf("oldest kept frame = %q with %d consumed", got, n.HostConsumed)
 	}
 }

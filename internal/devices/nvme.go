@@ -296,20 +296,6 @@ func (d *NVMe) insertCache(lba uint64) {
 	d.cacheFIFO = append(d.cacheFIFO, lba)
 }
 
-// ReadBlockDirect is a host-side helper mirroring what the driver's DMA
-// does — used by tests to verify media contents.
-func (d *NVMe) ReadBlockDirect(lba uint64) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	blk, ok := d.media[lba]
-	if !ok {
-		return make([]byte, 512)
-	}
-	out := make([]byte, 512)
-	copy(out, blk)
-	return out
-}
-
 // EncodeSQEntry builds the 32-byte submission entry the driver writes.
 func EncodeSQEntry(op, lba, count, buf uint64) []byte {
 	b := make([]byte, 32)

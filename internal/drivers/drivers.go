@@ -12,8 +12,6 @@
 package drivers
 
 import (
-	"fmt"
-
 	"adelie/internal/devices"
 	"adelie/internal/elfmod"
 	"adelie/internal/isa"
@@ -650,17 +648,4 @@ func Lookup(name string) (func() *kcc.Module, bool) {
 	}
 	mk, ok := Extra()[name]
 	return mk, ok
-}
-
-// BuildAll compiles every driver under the same options.
-func BuildAll(o BuildOpts) (map[string]*elfmod.Object, error) {
-	out := map[string]*elfmod.Object{}
-	for name, mk := range All() {
-		obj, err := Build(mk(), o)
-		if err != nil {
-			return nil, fmt.Errorf("drivers: building %s: %w", name, err)
-		}
-		out[name] = obj
-	}
-	return out, nil
 }

@@ -39,13 +39,13 @@
 // accounting pass, the engine publishes the virtual clock to the bus,
 // ticks coalescing timers, drains the pending vector set and dispatches
 // it serially in (vCPU, line) order — the lines routed to one vCPU form
-// a group run on that vCPU's cpu.CPU — then commits the delivery trace
-// and all accounting in the same order. A machine whose vectors all
-// route to vCPU 0 (the default) dispatches one group, bit-identical to
-// the pre-vector-table engine. Because raising is commutative, routes
-// only change between rounds, and delivery happens at the barrier in a
-// fixed order, interrupt side effects — ISR cycles, ring drains, driver
-// counters — are bit-reproducible. The window's device work is
+// a group run on that vCPU's cpu.CPU — then commits the accounting
+// and, when traced, the ISR spans in the same order. A machine whose
+// vectors all route to vCPU 0 (the default) dispatches one group,
+// bit-identical to the pre-vector-table engine. Because raising is
+// commutative, routes only change between rounds, and delivery happens
+// at the barrier in a fixed order, interrupt side effects — ISR cycles,
+// ring drains, driver counters — are bit-reproducible. The window's device work is
 // proportional to the work the devices hold: when no ticker is armed and
 // no line is pending (bus.Bus.Quiet, a few atomic loads), the window
 // returns right after publishing the clock, the forced final flush

@@ -469,24 +469,3 @@ func (in Inst) Disasm(pc uint64) string {
 	}
 	return name
 }
-
-// DisasmBytes disassembles up to max instructions from code, assumed to
-// start at virtual address base. Decoding stops at the first invalid or
-// truncated instruction. If max <= 0 the whole slice is disassembled.
-func DisasmBytes(code []byte, base uint64, max int) []string {
-	var out []string
-	off := 0
-	for off < len(code) {
-		if max > 0 && len(out) >= max {
-			break
-		}
-		in, err := Decode(code[off:])
-		if err != nil {
-			out = append(out, fmt.Sprintf("%#x: %v", base+uint64(off), err))
-			break
-		}
-		out = append(out, fmt.Sprintf("%#x: %s", base+uint64(off), in.Disasm(base+uint64(off))))
-		off += in.Len
-	}
-	return out
-}

@@ -63,13 +63,6 @@ func TestDisasmGotIndirectForms(t *testing.T) {
 	}
 }
 
-func TestDisasmBytesLimit(t *testing.T) {
-	code := []byte{0x90, 0x90, 0x90, 0x90}
-	if lines := DisasmBytes(code, 0, 2); len(lines) != 2 {
-		t.Fatalf("limit ignored: %d lines", len(lines))
-	}
-}
-
 // TestEncodingDensity documents the property the gadget analysis relies
 // on: a large fraction of random byte windows decode as valid
 // instructions, as on x86-64.

@@ -241,31 +241,6 @@ func TestDisasmRelativeTargets(t *testing.T) {
 	}
 }
 
-func TestDisasmBytes(t *testing.T) {
-	var code []byte
-	code = Inst{Op: OpPUSH, R1: RBP}.Append(code)
-	code = Inst{Op: OpMOVI, R1: RAX, Imm: 7}.Append(code)
-	code = Inst{Op: OpRET}.Append(code)
-	lines := DisasmBytes(code, 0x4000, 0)
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3: %v", len(lines), lines)
-	}
-	if !strings.HasPrefix(lines[0], "0x4000:") {
-		t.Errorf("first line %q should start at 0x4000", lines[0])
-	}
-}
-
-func TestDisasmBytesStopsAtInvalid(t *testing.T) {
-	code := []byte{byte(OpNOP), 0x00 /* invalid opcode */}
-	lines := DisasmBytes(code, 0, 0)
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want nop + error marker: %v", len(lines), lines)
-	}
-	if !strings.Contains(lines[1], "invalid opcode") {
-		t.Errorf("second line %q should report invalid opcode", lines[1])
-	}
-}
-
 func TestMisalignedDecodeYieldsDifferentStream(t *testing.T) {
 	// Encode movabs with an immediate whose bytes themselves form
 	// instructions; decoding at offset 2 must see a different stream.

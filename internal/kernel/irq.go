@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"maps"
-	"sort"
 
 	"adelie/internal/cpu"
 )
@@ -75,34 +74,6 @@ func (k *Kernel) SetISRAffinity(line, vcpu int) {
 	if route != nil {
 		route(line, vcpu)
 	}
-}
-
-// ISRAffinity returns the vCPU a registered line is affine to (0 for
-// unregistered lines — the legacy target).
-func (k *Kernel) ISRAffinity(line int) int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.isrs.v[line].vcpu
-}
-
-// ISR returns the handler registered for a line.
-func (k *Kernel) ISR(line int) (uint64, bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	e, ok := k.isrs.v[line]
-	return e.handler, ok
-}
-
-// ISRLines returns the lines with registered handlers, sorted.
-func (k *Kernel) ISRLines() []int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]int, 0, len(k.isrs.v))
-	for line := range k.isrs.v {
-		out = append(out, line)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // DispatchIRQ runs the ISR registered for line on c, bracketed with

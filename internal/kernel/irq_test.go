@@ -73,8 +73,8 @@ func TestIRQRegisterAndDispatch(t *testing.T) {
 	if _, err := c.Call(setup, 3); err != nil {
 		t.Fatal(err)
 	}
-	if lines := k.ISRLines(); len(lines) != 1 || lines[0] != 3 {
-		t.Fatalf("ISR lines = %v, want [3]", lines)
+	if _, ok := k.isrs.v[3]; !ok || len(k.isrs.v) != 1 {
+		t.Fatalf("ISR lines = %v, want [3]", k.isrs.v)
 	}
 	handled, err := k.DispatchIRQ(c, 3)
 	if err != nil {

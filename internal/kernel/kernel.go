@@ -360,18 +360,6 @@ func (k *Kernel) ExportSymbol(name string, va uint64) error {
 	return nil
 }
 
-// Symbols returns the exported symbol names, sorted.
-func (k *Kernel) Symbols() []string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := make([]string, 0, len(k.symbols.v))
-	for n := range k.symbols.v {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CPU returns vCPU i, creating it on first access — on a fork by
 // cloning the frozen template's. The fast path is a load and a nil
 // check, written to fit the compiler's inlining budget. The slot stays
@@ -533,10 +521,6 @@ func (k *Kernel) Dmesg() []string {
 
 // KernelTextBase returns the randomized base of the kernel image.
 func (k *Kernel) KernelTextBase() uint64 { return k.textBase }
-
-// ModuleWindow returns the placement window used for modules; its width
-// determines the KASLR entropy available to attacks (§6).
-func (k *Kernel) ModuleWindow() (lo, hi uint64) { return k.moduleRangeLo, k.moduleRangeHi }
 
 // readCString reads a NUL-terminated string (capped) from guest memory.
 func readCString(as *mm.AddressSpace, va uint64, max int) string {

@@ -107,7 +107,7 @@ func TestAbsoluteModelUnderVanillaKASLR(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Placement must be within the vanilla 2 GB window of the kernel.
-	lo, hi := k.ModuleWindow()
+	lo, hi := k.moduleRangeLo, k.moduleRangeHi
 	if mod.Movable.Base < lo || mod.Movable.Base >= hi {
 		t.Fatalf("module at %#x outside vanilla window [%#x,%#x)", mod.Movable.Base, lo, hi)
 	}

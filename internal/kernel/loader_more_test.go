@@ -158,7 +158,7 @@ func TestRerandStaysInsideWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := k.ModuleWindow()
+	lo, hi := k.moduleRangeLo, k.moduleRangeHi
 	for i := 0; i < 10; i++ {
 		if _, err := mod.Rerandomize(); err != nil {
 			t.Fatal(err)

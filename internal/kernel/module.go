@@ -124,18 +124,6 @@ type Module struct {
 	mu sync.Mutex
 }
 
-// Exports returns the module's exported symbol → VA map (wrappers for
-// re-randomizable modules).
-func (m *Module) Exports() map[string]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]uint64, len(m.exports))
-	for k, v := range m.exports {
-		out[k] = v
-	}
-	return out
-}
-
 // Base returns the current movable-part base — the address an attacker
 // must learn, and which re-randomization keeps changing.
 func (m *Module) Base() uint64 {
@@ -150,12 +138,6 @@ func (m *Module) Key() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.curKey
-}
-
-// LoadedSize returns the mapped footprint in bytes, including GOT and PLT
-// pages — the quantity Fig. 5a compares across code models.
-func (m *Module) LoadedSize() uint64 {
-	return m.Movable.Size + m.Immovable.Size
 }
 
 // ContentSize returns the byte footprint before page rounding: section

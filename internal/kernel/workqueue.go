@@ -33,13 +33,6 @@ func (k *Kernel) QueueWork(fn, arg uint64) {
 	k.mu.Unlock()
 }
 
-// PendingWork returns the number of queued items.
-func (k *Kernel) PendingWork() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.workqueue)
-}
-
 // RunPendingWork executes every queued item on c, bracketing each handler
 // with mr_start/mr_finish as §3.4 prescribes for re-entry from a
 // workqueue context. It returns the number of handlers run.

@@ -77,8 +77,8 @@ func TestWorkqueueBasicFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if k.PendingWork() != 2 {
-		t.Fatalf("pending = %d, want 2", k.PendingWork())
+	if len(k.workqueue) != 2 {
+		t.Fatalf("pending = %d, want 2", len(k.workqueue))
 	}
 	// Nothing ran yet.
 	if v, _ := c.Call(read); v != 0 {
@@ -88,8 +88,8 @@ func TestWorkqueueBasicFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || k.PendingWork() != 0 {
-		t.Fatalf("ran %d, pending %d", n, k.PendingWork())
+	if n != 2 || len(k.workqueue) != 0 {
+		t.Fatalf("ran %d, pending %d", n, len(k.workqueue))
 	}
 	if v, _ := c.Call(read); v != 12 {
 		t.Fatalf("state = %d, want 12", v)
@@ -172,8 +172,8 @@ func TestWorkqueueFaultRequeuesTail(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "work item 0") {
 		t.Fatalf("got (%d, %v), want item-0 fault", n, err)
 	}
-	if k.PendingWork() != 1 {
-		t.Fatalf("tail not requeued: pending = %d", k.PendingWork())
+	if len(k.workqueue) != 1 {
+		t.Fatalf("tail not requeued: pending = %d", len(k.workqueue))
 	}
 	if n2, err := k.RunPendingWork(c); err != nil || n2 != 1 {
 		t.Fatalf("tail drain = (%d, %v)", n2, err)

@@ -41,7 +41,7 @@ func TestCOWWriteAfterForkIsolation(t *testing.T) {
 	if got, _ := fork.ReadBytes(dataVA, 13); string(got) != "template-data" {
 		t.Fatalf("fork reads %q, want template-data", got)
 	}
-	if parent.Phys().SharedFrames() == 0 {
+	if sharedFrames(parent.Phys()) == 0 {
 		t.Fatal("no frames shared after fork")
 	}
 
@@ -168,7 +168,7 @@ func TestCOWConcurrentForks(t *testing.T) {
 		}
 	}
 	// All forks released: the template owns every frame privately again.
-	if n := phys.SharedFrames(); n != 0 {
+	if n := sharedFrames(phys); n != 0 {
 		t.Fatalf("%d frames still shared after all forks released", n)
 	}
 	for i := 0; i < npages; i++ {
@@ -200,7 +200,7 @@ func TestCOWReleaseRefcounts(t *testing.T) {
 	if dead := fp.Release(); dead != 1 {
 		t.Fatalf("fork release freed %d records, want 1 (its private COW copy)", dead)
 	}
-	if n := phys.SharedFrames(); n != 0 {
+	if n := sharedFrames(phys); n != 0 {
 		t.Fatalf("%d frames still shared after fork release", n)
 	}
 
@@ -459,7 +459,7 @@ func TestPageTableForkAllocsIndependentOfSize(t *testing.T) {
 // count per chunk, and a machine copies a chunk the first time it
 // writes (or, forked, translates) a frame in it. The tests below place
 // their writes on chunk boundaries and check every observable —
-// contents, SharedFrames, Release's dead count, COWDetaches — against
+// contents, sharedFrames, Release's dead count, COWDetaches — against
 // a model of per-frame sharing, in which every machine holds its own
 // reference on every frame record.
 
@@ -534,7 +534,7 @@ func (m *cowModel) release(as *AddressSpace) (got, want int64) {
 	return as.Phys().Release(), want
 }
 
-// check compares contents and SharedFrames of every live machine.
+// check compares contents and sharedFrames of every live machine.
 func (m *cowModel) check(t *testing.T, names map[*AddressSpace]string) {
 	t.Helper()
 	for as, recs := range m.recs {
@@ -551,8 +551,8 @@ func (m *cowModel) check(t *testing.T, names map[*AddressSpace]string) {
 				t.Errorf("%s: page %d reads %d, want %d", names[as], i, got, m.vals[as][i])
 			}
 		}
-		if got := as.Phys().SharedFrames(); got != shared {
-			t.Errorf("%s: SharedFrames %d, want %d", names[as], got, shared)
+		if got := sharedFrames(as.Phys()); got != shared {
+			t.Errorf("%s: shared frames %d, want %d", names[as], got, shared)
 		}
 	}
 }
@@ -637,7 +637,7 @@ func TestCOWChunkAllocRecyclesSharedFrame(t *testing.T) {
 	if got := tmpl.Phys().COWDetaches(); got != 1 {
 		t.Fatalf("template detached %d frames, want 1", got)
 	}
-	if got := f.Phys().SharedFrames(); got != 2*chunkFrames+4 {
+	if got := sharedFrames(f.Phys()); got != 2*chunkFrames+4 {
 		t.Fatalf("fork shares %d frames, want every frame but the recycled one", got)
 	}
 	if got, want := f.Phys().Release(), int64(1); got != want {
@@ -1100,4 +1100,24 @@ func FuzzPageTableOps(f *testing.F) {
 			checkFamily(t, ms)
 		}
 	})
+}
+
+// sharedFrames returns the number of frames p currently shares
+// copy-on-write with another machine: every frame of a shared chunk, and
+// each frame of an owned chunk whose record another chunk also points at.
+func sharedFrames(p *PhysMem) int64 {
+	var n int64
+	for _, c := range *p.chunks.Load() {
+		shared := c.refs.Load() > 1
+		for i := range c.slots {
+			fd := c.slots[i].fd.Load()
+			if fd == nil {
+				break
+			}
+			if shared || fd.refs.Load() > 1 {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -206,10 +206,9 @@ type PhysMem struct {
 	n      atomic.Int64 // frames in the table (FrameIDs 0..n-1)
 	free   []FrameID
 
-	allocated   atomic.Int64 // currently live frames
-	totalAllocs atomic.Int64
-	detaches    atomic.Int64 // copy-on-write detaches (see COWDetaches)
-	released    bool         // Release was called (teardown); second call panics
+	allocated atomic.Int64 // currently live frames
+	detaches  atomic.Int64 // copy-on-write detaches (see COWDetaches)
+	released  bool         // Release was called (teardown); second call panics
 }
 
 // NewPhysMem returns an empty physical memory.
@@ -230,7 +229,6 @@ func (p *PhysMem) Alloc() FrameID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.allocated.Add(1)
-	p.totalAllocs.Add(1)
 	if n := len(p.free); n > 0 {
 		id := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -402,7 +400,6 @@ func (p *PhysMem) Fork() *PhysMem {
 	np.chunks.Store(&cs)
 	np.n.Store(p.n.Load())
 	np.allocated.Store(p.allocated.Load())
-	np.totalAllocs.Store(p.totalAllocs.Load())
 	return np
 }
 
@@ -423,26 +420,6 @@ func (p *PhysMem) Release() int64 {
 		dead += c.unref()
 	}
 	return dead
-}
-
-// SharedFrames returns the number of frames currently shared copy-on-write
-// with another machine: every frame of a shared chunk, and each frame of
-// an owned chunk whose record another chunk also points at.
-func (p *PhysMem) SharedFrames() int64 {
-	var n int64
-	for _, c := range *p.chunks.Load() {
-		shared := c.refs.Load() > 1
-		for i := range c.slots {
-			fd := c.slots[i].fd.Load()
-			if fd == nil {
-				break
-			}
-			if shared || fd.refs.Load() > 1 {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // FrameVersion returns the content version of a frame. It only advances
@@ -467,9 +444,6 @@ func (p *PhysMem) MarkExec(id FrameID) { p.frame(id).exec.Store(true) }
 
 // Live returns the number of currently allocated frames.
 func (p *PhysMem) Live() int64 { return p.allocated.Load() }
-
-// TotalAllocs returns the cumulative number of Alloc calls.
-func (p *PhysMem) TotalAllocs() int64 { return p.totalAllocs.Load() }
 
 // MMIOHandler receives 64-bit loads and stores on device-mapped pages.
 // off is the byte offset within the mapped MMIO region.

@@ -129,7 +129,7 @@ func TestTracerEventCap(t *testing.T) {
 	if len(tr.Events()) != maxEventsPerMachine {
 		t.Fatalf("retained %d events, want cap %d", len(tr.Events()), maxEventsPerMachine)
 	}
-	if tr.Dropped() != 10 {
-		t.Fatalf("dropped = %d, want 10", tr.Dropped())
+	if tr.drops != 10 {
+		t.Fatalf("dropped = %d, want 10", tr.drops)
 	}
 }

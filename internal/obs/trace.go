@@ -138,9 +138,6 @@ func NewTracer(name string, ncpu int) *Tracer {
 	return t
 }
 
-// NCPU returns the number of vCPU tracks.
-func (t *Tracer) NCPU() int { return t.ncpu }
-
 // Track allocates (or finds) a named non-vCPU track — a device, the
 // re-randomizer, the memory system — and returns its id.
 func (t *Tracer) Track(name string) int {
@@ -216,9 +213,6 @@ func (t *Tracer) Barrier() {
 
 // Events returns the merged stream (tests and cross-mode comparisons).
 func (t *Tracer) Events() []Event { return t.events }
-
-// Dropped returns how many events overflowed the retention cap.
-func (t *Tracer) Dropped() uint64 { return t.drops }
 
 // TraceSession collects the tracers of every machine booted during one
 // observed run into a single Chrome trace_event file: one process per

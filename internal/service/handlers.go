@@ -196,6 +196,21 @@ func (s *Service) finishLeased(w http.ResponseWriter, l *lease, start time.Time,
 	writeJSON(w, http.StatusOK, reply(elapsed))
 }
 
+// contained runs a leased experiment, returning a panic in it as an
+// error. Left to net/http, the panic would drop the connection with no
+// answer; recovered, the request fails alone with a 500 that names the
+// experiment, and its deferred lease release and stats run as for any
+// failed run. A parallel sweep already recovers each point's panic on
+// its worker; this covers the handler goroutine.
+func contained[T any](run func() (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return run()
+}
+
 // handleRun serves POST /v1/run: one experiment, one Table.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -220,8 +235,10 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	if res.req.Trace {
 		run = func() (*workload.Table, error) {
 			sess, end := workload.BeginObs(true, false)
-			tab, err := res.exp.Run(res.params)
-			end()
+			tab, err := func() (*workload.Table, error) {
+				defer end() // a panicking run must still close the session
+				return res.exp.Run(res.params)
+			}()
 			if err == nil {
 				var buf bytes.Buffer
 				if werr := sess.Trace.WriteJSON(&buf); werr != nil {
@@ -232,7 +249,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 			return tab, err
 		}
 	}
-	tab, err := run()
+	tab, err := contained(run)
 	if err != nil {
 		s.stats.done(time.Since(start), false)
 		writeError(w, http.StatusInternalServerError, "%s: %v", res.exp.Name, err)
@@ -273,7 +290,9 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer l.Release()
 	s.stats.admitted(l.Waited())
 	w.Header().Set("X-Adelie-Queue-Wait-Us", strconv.FormatInt(l.Waited().Microseconds(), 10))
-	pts, err := workload.RunSweep(res.exp, res.params, res.sweepParam, res.sweepValues, parallel, workers)
+	pts, err := contained(func() ([]workload.SweepPoint, error) {
+		return workload.RunSweep(res.exp, res.params, res.sweepParam, res.sweepValues, parallel, workers)
+	})
 	if err != nil {
 		s.stats.done(time.Since(start), false)
 		writeError(w, http.StatusInternalServerError, "%s: %v", res.exp.Name, err)

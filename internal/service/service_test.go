@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -398,6 +400,124 @@ func TestDrainCompletesAdmittedRequests(t *testing.T) {
 	}
 	if st := svc.StatsNow(); st.OK != n || st.InFlight != 0 || st.QueueDepth != 0 {
 		t.Fatalf("post-drain stats: %+v", st)
+	}
+}
+
+// TestPanickingRunFailsAlone: a panic in a leased /v1/run (traced) or a
+// serial /v1/sweep answers 500 naming the experiment and the panic,
+// releases its lease and counts as a failed request, while a fig9
+// request running beside it is served 200 with the table benchtool
+// renders, and the next observability session still opens.
+func TestPanickingRunFailsAlone(t *testing.T) {
+	fig9, ok := workload.Experiments.Lookup("fig9")
+	if !ok {
+		t.Fatal("fig9 not registered")
+	}
+	boom := &workload.Experiment{
+		Name: "boom", Doc: "panics mid-run",
+		ParamSpecs: []workload.ParamSpec{{Name: "ops", Doc: "unused", Default: 1, Min: 1}},
+		Run: func(workload.Params) (*workload.Table, error) {
+			panic("kaboom")
+		},
+	}
+	svc, ts := newTestService(t, Config{Registry: workload.NewRegistry(boom, fig9), PoolSize: 2})
+	serial := false
+	reqs := []struct {
+		path string
+		req  RunRequest
+	}{
+		{"/v1/run", RunRequest{Experiment: "boom", Trace: true}},
+		{"/v1/sweep", RunRequest{Experiment: "boom", Params: map[string]any{"ops": "1..2"}, Parallel: &serial}},
+		{"/v1/run", RunRequest{Experiment: "fig9", Quick: true, Params: map[string]any{"ops": "100"}}},
+	}
+	type reply struct {
+		status int
+		body   []byte
+	}
+	replies := make([]reply, len(reqs))
+	var wg sync.WaitGroup
+	for i, r := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := json.Marshal(r.req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(ts.URL+r.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("%s %s: %v", r.path, r.req.Experiment, err)
+				return
+			}
+			defer resp.Body.Close()
+			replies[i].status = resp.StatusCode
+			replies[i].body, err = io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	for i, r := range replies[:2] {
+		if r.status != http.StatusInternalServerError {
+			t.Fatalf("%s boom: status %d, want 500: %s", reqs[i].path, r.status, r.body)
+		}
+		var rep ErrorReply
+		if err := json.Unmarshal(r.body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(rep.Error, "boom") || !strings.Contains(rep.Error, "panic: kaboom") {
+			t.Fatalf("%s boom: error %q does not name the experiment and the panic", reqs[i].path, rep.Error)
+		}
+	}
+	if replies[2].status != http.StatusOK {
+		t.Fatalf("fig9 beside the panics: status %d: %s", replies[2].status, replies[2].body)
+	}
+	var rep struct {
+		Table *workload.Table `json:"table"`
+	}
+	if err := json.Unmarshal(replies[2].body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	p, _, _, err := fig9.ResolveOverrides(true, []string{"ops=100"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fig9.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(rep.Table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantJSON) {
+		t.Fatalf("fig9 served beside the panics:\n%s\nwant:\n%s", got, wantJSON)
+	}
+	// The traced panic closed its observability session: the next
+	// session opens instead of waiting for it forever.
+	opened := make(chan struct{})
+	go func() {
+		_, end := workload.BeginObs(false, false)
+		end()
+		close(opened)
+	}()
+	select {
+	case <-opened:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the traced panic left its observability session open")
+	}
+	st := svc.StatsNow()
+	if st.OK != 1 || st.Errors != 2 || st.InFlight != 0 {
+		t.Fatalf("stats after the panics: ok=%d errors=%d in_flight=%d, want 1, 2, 0", st.OK, st.Errors, st.InFlight)
 	}
 }
 

@@ -190,15 +190,6 @@ func (q *QSBR) Leave(slot int) {
 	q.runFrees(freed)
 }
 
-// Quiescent announces that slot holds no references right now.
-func (q *QSBR) Quiescent(slot int) {
-	q.mu.Lock()
-	q.slots[slot].lastQuiescent = q.interval
-	freed := q.collectLocked()
-	q.mu.Unlock()
-	q.runFrees(freed)
-}
-
 // Retire implements Reclaimer: the block waits until every slot passes a
 // quiescent state after the current interval.
 func (q *QSBR) Retire(free func()) {

@@ -146,18 +146,3 @@ func (h *Hyaline) ForkQuiescent() (Reclaimer, error) {
 	nh.freed.Store(h.freed.Load())
 	return nh, nil
 }
-
-// ActiveReaders returns the number of slots currently inside a critical
-// section (used by tests and the re-randomizer's diagnostics).
-func (h *Hyaline) ActiveReaders() int {
-	n := 0
-	for i := range h.slots {
-		s := &h.slots[i]
-		s.mu.Lock()
-		if s.nesting > 0 {
-			n++
-		}
-		s.mu.Unlock()
-	}
-	return n
-}

@@ -143,13 +143,16 @@ func TestQSBRNeedsQuiescence(t *testing.T) {
 	q := NewQSBR(2)
 	freed := false
 	q.Retire(func() { freed = true })
-	// No slot has announced quiescence after the retire interval; without
-	// Flush (which forgives idle slots), nothing may be freed.
-	q.Quiescent(0)
+	// No slot has passed a quiescent state (a critical section's Leave)
+	// since the retire interval; without Flush (which forgives idle
+	// slots), nothing may be freed until both have.
+	q.Enter(0)
+	q.Leave(0)
 	if freed {
 		t.Fatal("QSBR freed before all slots quiesced")
 	}
-	q.Quiescent(1)
+	q.Enter(1)
+	q.Leave(1)
 	if !freed {
 		t.Fatal("QSBR did not free after all slots quiesced")
 	}
@@ -160,7 +163,6 @@ func TestQSBRActiveReaderBlocks(t *testing.T) {
 	freed := false
 	q.Enter(0)
 	q.Retire(func() { freed = true })
-	q.Quiescent(1)
 	q.Flush() // must not treat the active slot 0 as quiescent
 	if freed {
 		t.Fatal("QSBR freed while slot 0 was inside a critical section")
@@ -169,23 +171,6 @@ func TestQSBRActiveReaderBlocks(t *testing.T) {
 	q.Flush()
 	if !freed {
 		t.Fatal("QSBR did not free after reader left")
-	}
-}
-
-func TestHyalineActiveReaders(t *testing.T) {
-	h := NewHyaline(4)
-	if h.ActiveReaders() != 0 {
-		t.Fatal("fresh Hyaline reports active readers")
-	}
-	h.Enter(0)
-	h.Enter(3)
-	if h.ActiveReaders() != 2 {
-		t.Fatalf("ActiveReaders = %d, want 2", h.ActiveReaders())
-	}
-	h.Leave(0)
-	h.Leave(3)
-	if h.ActiveReaders() != 0 {
-		t.Fatal("readers did not drain")
 	}
 }
 
@@ -356,11 +341,11 @@ func TestGuarded(t *testing.T) {
 	h := NewHyaline(1)
 	func() {
 		defer Guarded(h, 0)()
-		if h.ActiveReaders() != 1 {
+		if h.slots[0].nesting != 1 {
 			t.Fatal("Guarded did not enter")
 		}
 	}()
-	if h.ActiveReaders() != 0 {
+	if h.slots[0].nesting != 0 {
 		t.Fatal("Guarded did not leave")
 	}
 }

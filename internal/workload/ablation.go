@@ -43,13 +43,9 @@ const (
 	seedAblationMechanism int64 = 333
 )
 
-// PatchingAblation loads each driver under retpoline PIC with the Fig.-4
+// patchingAblation loads each driver under retpoline PIC with the Fig.-4
 // optimizations on and off, and measures the table sizes plus the
 // dummy driver's call rate both ways.
-func PatchingAblation(ops int) ([]PatchRow, error) {
-	return patchingAblation(seedAblationPatching, ops)
-}
-
 func patchingAblation(seed int64, ops int) ([]PatchRow, error) {
 	names := []string{"dummy", "nvme", "e1000e", "ext4", "fuse", "xhci"}
 	var rows []PatchRow
@@ -132,12 +128,8 @@ type SMRRow struct {
 	StepCycles uint64
 }
 
-// SMRAblation runs the same re-randomization burst under Hyaline, EBR and
+// smrAblation runs the same re-randomization burst under Hyaline, EBR and
 // QSBR.
-func SMRAblation() ([]SMRRow, error) {
-	return smrAblation(seedAblationSMR)
-}
-
 func smrAblation(seed int64) ([]SMRRow, error) {
 	mk := func(name string, ncpu int) smr.Reclaimer {
 		switch name {
@@ -208,12 +200,8 @@ type MechanismRow struct {
 	MopsPerSec float64
 }
 
-// MechanismAblation measures the dummy-ioctl rate with each mechanism
+// mechanismAblation measures the dummy-ioctl rate with each mechanism
 // enabled incrementally: plain PIC → wrappers → +encryption → +stack.
-func MechanismAblation(ops int) ([]MechanismRow, error) {
-	return mechanismAblation(seedAblationMechanism, ops)
-}
-
 func mechanismAblation(seed int64, ops int) ([]MechanismRow, error) {
 	cases := []struct {
 		name string

@@ -3,7 +3,7 @@ package workload
 import "testing"
 
 func TestPatchingAblationShrinksTables(t *testing.T) {
-	rows, err := PatchingAblation(500)
+	rows, err := patchingAblation(seedAblationPatching, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPatchingAblationShrinksTables(t *testing.T) {
 }
 
 func TestSMRAblationHyalineSelfDrives(t *testing.T) {
-	rows, err := SMRAblation()
+	rows, err := smrAblation(seedAblationSMR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSMRAblationHyalineSelfDrives(t *testing.T) {
 }
 
 func TestMechanismAblationMonotone(t *testing.T) {
-	rows, err := MechanismAblation(1500)
+	rows, err := mechanismAblation(seedAblationMechanism, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}

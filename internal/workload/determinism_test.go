@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -193,15 +192,13 @@ func TestNICInterruptDeterministic(t *testing.T) {
 	run := func() (outcome, []string) {
 		// maxFrames=16 on a 16-slot ring defers drains past ring
 		// capacity: overruns are part of the scenario under test.
-		row, res, m, err := nicCoalesceRun(16, 200, 240)
+		var o outcome
+		var err error
+		trace := tracedISR(t, func() { o.row, o.res, err = nicCoalesce(seedCoalesce, 16, 200, 240) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		var trace []string
-		for _, d := range m.Bus.IC().Trace() {
-			trace = append(trace, fmt.Sprintf("%d>%d@%d:%v", d.Line, d.VCPU, d.AtCycle, d.Handled))
-		}
-		return outcome{row, res}, trace
+		return o, trace
 	}
 	a, at := run()
 	b, bt := run()
@@ -233,13 +230,14 @@ func TestISRDeliveryUnaffectedByChaining(t *testing.T) {
 	wasChain, wasIndirect := cpu.SetChaining(true), cpu.SetIndirect(true)
 	t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
 	run := func() (CoalesceRow, sim.RunResult, []string) {
-		row, res, m, err := nicCoalesceRun(16, 200, 240)
+		var (
+			row CoalesceRow
+			res sim.RunResult
+			err error
+		)
+		trace := tracedISR(t, func() { row, res, err = nicCoalesce(seedCoalesce, 16, 200, 240) })
 		if err != nil {
 			t.Fatal(err)
-		}
-		var trace []string
-		for _, d := range m.Bus.IC().Trace() {
-			trace = append(trace, fmt.Sprintf("%d>%d@%d:%v", d.Line, d.VCPU, d.AtCycle, d.Handled))
 		}
 		return row, res, trace
 	}
@@ -271,25 +269,25 @@ func TestISRDeliveryUnaffectedByChaining(t *testing.T) {
 func TestDDChainRate(t *testing.T) {
 	wasChain, wasIndirect := cpu.SetChaining(true), cpu.SetIndirect(true)
 	t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
-	dd, err := DD(CfgPICRet, 64, 200)
+	row, err := dd(seedFig5b, CfgPICRet, 64, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dd.Blocks == 0 {
+	if row.Blocks == 0 {
 		t.Fatal("dd retired no superblocks")
 	}
-	chain := 100 * float64(dd.ChainedBlocks) / float64(dd.Blocks)
-	ichain := 100 * float64(dd.IndirectChained) / float64(dd.Blocks)
+	chain := 100 * float64(row.ChainedBlocks) / float64(row.Blocks)
+	ichain := 100 * float64(row.IndirectChained) / float64(row.Blocks)
 	if chain < 99.9 {
-		t.Errorf("chained blocks = %.2f%% of %d, want >= 99.9%%", chain, dd.Blocks)
+		t.Errorf("chained blocks = %.2f%% of %d, want >= 99.9%%", chain, row.Blocks)
 	}
 	if ichain < 5 {
-		t.Errorf("indirect-chained blocks = %.2f%% of %d, want >= 5%%", ichain, dd.Blocks)
+		t.Errorf("indirect-chained blocks = %.2f%% of %d, want >= 5%%", ichain, row.Blocks)
 	}
 	// Exact counters: a change to execution, accounting or linking that
 	// keeps the rates above still moves one of these.
 	want := DDRow{Insts: 169728, Cycles: 2441828, Blocks: 36096, ChainedBlocks: 36089, IndirectChained: 3199}
-	got := DDRow{Insts: dd.Insts, Cycles: dd.Cycles, Blocks: dd.Blocks, ChainedBlocks: dd.ChainedBlocks, IndirectChained: dd.IndirectChained}
+	got := DDRow{Insts: row.Insts, Cycles: row.Cycles, Blocks: row.Blocks, ChainedBlocks: row.ChainedBlocks, IndirectChained: row.IndirectChained}
 	if got != want {
 		t.Errorf("dd counters = %+v, want %+v", got, want)
 	}
@@ -300,7 +298,7 @@ func TestDDChainRate(t *testing.T) {
 // relabeled. Latency must rise monotonically with the threshold and the
 // interrupt rate must fall.
 func TestCoalescingSweepDistinct(t *testing.T) {
-	rows, err := NICCoalesceSweep(240)
+	rows, err := nicCoalesceSweep(seedCoalesce, 100, 240)
 	if err != nil {
 		t.Fatal(err)
 	}

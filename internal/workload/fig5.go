@@ -23,9 +23,8 @@ type SizeRow struct {
 	PICBytes     uint64 // PIC + retpoline, as the paper presents
 }
 
-// Default seeds of the Fig. 5 experiments. They are the "seed" param
-// defaults in the registry descriptors; the exported convenience
-// functions pin them so recorded figures stay reproducible.
+// Default seeds of the Fig. 5 experiments (the "seed" param defaults in
+// their registry descriptors).
 const (
 	seedFig5a int64 = 5
 	seedFig5b int64 = 301
@@ -33,15 +32,11 @@ const (
 	seedFig5d int64 = 303
 )
 
-// ModuleSizes builds the driver suite plus a sample of the synthetic
+// moduleSizes builds the driver suite plus a sample of the synthetic
 // corpus under both code models, loads each into a kernel, and reports
 // loaded content sizes (sections + GOT slots + PLT stubs) — the memory
 // footprint Fig. 5a compares. Non-PIC modules carry no GOT/PLT; the PIC
 // build's overhead is the table entries and stubs the loader creates.
-func ModuleSizes(extraSynthetic int) ([]SizeRow, error) {
-	return moduleSizes(seedFig5a, extraSynthetic)
-}
-
 func moduleSizes(seed int64, extraSynthetic int) ([]SizeRow, error) {
 	var rows []SizeRow
 	mods := map[string]func() *kcc.Module{}
@@ -149,13 +144,9 @@ var DDBlockSizesKB = []int{4, 16, 64, 256, 1024}
 // PICConfigs are the four §5.1 configurations.
 var PICConfigs = []Config{CfgVanilla, CfgVanillaRet, CfgPIC, CfgPICRet}
 
-// DD runs the cached-read microbenchmark: reads hit the buffer cache
+// dd runs the cached-read microbenchmark: reads hit the buffer cache
 // (CPU-bound, §5.1), with the ext4 module's get_block on the per-page
 // path — where PIC and retpoline costs live.
-func DD(cfg Config, blockKB, ops int) (DDRow, error) {
-	return dd(seedFig5b, cfg, blockKB, ops)
-}
-
 func dd(seed int64, cfg Config, blockKB, ops int) (DDRow, error) {
 	m, err := newMachine(cfg, seed, "ext4")
 	if err != nil {
@@ -199,11 +190,7 @@ func dd(seed int64, cfg Config, blockKB, ops int) (DDRow, error) {
 		IndirectChained: res.IndirectChained}, nil
 }
 
-// DDSweep runs the full Fig. 5b grid.
-func DDSweep(ops int) ([]DDRow, error) {
-	return ddSweep(seedFig5b, ops)
-}
-
+// ddSweep runs the full Fig. 5b grid.
 func ddSweep(seed int64, ops int) ([]DDRow, error) {
 	var rows []DDRow
 	for _, cfg := range PICConfigs {
@@ -253,13 +240,9 @@ type SysbenchRow struct {
 	MBps   float64
 }
 
-// Sysbench measures cached file_io throughput. Random reads pay an extra
+// sysbench measures cached file_io throughput. Random reads pay an extra
 // per-op block lookup and worse locality (modelled as an additional
 // get_block call), matching sysbench's rndrd/seqrd split.
-func Sysbench(cfg Config, mode string, ops int) (SysbenchRow, error) {
-	return sysbench(seedFig5c, cfg, mode, ops)
-}
-
 func sysbench(seed int64, cfg Config, mode string, ops int) (SysbenchRow, error) {
 	m, err := newMachine(cfg, seed, "ext4")
 	if err != nil {
@@ -307,11 +290,7 @@ func sysbench(seed int64, cfg Config, mode string, ops int) (SysbenchRow, error)
 	return SysbenchRow{Config: cfg, Mode: mode, MBps: res.MBPerSec}, nil
 }
 
-// SysbenchSweep runs the Fig. 5c grid.
-func SysbenchSweep(ops int) ([]SysbenchRow, error) {
-	return sysbenchSweep(seedFig5c, ops)
-}
-
+// sysbenchSweep runs the Fig. 5c grid.
 func sysbenchSweep(seed int64, ops int) ([]SysbenchRow, error) {
 	var rows []SysbenchRow
 	for _, cfg := range PICConfigs {
@@ -365,13 +344,9 @@ type KernbenchRow struct {
 // (kernbench's -o/-h convention).
 var KernbenchConcurrency = []int{10, 20, 40}
 
-// Kernbench executes a fixed number of compile-like jobs, each a burst of
+// kernbench executes a fixed number of compile-like jobs, each a burst of
 // syscalls (opens, cached reads, allocations) with module code on the
 // path, and reports kernel-space seconds.
-func Kernbench(cfg Config, concurrency, jobs int) (KernbenchRow, error) {
-	return kernbench(seedFig5d, cfg, concurrency, jobs)
-}
-
 func kernbench(seed int64, cfg Config, concurrency, jobs int) (KernbenchRow, error) {
 	m, err := newMachine(cfg, seed, "ext4", "fuse")
 	if err != nil {
@@ -410,11 +385,7 @@ func kernbench(seed int64, cfg Config, concurrency, jobs int) (KernbenchRow, err
 	return KernbenchRow{Config: cfg, Concurrency: concurrency, KernelSec: kernelSec}, nil
 }
 
-// KernbenchSweep runs the Fig. 5d grid.
-func KernbenchSweep(jobs int) ([]KernbenchRow, error) {
-	return kernbenchSweep(seedFig5d, jobs, KernbenchConcurrency[len(KernbenchConcurrency)-1])
-}
-
+// kernbenchSweep runs the Fig. 5d grid.
 func kernbenchSweep(seed int64, jobs, maxConc int) ([]KernbenchRow, error) {
 	var rows []KernbenchRow
 	for _, cfg := range PICConfigs {

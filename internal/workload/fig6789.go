@@ -105,11 +105,7 @@ func pct(cycles uint64, elapsedSec float64) float64 {
 	return float64(cycles) / (20 * elapsedSec * sim.CPUHz) * 100
 }
 
-// NVMeSweep runs the Fig. 6 configurations.
-func NVMeSweep(ops int) ([]NVMeRow, error) {
-	return nvmeSweep(seedFig6, ops)
-}
-
+// nvmeSweep runs the Fig. 6 configurations.
 func nvmeSweep(seed int64, ops int) ([]NVMeRow, error) {
 	var rows []NVMeRow
 	r, err := nvmeDirectRead(seed, PeriodOff, true, ops)
@@ -181,13 +177,9 @@ type OLTPRow struct {
 // OLTPConcurrency is the Fig. 7 sweep.
 var OLTPConcurrency = []int{25, 50, 75, 100}
 
-// OLTP models a sysbench-oltp transaction against the 10×1M-row database
+// oltp models a sysbench-oltp transaction against the 10×1M-row database
 // (§5.2): ten queries of server-side work, a partially-cached working set
 // hitting NVMe on misses, and the result set returned over the NIC.
-func OLTP(period RerandPeriod, vanilla bool, concurrency, txs int) (OLTPRow, error) {
-	return oltp(seedFig7, period, vanilla, concurrency, txs)
-}
-
 func oltp(seed int64, period RerandPeriod, vanilla bool, concurrency, txs int) (OLTPRow, error) {
 	cfg := CfgRerandStack
 	if vanilla {
@@ -276,11 +268,7 @@ func oltp(seed int64, period RerandPeriod, vanilla bool, concurrency, txs int) (
 	}, nil
 }
 
-// OLTPSweep runs the Fig. 7 grid.
-func OLTPSweep(txs int) ([]OLTPRow, error) {
-	return oltpSweep(seedFig7, txs, OLTPConcurrency[len(OLTPConcurrency)-1])
-}
-
+// oltpSweep runs the Fig. 7 grid.
 func oltpSweep(seed int64, txs, maxConc int) ([]OLTPRow, error) {
 	var rows []OLTPRow
 	for _, p := range []struct {
@@ -355,13 +343,9 @@ var (
 	ApacheConcurrency = []int{20, 40, 60, 80, 100}
 )
 
-// Apache serves a static file of the given size per request. Pressure
+// apache serves a static file of the given size per request. Pressure
 // lands on E1000E with occasional NVMe accesses; FUSE, ext4 and xHCI ride
 // along as extra re-randomization load, exactly as in §5.2.
-func Apache(period RerandPeriod, vanilla bool, blockBytes, concurrency, reqs int) (ApacheRow, error) {
-	return apache(seedFig8, period, vanilla, blockBytes, concurrency, reqs)
-}
-
 func apache(seed int64, period RerandPeriod, vanilla bool, blockBytes, concurrency, reqs int) (ApacheRow, error) {
 	cfg := CfgRerandStack
 	if vanilla {
@@ -460,12 +444,7 @@ func apache(seed int64, period RerandPeriod, vanilla bool, blockBytes, concurren
 	}, nil
 }
 
-// ApacheSweep runs the Fig. 8 grid.
-func ApacheSweep(reqs int) ([]ApacheRow, error) {
-	return apacheSweep(seedFig8, reqs,
-		ApacheBlockSizes[len(ApacheBlockSizes)-1], ApacheConcurrency[len(ApacheConcurrency)-1])
-}
-
+// apacheSweep runs the Fig. 8 grid.
 func apacheSweep(seed int64, reqs, maxBlock, maxConc int) ([]ApacheRow, error) {
 	var rows []ApacheRow
 	for _, p := range []struct {
@@ -551,11 +530,7 @@ var IoctlVariants = []struct {
 	{"wrappers+stack", CfgRerandStack},
 }
 
-// Ioctl measures the dummy driver's null-ioctl rate.
-func Ioctl(name string, cfg Config, ops int) (IoctlRow, error) {
-	return ioctl(seedFig9, name, cfg, ops)
-}
-
+// ioctl measures the dummy driver's null-ioctl rate.
 func ioctl(seed int64, name string, cfg Config, ops int) (IoctlRow, error) {
 	m, err := newMachine(cfg, seed, "dummy")
 	if err != nil {
@@ -584,11 +559,7 @@ func ioctl(seed int64, name string, cfg Config, ops int) (IoctlRow, error) {
 	return IoctlRow{Variant: name, MopsPerSec: res.OpsPerSec / 1e6, CPUPct: res.CPUUsagePct}, nil
 }
 
-// IoctlSweep runs the Fig. 9 variants.
-func IoctlSweep(ops int) ([]IoctlRow, error) {
-	return ioctlSweep(seedFig9, ops)
-}
-
+// ioctlSweep runs the Fig. 9 variants.
 func ioctlSweep(seed int64, ops int) ([]IoctlRow, error) {
 	var rows []IoctlRow
 	for _, v := range IoctlVariants {

@@ -39,35 +39,31 @@ type CoalesceRow struct {
 // registry descriptor's "seed" param).
 const seedCoalesce int64 = 1003
 
-// nicCoalesceRun executes one coalescing configuration and returns the
-// row plus the raw RunResult and machine (for determinism audits).
-func nicCoalesceRun(maxFrames int, delayUs float64, ops int) (CoalesceRow, sim.RunResult, *sim.Machine, error) {
-	return nicCoalesceSeeded(seedCoalesce, maxFrames, delayUs, ops)
-}
-
-func nicCoalesceSeeded(seed int64, maxFrames int, delayUs float64, ops int) (CoalesceRow, sim.RunResult, *sim.Machine, error) {
+// nicCoalesce executes one coalescing configuration and returns the row
+// plus the raw RunResult (for determinism audits).
+func nicCoalesce(seed int64, maxFrames int, delayUs float64, ops int) (CoalesceRow, sim.RunResult, error) {
 	row := CoalesceRow{MaxFrames: maxFrames, DelayUs: delayUs}
 	m, err := newMachine(CfgPICRet, seed, "e1000e")
 	if err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	// A small ring makes overruns reachable: a coalescing policy that
 	// defers the drain past 8 pending frames fills every slot and the
 	// wire starts dropping.
 	const ringLen = 8
 	if _, err := m.InitNICRing("e1000e", ringLen); err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	m.NIC.SetCoalescing(uint64(maxFrames), uint64(delayUs*sim.CPUHz/1e6))
 	xmitVA, err := callVA(m, "e1000e_xmit")
 	if err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	ncpu := m.K.NumCPUs()
 	bufs := make([]uint64, ncpu)
 	for i := range bufs {
 		if bufs[i], err = m.K.Kmalloc(2048); err != nil {
-			return row, sim.RunResult{}, nil, err
+			return row, sim.RunResult{}, err
 		}
 	}
 	// Load generator: a clocked actor injecting one frame every 10 µs
@@ -101,7 +97,7 @@ func nicCoalesceSeeded(seed int64, maxFrames int, delayUs float64, ops int) (Coa
 		lanes = ncpu
 	}
 	if lanes > ringLen {
-		return row, sim.RunResult{}, nil, fmt.Errorf("workload: %d lanes cannot stripe a %d-slot TX ring", lanes, ringLen)
+		return row, sim.RunResult{}, fmt.Errorf("workload: %d lanes cannot stripe a %d-slot TX ring", lanes, ringLen)
 	}
 	frames := make([]uint64, ncpu)
 	slotsPerLane := uint64(ringLen / lanes)
@@ -120,11 +116,11 @@ func nicCoalesceSeeded(seed int64, maxFrames int, delayUs float64, ops int) (Coa
 		BytesPerOp: 256, Actors: []engine.Actor{loadgen},
 	}, op)
 	if err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	drained, err := m.Call("e1000e_rx_count")
 	if err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	line := m.NIC.IRQLine()
 	row.RxFrames = m.NIC.RxFrames
@@ -134,22 +130,18 @@ func nicCoalesceSeeded(seed int64, maxFrames int, delayUs float64, ops int) (Coa
 	row.IRQs = res.IRQs
 	row.AvgIRQLatUs = m.Bus.IC().AvgLatencyCycles(line) / sim.CPUHz * 1e6
 	row.Responses = m.Peer.RxFrames
-	return row, res, m, nil
+	return row, res, nil
 }
 
 // CoalesceMaxFrames is the sweep of the acceptance experiment.
 var CoalesceMaxFrames = []int{1, 4, 16}
 
-// NICCoalesceSweep sweeps the frame-count threshold at a fixed 100 µs
-// delay cap, producing the RX-latency/IRQ-rate/drop trade-off curves.
-func NICCoalesceSweep(ops int) ([]CoalesceRow, error) {
-	return nicCoalesceSweep(seedCoalesce, 100, ops)
-}
-
+// nicCoalesceSweep sweeps the frame-count threshold at a fixed delay
+// cap, producing the RX-latency/IRQ-rate/drop trade-off curves.
 func nicCoalesceSweep(seed int64, delayUs float64, ops int) ([]CoalesceRow, error) {
 	var rows []CoalesceRow
 	for _, mf := range CoalesceMaxFrames {
-		r, _, _, err := nicCoalesceSeeded(seed, mf, delayUs, ops)
+		r, _, err := nicCoalesce(seed, mf, delayUs, ops)
 		if err != nil {
 			return nil, fmt.Errorf("workload: coalesce maxframes=%d: %w", mf, err)
 		}

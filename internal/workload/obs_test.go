@@ -38,38 +38,45 @@ func TestTraceOnOffTableEquality(t *testing.T) {
 	}
 }
 
-// TestServerTraceByteIdentical records the server experiment — 4 NIC
-// queues, per-vCPU interrupt routing, the most concurrent machine in the
-// registry — twice and requires the exported trace JSON to match byte
-// for byte. Run under -race this also proves the emission path is
-// data-race-free.
+// TestServerTraceByteIdentical records an experiment's -quick run
+// twice, once with the profiler on as well, and requires the exported
+// trace JSON to match byte for byte. The rows are the server experiment
+// (4 NIC queues, per-vCPU interrupt routing, the most concurrent
+// machine in the registry) and fig9, the figure CI records with
+// `benchtool -quick -trace FILE -prof FILE run fig9`. Run under -race
+// this also proves the emission path is data-race-free.
 func TestServerTraceByteIdentical(t *testing.T) {
-	capture := func() []byte {
-		sess, end := BeginObs(true, false)
-		defer end()
-		if _, err := Server(4, 4, 60, 1000); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sess.Trace.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a := capture()
-	b := capture()
-	if !bytes.Equal(a, b) {
-		for i := range a {
-			if i >= len(b) || a[i] != b[i] {
-				lo := i - 80
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("trace bytes diverge at offset %d:\n run1: …%s\n run2: …%s",
-					i, a[lo:min(i+80, len(a))], b[lo:min(i+80, len(b))])
+	for _, name := range []string{"server", "fig9"} {
+		t.Run(name, func(t *testing.T) {
+			e, ok := Experiments.Lookup(name)
+			if !ok {
+				t.Fatalf("experiment %q not registered", name)
 			}
-		}
-		t.Fatalf("trace lengths differ: %d vs %d bytes", len(a), len(b))
+			capture := func(profile bool) []byte {
+				sess, end := BeginObs(true, profile)
+				defer end()
+				if _, err := e.Run(e.Params(true)); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := sess.Trace.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			a := capture(true)
+			b := capture(false)
+			if !bytes.Equal(a, b) {
+				for i := range a {
+					if i >= len(b) || a[i] != b[i] {
+						lo := max(i-80, 0)
+						t.Fatalf("trace bytes diverge at offset %d:\n run1: …%s\n run2: …%s",
+							i, a[lo:min(i+80, len(a))], b[lo:min(i+80, len(b))])
+					}
+				}
+				t.Fatalf("trace lengths differ: %d vs %d bytes", len(a), len(b))
+			}
+		})
 	}
 }
 
@@ -100,7 +107,7 @@ func TestChainedVsNoChainEventSequence(t *testing.T) {
 	capture := func() []obs.Event {
 		sess, end := BeginObs(true, false)
 		defer end()
-		if _, err := Ioctl("wrappers", CfgRerand, 500); err != nil {
+		if _, err := ioctl(seedFig9, "wrappers", CfgRerand, 500); err != nil {
 			t.Fatal(err)
 		}
 		return traceEvents(sess, obs.KindRound)
@@ -137,7 +144,7 @@ func TestChainedVsNoChainEventSequence(t *testing.T) {
 // and after re-randomization moves the module, never to the transient
 // address.
 func TestProfilerSymbolStableAcrossRerand(t *testing.T) {
-	m, err := bootMachine(CfgRerand, 77, "dummy")
+	m, err := bootMachineQ(CfgRerand, 77, 1, "dummy")
 	if err != nil {
 		t.Fatal(err)
 	}

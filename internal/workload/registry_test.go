@@ -193,56 +193,52 @@ func TestTableRenderAndJSONShape(t *testing.T) {
 	tab.AddRow("only-one-cell")
 }
 
-// TestRegistryQuickGolden pins every registered experiment's -quick
-// table byte-for-byte: the golden is exactly what `benchtool -quick run
-// all` prints. The other determinism checks compare one run with
-// another, so a drift that is the same in every mode passes them; this
-// one does not, and it is the only tier-1 pin of the server figure.
-// Regenerate (only with an understood, intended change) via
-// go test ./internal/workload -run RegistryQuickGolden -args -update.
+// TestRegistryQuickGolden is the determinism matrix: every registered
+// experiment's -quick table must match quick_all.golden byte for byte,
+// which is exactly what `benchtool -quick run all` prints, on machines
+// that are cold-booted or forked from the pool, under each CPU execution
+// mode (full, indirect cache off, chaining off). The other determinism
+// checks compare one run with another, so a drift that is the same in
+// every mode passes them; this one does not, and it is the only tier-1
+// pin of the server figure. A fork's memory runs its own path — slot
+// entries for shared frames, a detach on each page's first store — so
+// it gets its own cells. The mode is set before the pool boots its
+// templates: a fork's vCPUs inherit their template's. Regenerate the
+// golden (only with an understood, intended change) via
+// go test ./internal/workload -run RegistryQuickGolden -args -update;
+// only the cold/full cell writes it.
 func TestRegistryQuickGolden(t *testing.T) {
-	var buf bytes.Buffer
-	for _, e := range Experiments.All() {
-		tab, err := e.Run(e.Params(true))
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		tab.Fprint(&buf)
-	}
-	checkGolden(t, "quick_all.golden", buf.Bytes())
-}
-
-// TestRegistryForkPoolGolden is the fork-pool column of the determinism
-// matrix: with every machine a copy-on-write fork of a pooled template,
-// the registry's -quick output must match quick_all.golden byte for
-// byte under each CPU execution mode (full, indirect cache off,
-// chaining off). A fork's memory runs its own path — slot entries for
-// shared frames, a detach on each page's first store — so it gets its
-// own cells beside the cold-boot golden. The mode is set before the
-// pool boots its templates: a fork's vCPUs inherit their template's.
-func TestRegistryForkPoolGolden(t *testing.T) {
-	for _, mode := range []struct {
-		name            string
-		chain, indirect bool
-	}{{"full", true, true}, {"no-indirect", true, false}, {"no-chain", false, true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			wasChain, wasIndirect := cpu.SetChaining(mode.chain), cpu.SetIndirect(mode.indirect)
-			t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
-			EnableForkPool()
-			defer DisableForkPool()
-			before := ForkPoolStats()
-			var buf bytes.Buffer
-			for _, e := range Experiments.All() {
-				tab, err := e.Run(e.Params(true))
-				if err != nil {
-					t.Fatalf("%s: %v", e.Name, err)
+	for _, boot := range []string{"cold", "fork-pool"} {
+		for _, mode := range []struct {
+			name            string
+			chain, indirect bool
+		}{{"full", true, true}, {"no-indirect", true, false}, {"no-chain", false, true}} {
+			t.Run(boot+"/"+mode.name, func(t *testing.T) {
+				wasChain, wasIndirect := cpu.SetChaining(mode.chain), cpu.SetIndirect(mode.indirect)
+				t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
+				pool := boot == "fork-pool"
+				if pool {
+					EnableForkPool()
+					defer DisableForkPool()
 				}
-				tab.Fprint(&buf)
-			}
-			if ForkPoolStats().Forks == before.Forks {
-				t.Fatal("no machine came from the fork pool")
-			}
-			diffGolden(t, "quick_all.golden", buf.Bytes())
-		})
+				before := ForkPoolStats()
+				var buf bytes.Buffer
+				for _, e := range Experiments.All() {
+					tab, err := e.Run(e.Params(true))
+					if err != nil {
+						t.Fatalf("%s: %v", e.Name, err)
+					}
+					tab.Fprint(&buf)
+				}
+				if forked := ForkPoolStats().Forks != before.Forks; forked != pool {
+					t.Fatalf("machines forked from the pool: %v, want %v", forked, pool)
+				}
+				if boot == "cold" && mode.name == "full" {
+					checkGolden(t, "quick_all.golden", buf.Bytes())
+				} else {
+					diffGolden(t, "quick_all.golden", buf.Bytes())
+				}
+			})
+		}
 	}
 }

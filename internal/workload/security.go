@@ -268,13 +268,9 @@ type ScalabilityRow struct {
 	CPUPct   float64 // share of ONE core, like the paper's 0.4% figure
 }
 
-// Scalability loads n re-randomizable synthetic modules, measures the
+// scalability loads n re-randomizable synthetic modules, measures the
 // cycle cost of a randomizer pass, and derives the thread's CPU share at
 // the period.
-func Scalability(moduleCounts []int, periodMs float64) ([]ScalabilityRow, error) {
-	return scalability(seedScalability, moduleCounts, periodMs)
-}
-
 func scalability(seed int64, moduleCounts []int, periodMs float64) ([]ScalabilityRow, error) {
 	var rows []ScalabilityRow
 	for _, n := range moduleCounts {
@@ -379,13 +375,9 @@ type SecurityReport struct {
 	AttackMicros      float64
 }
 
-// SecurityAnalysis reproduces the §6 numbers: guess probabilities, an
+// securityAnalysis reproduces the §6 numbers: guess probabilities, an
 // empirical brute-force campaign against both KASLR windows, and the
 // JIT-ROP race against the re-randomization interval.
-func SecurityAnalysis() (SecurityReport, error) {
-	return securityAnalysis(seedSecurity)
-}
-
 func securityAnalysis(seed int64) (SecurityReport, error) {
 	var rep SecurityReport
 	rep.VanillaGuessProb = attack.GuessProbability(attack.VanillaWindowBits)

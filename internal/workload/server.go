@@ -161,12 +161,6 @@ func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRo
 	return row, res, m, nil
 }
 
-// Server measures one server configuration.
-func Server(queues, workers, ops int, periodUs float64) (ServerRow, error) {
-	row, _, _, err := serverRun(seedServer, queues, workers, ops, periodUs)
-	return row, err
-}
-
 // ServerSweep runs the server scenario across queue counts 1, 2, 4, …
 // up to maxQueues.
 func ServerSweep(seed int64, maxQueues, workers, ops int, periodUs float64) ([]ServerRow, error) {

@@ -7,31 +7,64 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"adelie/internal/obs"
 	"adelie/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata goldens from current output")
 
 // serverTestRun is the shared harness: one server configuration plus
-// its delivery trace (line>vcpu@cycle:handled per delivered interrupt).
+// its delivery trace (see isrTrace).
 func serverTestRun(t *testing.T, queues, workers, ops int) (ServerRow, sim.RunResult, []string) {
 	t.Helper()
-	row, res, m, err := serverRun(seedServer, queues, workers, ops, 1000)
+	var (
+		row ServerRow
+		res sim.RunResult
+		err error
+	)
+	trace := tracedISR(t, func() { row, res, _, err = serverRun(seedServer, queues, workers, ops, 1000) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return row, res, deliveryTrace(m)
+	return row, res, trace
 }
 
-// deliveryTrace renders a machine's interrupt deliveries in order.
-func deliveryTrace(m *sim.Machine) []string {
+// tracedISR is tracedISRs for a run that provides exactly one machine.
+func tracedISR(t *testing.T, fn func()) []string {
+	t.Helper()
+	traces := tracedISRs(fn)
+	if len(traces) != 1 {
+		t.Fatalf("run traced %d machines, want 1", len(traces))
+	}
+	return traces[0]
+}
+
+// tracedISRs runs fn inside a trace session and returns the delivery
+// trace of every machine it provided, in boot order.
+func tracedISRs(fn func()) [][]string {
+	sess, end := BeginObs(true, false)
+	defer end()
+	fn()
+	var out [][]string
+	for _, tr := range sess.Trace.Machines() {
+		out = append(out, isrTrace(tr))
+	}
+	return out
+}
+
+// isrTrace renders a machine's traced ISR spans in trace order, one
+// line>vcpu@cycle+cycles:handled entry per delivered interrupt.
+func isrTrace(tr *obs.Tracer) []string {
 	var trace []string
-	for _, d := range m.Bus.IC().Trace() {
-		trace = append(trace, fmt.Sprintf("%d>%d@%d:%v", d.Line, d.VCPU, d.AtCycle, d.Handled))
+	for _, ev := range tr.Events() {
+		if ev.Kind == obs.KindISR {
+			trace = append(trace, fmt.Sprintf("%d>%d@%d+%d:%d", ev.Args[0].U, ev.Track, ev.Clk, ev.Dur, ev.Args[2].U))
+		}
 	}
 	return trace
 }
@@ -143,7 +176,8 @@ func TestServerForkPoolMatchesColdBoot(t *testing.T) {
 // others fork and run. Every fork must match a serial cold-boot run —
 // row, RunResult and delivery trace — and the test must stay clean
 // under -race: it is the check that one machine's host state is
-// reached only from the goroutine driving it.
+// reached only from the goroutine driving it. The forks share one trace
+// session, each tracing into its own trace process.
 func TestServerForksConcurrentMatchSerial(t *testing.T) {
 	const n = 8
 	row, res, trace := serverTestRun(t, 2, 2, 400)
@@ -151,33 +185,40 @@ func TestServerForksConcurrentMatchSerial(t *testing.T) {
 	defer DisableForkPool()
 	before := ForkPoolStats()
 	type out struct {
-		row   ServerRow
-		res   sim.RunResult
-		trace string
-		err   error
+		row ServerRow
+		res sim.RunResult
+		err error
 	}
 	outs := make([]out, n)
-	var wg sync.WaitGroup
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func(o *out) {
-			defer wg.Done()
-			var m *sim.Machine
-			o.row, o.res, m, o.err = serverRun(seedServer, 2, 2, 400, 1000)
-			if o.err != nil {
-				return
-			}
-			o.trace = strings.Join(deliveryTrace(m), ",")
-			m.Release()
-		}(&outs[g])
-	}
-	wg.Wait()
+	traces := tracedISRs(func() {
+		var wg sync.WaitGroup
+		for g := 0; g < n; g++ {
+			wg.Add(1)
+			go func(o *out) {
+				defer wg.Done()
+				var m *sim.Machine
+				o.row, o.res, m, o.err = serverRun(seedServer, 2, 2, 400, 1000)
+				if o.err == nil {
+					m.Release()
+				}
+			}(&outs[g])
+		}
+		wg.Wait()
+	})
 	for g, o := range outs {
 		if o.err != nil {
 			t.Fatalf("goroutine %d: %v", g, o.err)
 		}
-		if o.row != row || !reflect.DeepEqual(o.res, res) || o.trace != strings.Join(trace, ",") {
+		if o.row != row || !reflect.DeepEqual(o.res, res) {
 			t.Fatalf("goroutine %d diverges from the serial run:\n%+v %+v\n%+v %+v", g, row, res, o.row, o.res)
+		}
+	}
+	if len(traces) != n {
+		t.Fatalf("%d forks traced, want %d", len(traces), n)
+	}
+	for i, tr := range traces {
+		if !slices.Equal(tr, trace) {
+			t.Fatalf("fork trace %d diverges from the serial run:\n%v\n%v", i, trace, tr)
 		}
 	}
 	if st := ForkPoolStats(); st.Templates-before.Templates != 1 || st.Forks-before.Forks != n || st.ColdBoots != before.ColdBoots {

@@ -81,15 +81,12 @@ func newMachineQ(c Config, seed int64, queues int, driverNames ...string) (*sim.
 	return m, err
 }
 
-// bootMachine cold-boots a testbed and loads the listed drivers.
-func bootMachine(c Config, seed int64, driverNames ...string) (*sim.Machine, error) {
-	return bootMachineQ(c, seed, 1, driverNames...)
-}
-
 // testbedCPUs is the vCPU count of every machine bootMachineQ builds:
 // the 20-core Table-1 server.
 const testbedCPUs = 20
 
+// bootMachineQ cold-boots a testbed with the given NIC RX queue count
+// and loads the listed drivers.
 func bootMachineQ(c Config, seed int64, queues int, driverNames ...string) (*sim.Machine, error) {
 	m, err := sim.NewMachine(sim.Config{NumCPUs: testbedCPUs, Seed: seed, KASLR: kaslrFor(c), NICQueues: queues})
 	if err != nil {

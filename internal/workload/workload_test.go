@@ -11,7 +11,7 @@ import (
 // sweeps.
 
 func TestModuleSizesPICOverheadIsModest(t *testing.T) {
-	rows, err := ModuleSizes(4)
+	rows, err := moduleSizes(seedFig5a, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestDDRetpolineCostAndPICParity(t *testing.T) {
 	// slightly more for PIC (PLT stubs on external calls).
 	const ops = 400
 	get := func(cfg Config) float64 {
-		r, err := DD(cfg, 64, ops)
+		r, err := dd(seedFig5b, cfg, 64, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,11 +66,11 @@ func TestSysbenchPICParity(t *testing.T) {
 	// identical" (same retpoline setting).
 	const ops = 300
 	for _, mode := range []string{"seqrd", "rndrd"} {
-		v, err := Sysbench(CfgVanillaRet, mode, ops)
+		v, err := sysbench(seedFig5c, CfgVanillaRet, mode, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := Sysbench(CfgPICRet, mode, ops)
+		p, err := sysbench(seedFig5c, CfgPICRet, mode, ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestSysbenchPICParity(t *testing.T) {
 		if mode == "seqrd" {
 			continue
 		}
-		s, err := Sysbench(CfgPICRet, "seqrd", ops)
+		s, err := sysbench(seedFig5c, CfgPICRet, "seqrd", ops)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,12 +93,12 @@ func TestSysbenchPICParity(t *testing.T) {
 func TestKernbenchNoSubstantialDifference(t *testing.T) {
 	// Fig. 5d: "no substantial difference across different configurations".
 	const jobs = 30
-	base, err := Kernbench(CfgVanilla, 20, jobs)
+	base, err := kernbench(seedFig5d, CfgVanilla, 20, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{CfgVanillaRet, CfgPIC, CfgPICRet} {
-		r, err := Kernbench(cfg, 20, jobs)
+		r, err := kernbench(seedFig5d, cfg, 20, jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestNVMeThroughputUnaffectedByRerandomization(t *testing.T) {
 	// Fig. 6: "performance of NVMe storage remains largely unaffected";
 	// CPU usage increases only slightly.
 	const ops = 600
-	rows, err := NVMeSweep(ops)
+	rows, err := nvmeSweep(seedFig6, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestOLTPShape(t *testing.T) {
 	// to a saturation plateau; CPU usage increase below ~2 points.
 	const txs = 120
 	get := func(p RerandPeriod, vanilla bool, conc int) OLTPRow {
-		r, err := OLTP(p, vanilla, conc, txs)
+		r, err := oltp(seedFig7, p, vanilla, conc, txs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,18 +161,18 @@ func TestApacheShape(t *testing.T) {
 	// Fig. 8: throughput unaffected by re-randomization; smaller blocks
 	// yield lower MB/s; 20 ms costs less randomizer CPU than 1 ms.
 	const reqs = 120
-	lin, err := Apache(PeriodOff, true, 8192, 100, reqs)
+	lin, err := apache(seedFig8, PeriodOff, true, 8192, 100, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := Apache(Period1ms, false, 8192, 100, reqs)
+	r1, err := apache(seedFig8, Period1ms, false, 8192, 100, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := math.Abs(r1.MBps-lin.MBps) / lin.MBps; d > 0.06 {
 		t.Errorf("1 ms MB/s differs from Linux by %.1f%%", d*100)
 	}
-	small, err := Apache(Period1ms, false, 512, 100, reqs)
+	small, err := apache(seedFig8, Period1ms, false, 512, 100, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestIoctlOverheadOrdering(t *testing.T) {
 	// Fig. 9: wrappers ≈ −4%, stack re-randomization ≈ −6% more. Check
 	// ordering and that each mechanism costs a single-digit percentage.
 	const ops = 3000
-	rows, err := IoctlSweep(ops)
+	rows, err := ioctlSweep(seedFig9, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestChainCensusMatchesTable2(t *testing.T) {
 func TestScalabilityHeadroom(t *testing.T) {
 	// §5.4: the randomizer thread uses ~0.4% of a core at 20 ms for the
 	// benchmark module set, and hundreds of modules stay affordable.
-	rows, err := Scalability([]int{5, 20, 60}, 20)
+	rows, err := scalability(seedScalability, []int{5, 20, 60}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestScalabilityHeadroom(t *testing.T) {
 }
 
 func TestSecurityAnalysisReport(t *testing.T) {
-	rep, err := SecurityAnalysis()
+	rep, err := securityAnalysis(seedSecurity)
 	if err != nil {
 		t.Fatal(err)
 	}
