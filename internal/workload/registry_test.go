@@ -193,52 +193,56 @@ func TestTableRenderAndJSONShape(t *testing.T) {
 	tab.AddRow("only-one-cell")
 }
 
-// TestRegistryQuickGolden is the determinism matrix: every registered
-// experiment's -quick table must match quick_all.golden byte for byte,
-// which is exactly what `benchtool -quick run all` prints, on machines
-// that are cold-booted or forked from the pool, under each CPU execution
-// mode (full, indirect cache off, chaining off). The other determinism
-// checks compare one run with another, so a drift that is the same in
-// every mode passes them; this one does not, and it is the only tier-1
-// pin of the server figure. A fork's memory runs its own path — slot
-// entries for shared frames, a detach on each page's first store — so
-// it gets its own cells. The mode is set before the pool boots its
-// templates: a fork's vCPUs inherit their template's. Regenerate the
-// golden (only with an understood, intended change) via
+// The determinism matrix: every registered experiment's -quick table
+// must match quick_all.golden byte for byte, which is exactly what
+// `benchtool -quick run all` prints, on machines that are cold-booted
+// (TestRegistryQuickGolden) or forked from the pool
+// (TestRegistryForkPoolGolden), under each CPU execution mode (full,
+// indirect cache off, chaining off). The other determinism checks
+// compare one run with another, so a drift that is the same in every
+// mode passes them; this one does not, and it is the only tier-1 pin of
+// the server figure. A fork's memory runs its own path — slot entries
+// for shared frames, a detach on each page's first store — so it gets
+// its own cells. The mode is set before the pool boots its templates: a
+// fork's vCPUs inherit their template's. Regenerate the golden (only
+// with an understood, intended change) via
 // go test ./internal/workload -run RegistryQuickGolden -args -update;
-// only the cold/full cell writes it.
-func TestRegistryQuickGolden(t *testing.T) {
-	for _, boot := range []string{"cold", "fork-pool"} {
-		for _, mode := range []struct {
-			name            string
-			chain, indirect bool
-		}{{"full", true, true}, {"no-indirect", true, false}, {"no-chain", false, true}} {
-			t.Run(boot+"/"+mode.name, func(t *testing.T) {
-				wasChain, wasIndirect := cpu.SetChaining(mode.chain), cpu.SetIndirect(mode.indirect)
-				t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
-				pool := boot == "fork-pool"
-				if pool {
-					EnableForkPool()
-					defer DisableForkPool()
+// only TestRegistryQuickGolden/full writes it.
+func TestRegistryQuickGolden(t *testing.T) { runGoldenMatrix(t, false) }
+
+// TestRegistryForkPoolGolden is the fork-pool row of the determinism
+// matrix above.
+func TestRegistryForkPoolGolden(t *testing.T) { runGoldenMatrix(t, true) }
+
+func runGoldenMatrix(t *testing.T, pool bool) {
+	for _, mode := range []struct {
+		name            string
+		chain, indirect bool
+	}{{"full", true, true}, {"no-indirect", true, false}, {"no-chain", false, true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			wasChain, wasIndirect := cpu.SetChaining(mode.chain), cpu.SetIndirect(mode.indirect)
+			t.Cleanup(func() { cpu.SetChaining(wasChain); cpu.SetIndirect(wasIndirect) })
+			if pool {
+				EnableForkPool()
+				defer DisableForkPool()
+			}
+			before := ForkPoolStats()
+			var buf bytes.Buffer
+			for _, e := range Experiments.All() {
+				tab, err := e.Run(e.Params(true))
+				if err != nil {
+					t.Fatalf("%s: %v", e.Name, err)
 				}
-				before := ForkPoolStats()
-				var buf bytes.Buffer
-				for _, e := range Experiments.All() {
-					tab, err := e.Run(e.Params(true))
-					if err != nil {
-						t.Fatalf("%s: %v", e.Name, err)
-					}
-					tab.Fprint(&buf)
-				}
-				if forked := ForkPoolStats().Forks != before.Forks; forked != pool {
-					t.Fatalf("machines forked from the pool: %v, want %v", forked, pool)
-				}
-				if boot == "cold" && mode.name == "full" {
-					checkGolden(t, "quick_all.golden", buf.Bytes())
-				} else {
-					diffGolden(t, "quick_all.golden", buf.Bytes())
-				}
-			})
-		}
+				tab.Fprint(&buf)
+			}
+			if forked := ForkPoolStats().Forks != before.Forks; forked != pool {
+				t.Fatalf("machines forked from the pool: %v, want %v", forked, pool)
+			}
+			if !pool && mode.name == "full" {
+				checkGolden(t, "quick_all.golden", buf.Bytes())
+			} else {
+				diffGolden(t, "quick_all.golden", buf.Bytes())
+			}
+		})
 	}
 }
