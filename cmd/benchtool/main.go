@@ -306,8 +306,9 @@ func runExperiments(names []string, overrides paramFlags, quick bool, jsonPath, 
 }
 
 // writeObs renders the observability session's artifacts: the Chrome
-// trace_event JSON (byte-deterministic — CI diffs two runs) and the
-// profile as a collapsed-stack file plus a flat table on stdout.
+// trace_event JSON (byte-deterministic — TestServerTraceByteIdentical
+// traces fig9 twice and compares the bytes) and the profile as a
+// collapsed-stack file plus a flat table on stdout.
 func writeObs(s *workload.ObsSession, tracePath, profPath string) error {
 	if s.Trace != nil {
 		f, err := os.Create(tracePath)

@@ -48,9 +48,6 @@ func TestNICAssertsPerFrameByDefault(t *testing.T) {
 	if got := n.IRQsAsserted; got != 3 {
 		t.Fatalf("raised = %d, want 3", got)
 	}
-	if n.IRQsAsserted != 3 {
-		t.Fatalf("IRQsAsserted = %d", n.IRQsAsserted)
-	}
 	// All three raises coalesce into one pending delivery.
 	if p := b.IC().TakePending(nil); len(p) != 1 || p[0].Line != line {
 		t.Fatalf("pending = %+v", p)

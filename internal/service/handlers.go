@@ -235,10 +235,8 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	if res.req.Trace {
 		run = func() (*workload.Table, error) {
 			sess, end := workload.BeginObs(true, false)
-			tab, err := func() (*workload.Table, error) {
-				defer end() // a panicking run must still close the session
-				return res.exp.Run(res.params)
-			}()
+			defer end() // a panicking run must still close the session
+			tab, err := res.exp.Run(res.params)
 			if err == nil {
 				var buf bytes.Buffer
 				if werr := sess.Trace.WriteJSON(&buf); werr != nil {

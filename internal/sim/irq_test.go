@@ -1,15 +1,36 @@
 package sim_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
 	"adelie/internal/cpu"
 	"adelie/internal/drivers"
+	"adelie/internal/elfmod"
+	"adelie/internal/isa"
 	"adelie/internal/kernel"
 	"adelie/internal/obs"
 	"adelie/internal/sim"
 )
+
+// moduleFuncVA returns the current address of a function in a loaded
+// module, exported or not.
+func moduleFuncVA(t *testing.T, mod *kernel.Module, name string) uint64 {
+	t.Helper()
+	for _, s := range mod.Obj.Symbols {
+		if s.Name != name || s.Kind != elfmod.SymFunc {
+			continue
+		}
+		for _, p := range []*kernel.Part{&mod.Movable, &mod.Immovable} {
+			if va, ok := p.SectionVA(s.Section); ok {
+				return va + s.Offset
+			}
+		}
+	}
+	t.Fatalf("%s: no function %q", mod.Name, name)
+	return 0
+}
 
 // TestMixedRouteWindowOrder raises three vectors routed against line
 // order in one round — NIC queue 0 on vCPU 1, queue 1 on vCPU 0 and
@@ -35,10 +56,26 @@ func TestMixedRouteWindowOrder(t *testing.T) {
 	if err := m.InitNVMeIRQ(2); err != nil {
 		t.Fatal(err)
 	}
-	ic := m.Bus.IC()
 	nic, nvme := m.Bus.IRQLines("nic0"), m.Bus.IRQLine("nvme")
-	ic.SetRoute(nic[0], 1)
-	ic.SetRoute(nic[1], 0)
+
+	// Interpose a zero-cost native on each line that records (vCPU,
+	// line) as the engine dispatches it, then tail-calls the driver's
+	// ISR: the native returns to the pushed handler address, and the
+	// handler's ret reaches the dispatcher's host return. Registering
+	// the native also routes the line to its vCPU.
+	type del struct{ vcpu, line int }
+	var dispatched []del
+	interpose := func(line, vcpu int, module, isr string) {
+		mod := m.Module(module)
+		va := m.K.DefineNative(fmt.Sprintf("record_isr_L%d", line), 0, func(c *cpu.CPU) error {
+			dispatched = append(dispatched, del{c.ID, int(c.Regs[isa.ArgRegs[0]])})
+			return c.Push(moduleFuncVA(t, mod, isr))
+		})
+		m.K.RegisterISR(line, va, vcpu)
+	}
+	interpose(nic[0], 1, "e1000emq", "e1000emq_isr.napi")
+	interpose(nic[1], 0, "e1000emq", "e1000emq_isr.napi")
+	interpose(nvme, 2, "nvmeirq", "nvmeirq.isr")
 	m.NVMe.Preload(9, []byte("mixed window"))
 	readVA, ok := m.K.Symbol("nvme_read")
 	if !ok {
@@ -65,10 +102,21 @@ func TestMixedRouteWindowOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The merged trace orders one window's ISR spans by vCPU track, and
-	// each track's spans in dispatch order.
-	type del struct{ vcpu, line int }
-	var got []del
+	want := []del{{0, nic[1]}, {1, nic[0]}, {2, nvme}}
+	if !slices.Equal(dispatched, want) {
+		t.Fatalf("dispatched %v, want (vCPU, line) order %v", dispatched, want)
+	}
+	if n, _ := m.Call("e1000emq_rx_count", 0); n == 0 {
+		t.Fatal("queue 0's ISR drained no frames")
+	}
+	if n, _ := m.Call("e1000emq_rx_count", 1); n == 0 {
+		t.Fatal("queue 1's ISR drained no frames")
+	}
+	if n, _ := m.Call("nvmeirq_count"); n != 1 {
+		t.Fatalf("nvmeirq_count = %d, want 1", n)
+	}
+
+	// Per-lane accounting against the traced ISR spans.
 	irqs := make([]uint64, m.K.NumCPUs())
 	cycles := make([]uint64, m.K.NumCPUs())
 	for _, ev := range tr.Events() {
@@ -78,13 +126,8 @@ func TestMixedRouteWindowOrder(t *testing.T) {
 		if ev.Args[2].U != 1 {
 			t.Fatalf("line %d on vCPU %d delivered unhandled", ev.Args[0].U, ev.Track)
 		}
-		got = append(got, del{ev.Track, int(ev.Args[0].U)})
 		irqs[ev.Track]++
 		cycles[ev.Track] += ev.Dur
-	}
-	want := []del{{0, nic[1]}, {1, nic[0]}, {2, nvme}}
-	if !slices.Equal(got, want) {
-		t.Fatalf("traced ISR spans %v, want (vCPU, line) order %v", got, want)
 	}
 	if !slices.Equal(res.IRQsPerLane, irqs) {
 		t.Fatalf("IRQsPerLane %v, traced ISR spans give %v", res.IRQsPerLane, irqs)
