@@ -98,7 +98,7 @@ type CPU struct {
 	// repeated dispatch to the same VA — syscall entries, ISR handlers)
 	// re-enter its hot trace without the dispatch-table resolution.
 	// Active only with chainOn; see stepBlock.
-	entry [entryCacheSlots]chainLink
+	entry [entryCacheSlots]entryLink
 
 	// blockGen is the native-table epoch of every cached superblock.
 	// invalidateBlocks bumps it, so chain links — which hold direct
@@ -120,12 +120,21 @@ type CPU struct {
 	// StorePage) inside a block's execute loop: between block boundaries no native,
 	// actor or IRQ can run, so the address-space generation cannot change
 	// and the per-access generation re-check is redundant. Cleared at
-	// every block boundary and on the first MMIO access of a block.
+	// every block boundary and on a block's first MMIO access or
+	// slow-path store.
 	memFast bool
 
-	// mega is the loop megablock runMega last handed execBlock: the one
-	// whose kGuard records execBlock runs.
-	mega *megablock
+	// run is the running trace's state: the trace whose boundary
+	// records execBlock runs (see runTrace).
+	run traceRun
+
+	// path holds the paths runChain is recording, a nested Call's above
+	// its caller's, in path1 or in pathBuf (see pushStep); pathID numbers
+	// them, and a block's mark holds the id of the last path that ran it.
+	path    []pathStep
+	path1   [1]pathStep
+	pathBuf *[]pathStep
+	pathID  uint64
 
 	// Blocks counts basic blocks retired via block execution. The engine
 	// samples it per round slot the same way it samples Cycles.
@@ -273,12 +282,13 @@ func (c *CPU) fault(reason string, err error) error {
 // load64 reads a 64-bit value through the TLB with cycle accounting.
 // TLB hits on ordinary memory are served straight from the frame bytes
 // cached in the entry — no page walk, no allocator lock. Inside a block
-// (memFast armed) the lookup is the resident fast probe: one front-cache
-// index, no generation re-check, identical hit accounting; an MMIO hit
-// disarms the probe for the rest of the block and re-charges through the
-// slow path so device accounting stays on one code path.
+// (memFast armed), and outside one whenever the TLB is current (a native,
+// Call's push), the lookup is the resident fast probe: one front-cache
+// index, identical hit accounting; an MMIO hit disarms the probe for the
+// rest of the block and re-charges through the slow path so device
+// accounting stays on one code path.
 func (c *CPU) load64(va uint64) (uint64, error) {
-	if c.memFast {
+	if c.memFast || c.TLB.Current() {
 		if b, ok := c.TLB.LoadPage(va); ok {
 			off := va & mm.PageMask
 			return binary.LittleEndian.Uint64(b[off : off+8]), nil
@@ -306,9 +316,9 @@ func (c *CPU) load64(va uint64) (uint64, error) {
 }
 
 // store64 writes a 64-bit value through the TLB with cycle accounting.
-// The memFast resident probe applies exactly as in load64.
+// The resident probe applies exactly as in load64.
 func (c *CPU) store64(va uint64, val uint64) error {
-	if c.memFast {
+	if c.memFast || c.TLB.Current() {
 		if b, ok := c.TLB.StorePage(va); ok {
 			off := va & mm.PageMask
 			binary.LittleEndian.PutUint64(b[off:off+8], val)
@@ -317,7 +327,10 @@ func (c *CPU) store64(va uint64, val uint64) error {
 		// Declined: L1 miss, MMIO, read-only, a fork's first store to
 		// the page, exec-mapped, or straddling. The full probe below
 		// reproduces accounting and faults verbatim (and performs the
-		// COW detach / version bump).
+		// COW detach / version bump). Only this path can bump a frame's
+		// content version, so it disarms the probes: a trace re-checks
+		// its frames at the next boundary.
+		c.memFast = false
 	}
 	e, hit, err := c.TLB.Entry(va, mm.AccessWrite)
 	if err != nil {

@@ -410,12 +410,16 @@ func TestHalt(t *testing.T) {
 // per-instruction dispatch (an 83-instruction body), and the two-block
 // loop of ext4_get_block's extent scan (shape=scan, see scanLoop: a
 // 3-instruction load-compare block whose JB is never taken, then an
-// 8-instruction block that branches back). Each sub-benchmark reports
-// ns/inst and the blocks retired per loop trip; the difference between
-// the pairs=1 and pairs=40 ns/inst is the cost of a block transition.
+// 8-instruction block that branches back). Two loop-free shapes measure
+// the transitions of a wrapped driver call: shape=straight is 16
+// direct-linked 4-instruction blocks per Call, and shape=calls is 8
+// CALL/RET pairs into a 3-instruction function (17 blocks per Call).
+// Each sub-benchmark reports ns/inst and the blocks retired per trip (a
+// loop trip, or a Call for the loop-free shapes); the difference
+// between the pairs=1 and pairs=40 ns/inst is the cost of a block
+// transition.
 func BenchmarkBlockDispatch(b *testing.B) {
-	const iters = 1000 // loop trips per Call
-	for _, sh := range dispatchShapes(iters) {
+	for _, sh := range dispatchShapes(1000) {
 		b.Run(sh.name, func(b *testing.B) {
 			c := machine(b, sh.code)
 			b.ReportAllocs()
@@ -427,19 +431,21 @@ func BenchmarkBlockDispatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Insts-insts), "ns/inst")
-			b.ReportMetric(float64(c.Blocks-blocks)/float64(b.N*iters), "blocks/iter")
+			b.ReportMetric(float64(c.Blocks-blocks)/float64(int64(b.N)*sh.trips), "blocks/iter")
 		})
 	}
 }
 
-// dispatchShape is one of BenchmarkBlockDispatch's loops.
+// dispatchShape is one of BenchmarkBlockDispatch's programs, running
+// trips loop trips (or 1 for a loop-free shape) per Call.
 type dispatchShape struct {
-	name string
-	code []isa.Inst
+	name  string
+	code  []isa.Inst
+	trips int64
 }
 
-// dispatchShapes returns BenchmarkBlockDispatch's loops, each running
-// iters trips per Call.
+// dispatchShapes returns BenchmarkBlockDispatch's programs, the loops
+// running iters trips per Call.
 func dispatchShapes(iters int64) []dispatchShape {
 	var shapes []dispatchShape
 	for _, pairs := range []int{1, 10, 40} {
@@ -455,7 +461,31 @@ func dispatchShapes(iters int64) []dispatchShape {
 		back := -int32(len(encode(body...)) + 5) // JNE to the body start
 		code := append([]isa.Inst{{Op: isa.OpMOVI, R1: isa.RCX, Imm: iters}}, body...)
 		code = append(code, isa.Inst{Op: isa.OpJNE, Disp: back}, isa.Inst{Op: isa.OpRET})
-		shapes = append(shapes, dispatchShape{fmt.Sprintf("pairs=%d", pairs), code})
+		shapes = append(shapes, dispatchShape{fmt.Sprintf("pairs=%d", pairs), code, iters})
 	}
-	return append(shapes, dispatchShape{"shape=scan", scanLoop(iters)})
+	shapes = append(shapes, dispatchShape{"shape=scan", scanLoop(iters), iters})
+	// shape=straight: each block's JMP goes to the next instruction.
+	var straight []isa.Inst
+	for i := range 16 {
+		straight = append(straight,
+			isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 3},
+			isa.Inst{Op: isa.OpXOR, R1: isa.RBX, R2: isa.RAX},
+			isa.Inst{Op: isa.OpADDI, R1: isa.RCX, Imm: 1},
+			isa.Inst{Op: isa.OpJMP})
+		if i == 15 {
+			straight[len(straight)-1] = isa.Inst{Op: isa.OpRET}
+		}
+	}
+	shapes = append(shapes, dispatchShape{"shape=straight", straight, 1})
+	// shape=calls: 8 CALLs of f, then RET; f adds, xors and returns.
+	a := newAsm()
+	for range 8 {
+		a.br(isa.OpCALL, "f")
+	}
+	a.ins(isa.Inst{Op: isa.OpRET})
+	a.label("f")
+	a.ins(isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 3},
+		isa.Inst{Op: isa.OpXOR, R1: isa.RBX, R2: isa.RAX},
+		isa.Inst{Op: isa.OpRET})
+	return append(shapes, dispatchShape{"shape=calls", a.build(), 1})
 }

@@ -57,7 +57,11 @@ const (
 	kJMPR
 	kJMPM
 	kRET
-	kGuard // no opcode: a loop megablock constituent's final branch
+	kGuard    // no opcode: a trace's direct boundary, a final JMP/Jcc or a link record
+	kCallEdge // no opcode: a trace constituent's final CALL and its kGuard
+	kLink     // no opcode: a trace's indirect boundary
+	kRetEdge  // no opcode: a trace constituent's final RET and its kLink
+	kNative   // no opcode: a trace boundary that runs a native
 )
 
 // kinds maps every AK64 opcode byte to its executor kind; bytes that are
@@ -108,10 +112,12 @@ func decoded(in isa.Inst) inst {
 // load64/store64/Push/Pop, whose full path re-probes and accounts exactly
 // as an unarmed access does.
 //
-// b may be the records of c.mega, a loop megablock, whose kGuard records
-// end one constituent block each and go on to the next (see runMega).
-// The count returned then runs from m.base, the start of the last
-// constituent, and m.part names it on a guard exit.
+// b may be the records of c.run's trace, whose boundary records end one
+// constituent block each and go on to the next (see runTrace). The
+// count returned then runs from the start of the records last entered
+// (the trace's or, after its back edge, the loop's), c.run.part names
+// the constituent a boundary left at, and c.run.nat the native a run
+// ended after.
 func (c *CPU) execBlock(b []inst) (int, bool, error) {
 	rip := c.RIP
 lap:
@@ -372,25 +378,105 @@ lap:
 				return i + 1, true, nil
 			}
 
-		// A megablock constituent's final branch (see superblock.go):
-		// leave at the target unless it stays on the recorded path, the
-		// chain bound allows another block and no store rewrote the
-		// frame; otherwise end the constituent (runMega charges it when
-		// the pass ends) and run the next one in this call.
+		// Trace boundaries (see superblock.go's "Traces"). A kGuard is
+		// a constituent's final JMP/Jcc or, with length and mask 0, a
+		// link record after its exit; a kCallEdge is a final CALL and
+		// then its kGuard. The run goes on at the next
+		// constituent while the target is the recorded one, the chain
+		// bound allows another block and, once a slow store or an MMIO
+		// access disarmed the probes, every frame is current; otherwise
+		// it leaves at the target, and runTrace charges the constituent
+		// in r1 and hands its exit back to runChain.
+		case kCallEdge:
+			ret := next
+			next += uint64(int64(in.disp))
+			sp, hit := c.Regs[isa.RSP]-8, false
+			if c.memFast {
+				var p []byte
+				if p, hit = c.TLB.StorePage(sp); hit {
+					binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], ret)
+					c.Regs[isa.RSP] = sp
+				}
+			}
+			if !hit {
+				if err := c.Push(ret); err != nil {
+					return i + 1, false, c.faultAt(rip, "call", err)
+				}
+			}
+			fallthrough // its mask is 0: the guard takes no branch
 		case kGuard:
-			m := c.mega
 			if uint8(in.r2)>>(c.flags&7)&1 != 0 {
 				next += uint64(int64(in.disp))
 			}
-			if next != uint64(in.imm) || m.left == 0 ||
-				(m.stores || !c.memFast) && m.ref.Version() != m.ver {
-				c.RIP, m.part = next, int(in.r1)
-				return i + 1, false, nil
+			r := &c.run
+			if next != uint64(in.imm) || r.left == 0 || !c.memFast && !r.t.current() {
+				c.RIP, r.part = next, int(in.r1)
+				return i, false, nil
 			}
-			m.left--
+			r.left--
 			c.memFast = true
-			if m.base = i + 1; m.base == len(b) {
-				m.base, m.laps, rip = 0, m.laps+1, next
+			if i+1 == len(b) {
+				r.laps, rip = r.laps+1, next
+				goto lap // the back edge
+			}
+		// An indirect exit's boundary: as a link record, and the edge is
+		// crossed as runChain crosses it (traceLink). A kRetEdge is a
+		// final RET and then its kLink.
+		case kRetEdge:
+			sp, hit := c.Regs[isa.RSP], false
+			if c.memFast {
+				var p []byte
+				if p, hit = c.TLB.LoadPage(sp); hit {
+					c.Regs[isa.RSP] = sp + 8
+					next = binary.LittleEndian.Uint64(p[sp&mm.PageMask:])
+				}
+			}
+			if !hit {
+				v, err := c.Pop()
+				if err != nil {
+					return i + 1, false, c.faultAt(rip, "ret", err)
+				}
+				next = v
+			}
+			if next == HostReturn {
+				c.RIP = next
+				return i + 1, true, nil
+			}
+			fallthrough
+		case kLink:
+			r := &c.run
+			if next != uint64(in.imm) || r.left == 0 || !c.memFast && !r.t.current() {
+				c.RIP, r.part = next, int(in.r1)
+				return i, false, nil
+			}
+			// The hit path of traceLink: disp holds the next constituent.
+			if t := r.t; t.parts[in.r1].sb.links[0].va != next ||
+				t.parts[in.r1].sb.links[0].sb != t.parts[in.disp].sb || t.parts[in.r1].sb.links[0].gen != t.gen {
+				c.traceLink(int(in.r1), next)
+			} else {
+				c.ChainedBlocks++
+				c.IndirectChained++
+			}
+			r.left--
+			c.memFast = true
+			if i+1 == len(b) {
+				r.laps, rip = r.laps+1, next
+				goto lap // the back edge
+			}
+		// A native's boundary: as a link record, then the native runs
+		// (traceNative) and the run goes on at its return address.
+		case kNative:
+			r := &c.run
+			if next != uint64(in.imm) || r.left == 0 {
+				c.RIP, r.part = next, int(in.r1)
+				return i, false, nil
+			}
+			c.RIP = next
+			if ok, halted, err := c.traceNative(int(in.r1), int(in.disp)); !ok {
+				return 0, halted, err
+			}
+			if next = c.RIP; i+1 == len(b) {
+				r.laps, rip = r.laps+1, next
 				goto lap // the back edge
 			}
 		}

@@ -331,7 +331,7 @@ func TestIndirectInvalidatedByAliasWriteToSuccessor(t *testing.T) {
 	if err := c.AS.WriteBytesForce(succVA, retImm(7)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ { // second run warms the RET→succ ilink
+	for i := 0; i < 2; i++ { // second run warms the RET→succ link
 		if got := run(t, c); got != 7 {
 			t.Fatalf("original code = %d, want 7", got)
 		}

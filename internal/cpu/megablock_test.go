@@ -9,10 +9,11 @@ import (
 	"adelie/internal/mm"
 )
 
-// Loop-megablock tests: a hot cycle of direct-linked blocks on one page
-// runs as one executor pass, with each constituent's final branch a
-// guard, and every counter, sample and fault shape what per-block
-// chaining gives. See superblock.go.
+// Loop-trace tests: a hot loop of linked blocks runs as one executor
+// pass, a trace whose last guard goes back to its first record, and
+// every counter, sample and fault shape is what per-block chaining
+// gives. The tests keep the name of the loop megablocks that traces replaced.
+// See superblock.go.
 
 // asm assembles AK64 code with labels for branch targets. Encoded lengths
 // do not depend on displacements, so one layout pass resolves them.
@@ -65,10 +66,10 @@ func scanLoop(n int64) []isa.Inst {
 	return a.build()
 }
 
-// megaAt returns the loop megablock headed by the cached block entered at
-// va, and whether it is valid for an entry there now (the entry check
+// traceAt returns the trace headed by the cached block entered at va,
+// and whether it is valid for an entry there now (the entry check
 // runChain makes).
-func megaAt(t *testing.T, c *CPU, va uint64) (*megablock, bool) {
+func traceAt(t *testing.T, c *CPU, va uint64) (*trace, bool) {
 	t.Helper()
 	frame, _, ok := c.AS.Lookup(va)
 	if !ok {
@@ -79,20 +80,21 @@ func megaAt(t *testing.T, c *CPU, va uint64) (*megablock, bool) {
 		return nil, false
 	}
 	sb := pb.get(int(va & mm.PageMask))
-	if sb == nil || sb.mega == nil {
+	if sb == nil || sb.trace == nil {
 		return nil, false
 	}
-	m := sb.mega
-	return m, m.gen == c.AS.Generation() && m.va == va && m.ref.Version() == m.ver
+	tr := sb.trace
+	return tr, tr.gen == c.AS.Generation() && tr.va == va && tr.current()
 }
 
-// scanHead is the VA of the scan loop's B block, whose megablock forms
-// when the A→B link, the last of the cycle, is recorded.
+// scanHead is the VA of the scan loop's B block: the first run's path
+// starts there, after the B→A miss, and closes the loop when it reaches
+// B again, so B heads the loop trace.
 func scanHead() uint64 {
 	return codeBase + uint64(len(encode(scanLoop(0)[:6]...)))
 }
 
-// TestMegablockRunsScanLoop: the scan loop fuses into one megablock and
+// TestMegablockRunsScanLoop: the scan loop fuses into one loop trace and
 // retires exactly the blocks, instructions and cycles of block execution
 // without chaining, with every transition chained once warm.
 func TestMegablockRunsScanLoop(t *testing.T) {
@@ -104,12 +106,12 @@ func TestMegablockRunsScanLoop(t *testing.T) {
 		run(t, c)
 		run(t, plain)
 	}
-	m, ok := megaAt(t, c, scanHead())
+	m, ok := traceAt(t, c, scanHead())
 	if !ok || len(m.parts) != 2 {
-		t.Fatalf("scan loop megablock = %+v, valid %v; want a valid two-block megablock", m, ok)
+		t.Fatalf("scan loop trace = %+v, valid %v; want a valid two-block loop trace", m, ok)
 	}
 	if c.Insts != plain.Insts || c.Cycles != plain.Cycles || c.Blocks != plain.Blocks {
-		t.Fatalf("megablock run = (%d insts, %d cycles, %d blocks), blocks only (%d, %d, %d)",
+		t.Fatalf("loop trace run = (%d insts, %d cycles, %d blocks), blocks only (%d, %d, %d)",
 			c.Insts, c.Cycles, c.Blocks, plain.Insts, plain.Cycles, plain.Blocks)
 	}
 	blocks, chained := c.Blocks, c.ChainedBlocks
@@ -119,7 +121,7 @@ func TestMegablockRunsScanLoop(t *testing.T) {
 	}
 }
 
-// TestMegablockKeepsChainBound: the chain bound still cuts a megablock
+// TestMegablockKeepsChainBound: the chain bound still cuts a loop trace
 // pass, so Run's instruction budget fires after the same instruction as
 // with per-block chaining (65 one-instruction blocks per dispatch).
 func TestMegablockKeepsChainBound(t *testing.T) {
@@ -132,21 +134,21 @@ func TestMegablockKeepsChainBound(t *testing.T) {
 	if err := c.Run(10_000); err == nil {
 		t.Fatal("runaway self-loop did not trip the instruction budget")
 	}
-	if _, ok := megaAt(t, c, codeBase); !ok {
-		t.Fatal("self-loop formed no megablock; the test exercised nothing")
+	if _, ok := traceAt(t, c, codeBase); !ok {
+		t.Fatal("self-loop formed no loop trace; the test exercised nothing")
 	}
 	if want := uint64(154 * (maxChainBlocks + 1)); c.Insts != want {
 		t.Fatalf("budget fault after %d instructions, want %d", c.Insts, want)
 	}
 }
 
-// TestMegablockSampler: with a sampler attached a formed megablock is
+// TestMegablockSampler: with a sampler attached a formed loop trace is
 // not entered, so samples fire at the same cycles and RIPs as without
 // chaining, and the counters still match.
 func TestMegablockSampler(t *testing.T) {
 	fullMode(t)
 	sample := func(c *CPU) []uint64 {
-		run(t, c) // warm: the megablock forms without a sampler
+		run(t, c) // warm: the loop trace forms without a sampler
 		var got []uint64
 		c.SetSampler(7, func(va uint64) { got = append(got, c.Cycles, va) })
 		for i := 0; i < 3; i++ {
@@ -158,16 +160,16 @@ func TestMegablockSampler(t *testing.T) {
 	var plain *CPU
 	chainOff(t, func() { plain = machine(t, scanLoop(40)) })
 	got, want := sample(c), sample(plain)
-	if _, ok := megaAt(t, c, scanHead()); !ok {
-		t.Fatal("no megablock formed; the test exercised nothing")
+	if _, ok := traceAt(t, c, scanHead()); !ok {
+		t.Fatal("no loop trace formed; the test exercised nothing")
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("samples with a megablock formed differ from blocks-only:\n got %v\nwant %v", got, want)
+		t.Fatalf("samples with a loop trace formed differ from blocks-only:\n got %v\nwant %v", got, want)
 	}
 }
 
 // TestMegablockDroppedAfterAliasWrite: a write through a writable alias
-// of the loop's frame retires its megablock, and the next entry runs the
+// of the loop's frame retires its loop trace, and the next entry runs the
 // new bytes.
 func TestMegablockDroppedAfterAliasWrite(t *testing.T) {
 	fullMode(t)
@@ -175,8 +177,8 @@ func TestMegablockDroppedAfterAliasWrite(t *testing.T) {
 	c := machine(t, code)
 	run(t, c)
 	run(t, c)
-	if _, ok := megaAt(t, c, scanHead()); !ok {
-		t.Fatal("no megablock before the write")
+	if _, ok := traceAt(t, c, scanHead()); !ok {
+		t.Fatal("no loop trace before the write")
 	}
 	frame, _, _ := c.AS.Lookup(codeBase)
 	alias := uint64(mm.KernelBase + 0x900000)
@@ -188,11 +190,11 @@ func TestMegablockDroppedAfterAliasWrite(t *testing.T) {
 	if err := c.AS.WriteBytes(addi, encode(isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 16})); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := megaAt(t, c, scanHead()); ok {
-		t.Fatal("megablock still valid after an alias write to its frame")
+	if _, ok := traceAt(t, c, scanHead()); ok {
+		t.Fatal("loop trace still valid after an alias write to its frame")
 	}
 	if got := run(t, c); got != 16 {
-		t.Fatalf("patched loop = %d, want 16 (a stale megablock ran)", got)
+		t.Fatalf("patched loop = %d, want 16 (a stale loop trace ran)", got)
 	}
 }
 
@@ -238,15 +240,15 @@ func TestMegablockStoreToOwnFrame(t *testing.T) {
 	if got := run(t, c); got != 1 {
 		t.Fatalf("self-modifying loop = %d, want 1 (a stale constituent ran)", got)
 	}
-	// The cycle's last link is recorded on trip 2; the megablock then
+	// The cycle's last link is recorded on trip 2; the loop trace then
 	// passes from trip 3's A to trip 5's A, where the store ends it.
 	if c.ChainedBlocks != 5 {
-		t.Fatalf("%d blocks chained, want the 5 of the megablock's pass", c.ChainedBlocks)
+		t.Fatalf("%d blocks chained, want the 5 of the loop trace's pass", c.ChainedBlocks)
 	}
 }
 
 // TestMegablockDroppedAfterRemap: a re-randomization-style move (map at
-// a new base, unmap the old: a generation bump) stops the megablock's
+// a new base, unmap the old: a generation bump) stops the loop trace's
 // entry; the loop runs at the new base with the same counts and fuses
 // again there, and the old base faults.
 func TestMegablockDroppedAfterRemap(t *testing.T) {
@@ -262,8 +264,8 @@ func TestMegablockDroppedAfterRemap(t *testing.T) {
 	if err := c.AS.UnmapRegion(codeBase, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := megaAt(t, c, newBase+scanHead()-codeBase); ok {
-		t.Fatal("megablock valid across a generation bump")
+	if _, ok := traceAt(t, c, newBase+scanHead()-codeBase); ok {
+		t.Fatal("loop trace valid across a generation bump")
 	}
 	for i := 0; i < 2; i++ {
 		insts = c.Insts
@@ -274,7 +276,7 @@ func TestMegablockDroppedAfterRemap(t *testing.T) {
 			t.Fatalf("moved loop retired %d instructions, want %d", c.Insts-insts, perRun)
 		}
 	}
-	if _, ok := megaAt(t, c, newBase+scanHead()-codeBase); !ok {
+	if _, ok := traceAt(t, c, newBase+scanHead()-codeBase); !ok {
 		t.Fatal("loop did not fuse again at its new base")
 	}
 	var pf *mm.PageFault
@@ -284,15 +286,15 @@ func TestMegablockDroppedAfterRemap(t *testing.T) {
 }
 
 // TestMegablockDroppedAfterRegisterNative: registering a native inside
-// the loop moves block boundaries; the megablock must not run past it.
+// the loop moves block boundaries; the loop trace must not run past it.
 func TestMegablockDroppedAfterRegisterNative(t *testing.T) {
 	fullMode(t)
 	code := scanLoop(10)
 	c := machine(t, code)
 	run(t, c)
 	run(t, c)
-	if _, ok := megaAt(t, c, scanHead()); !ok {
-		t.Fatal("no megablock before RegisterNative")
+	if _, ok := traceAt(t, c, scanHead()); !ok {
+		t.Fatal("no loop trace before RegisterNative")
 	}
 	// A native at B's ADD returns 777 to the loop's caller.
 	c.RegisterNative(codeBase+uint64(len(encode(code[:9]...))), &Native{
@@ -302,13 +304,13 @@ func TestMegablockDroppedAfterRegisterNative(t *testing.T) {
 			return nil
 		},
 	})
-	if _, ok := megaAt(t, c, scanHead()); ok {
-		t.Fatal("megablock survived a native-table change")
+	if _, ok := traceAt(t, c, scanHead()); ok {
+		t.Fatal("loop trace survived a native-table change")
 	}
 	// The native pops its return address: the loop reached it by falling
 	// through, so it pops the host return and ends the call.
 	if got := run(t, c); got != 777 {
-		t.Fatalf("post-native run = %d, want 777 (a stale megablock ran past the native)", got)
+		t.Fatalf("post-native run = %d, want 777 (a stale loop trace ran past the native)", got)
 	}
 }
 
@@ -354,15 +356,47 @@ func (g *fuzzGen) next() byte {
 	return b
 }
 
+// Where fuzz programs keep their GOT slot and native: a word on the
+// first data page past the operations' slots, and a VA on the code page
+// past the program.
+const (
+	fuzzGOT    = dataBase + 0x800
+	fuzzNative = codeBase + 0x900
+)
+
+// fuzzOpts is what a fuzz program needs set up besides its code.
+type fuzzOpts struct {
+	alias  bool   // the writable alias storeAlias of the code page
+	got    uint64 // the value of the GOT slot fuzzGOT (0: none)
+	native bool   // fuzzNativeFn registered at fuzzNative
+}
+
+// fuzzNativeFn is the fuzz programs' native: it adds 3 to rax and, when
+// rax is then odd, returns past the 6-byte ADDI that follows its call
+// site instead of to it.
+func fuzzNativeFn(c *CPU) error {
+	c.Regs[isa.RAX] += 3
+	if c.Regs[isa.RAX]&1 == 0 {
+		return nil
+	}
+	ret, err := c.AS.Read64(c.Regs[isa.RSP])
+	if err != nil {
+		return err
+	}
+	return c.AS.Write64(c.Regs[isa.RSP], ret+6)
+}
+
 // fuzzProgram turns a fuzz input into a terminating AK64 loop program:
 // an outer loop of 1-8 trips over random ALU, load, store and push/pop
 // operations on scratch registers, optionally with an inner guard that
 // skips some of them, a nested counted loop, a store through a pointer
 // that strides a page a trip from the data pages to the writable alias
 // storeAlias of the code, where it patches the immediate of a MOVABS the
-// next trip loads (and faults past it), and a divide whose divisor counts
-// down to a fault. It returns the code and whether it needs the alias.
-func fuzzProgram(data []byte) ([]isa.Inst, bool) {
+// next trip loads (and faults past it), a divide whose divisor counts
+// down to a fault, calls into a generated function — direct, through a
+// GOT slot on the data page, or through a push; ret stub — and a call of
+// a native that returns to its caller or past it (fuzzNativeFn).
+func fuzzProgram(data []byte) ([]isa.Inst, fuzzOpts) {
 	g := fuzzGen(data)
 	scratch := []isa.Reg{isa.RAX, isa.RSI, isa.R8, isa.R11}
 	ops := func(a *asm, n int) {
@@ -403,6 +437,8 @@ func fuzzProgram(data []byte) ([]isa.Inst, bool) {
 	}
 	shape := g.next()
 	alias := shape&8 != 0
+	var opts fuzzOpts
+	calls, nativeAt, gotAt := 0, -1, []int(nil)
 	a := newAsm()
 	a.ins(isa.Inst{Op: isa.OpMOVI, R1: isa.RCX, Imm: 1 + int64(g.next()%8)},
 		isa.Inst{Op: isa.OpMOVABS, R1: isa.RBX, Imm: int64(dataBase)},
@@ -439,12 +475,57 @@ func fuzzProgram(data []byte) ([]isa.Inst, bool) {
 	if shape&4 != 0 { // a divisor that reaches zero
 		a.ins(isa.Inst{Op: isa.OpSUBI, R1: isa.RDI, Imm: 1}, isa.Inst{Op: isa.OpUDIV, R1: isa.RAX, R2: isa.RDI})
 	}
+	if shape&16 != 0 { // calls of fn: direct, through the GOT, or a stub
+		calls = 1 + int(g.next()%3)
+		for range calls {
+			switch g.next() % 3 {
+			case 0:
+				a.br(isa.OpCALL, "fn")
+			case 1:
+				gotAt = append(gotAt, len(a.code))
+				a.ins(isa.Inst{Op: isa.OpCALLM}) // disp set below
+			default:
+				a.br(isa.OpCALL, "stub")
+			}
+			ops(a, int(g.next()%3))
+		}
+	}
+	if shape&32 != 0 { // a native that may return past the ADDI
+		nativeAt = len(a.code)
+		a.ins(isa.Inst{Op: isa.OpCALL}, // disp set below
+			isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 7},
+			isa.Inst{Op: isa.OpADDI, R1: isa.RSI, Imm: 1})
+	}
 	a.ins(isa.Inst{Op: isa.OpSUBI, R1: isa.RCX, Imm: 1}, isa.Inst{Op: isa.OpCMPI, R1: isa.RCX, Imm: 0})
 	a.br(isa.OpJNE, "outer")
 	a.ins(isa.Inst{Op: isa.OpRET})
+	stub := -1
+	if calls > 0 {
+		a.label("fn")
+		ops(a, 1+int(g.next()%3))
+		a.ins(isa.Inst{Op: isa.OpRET})
+		a.label("stub")
+		stub = len(a.code)
+		a.ins(isa.Inst{Op: isa.OpMOVABS, R1: isa.R12}, // fn, set below
+			isa.Inst{Op: isa.OpPUSH, R1: isa.R12},
+			isa.Inst{Op: isa.OpRET})
+	}
 	code := a.build()
 	code[patch-1].Imm = int64(storeAlias - uint64(trips)*mm.PageSize + uint64(a.offset(patch)) + 2)
-	return code, alias
+	if calls > 0 {
+		fn := codeBase + uint64(a.offset(a.labels["fn"]))
+		code[stub].Imm = int64(fn)
+		opts.got = fn
+		for _, i := range gotAt {
+			code[i].Disp = int32(fuzzGOT - (codeBase + uint64(a.offset(i+1))))
+		}
+	}
+	if nativeAt >= 0 {
+		code[nativeAt].Disp = int32(fuzzNative - (codeBase + uint64(a.offset(nativeAt+1))))
+		opts.native = true
+	}
+	opts.alias = alias
+	return code, opts
 }
 
 // blockModes is one run of a fuzz program in one execution mode.
@@ -463,12 +544,13 @@ type blockModes struct {
 const (
 	modeStep     = iota // single-stepped
 	modeBlocks          // blocks without chaining
-	modeMega            // chained, with loop megablocks
-	modePerBlock        // chained block by block: a sampler that never fires keeps megablocks off
+	modeMega            // chained, with traces
+	modePerBlock        // chained block by block: a sampler that never fires keeps traces off
 )
 
-// runModes runs code twice (cold, then with warm caches) in one mode.
-func runModes(t *testing.T, code []isa.Inst, alias bool, mode int) blockModes {
+// runModes runs code three times (cold, as traces form, and through
+// them) in one mode.
+func runModes(t *testing.T, code []isa.Inst, opts fuzzOpts, mode int) blockModes {
 	t.Helper()
 	wasChain, wasIndirect := SetChaining(mode >= modeMega), SetIndirect(true)
 	c := machine(t, code)
@@ -477,14 +559,22 @@ func runModes(t *testing.T, code []isa.Inst, alias bool, mode int) blockModes {
 	if mode == modePerBlock {
 		c.SetSampler(1<<62, func(uint64) { t.Error("sampler fired") })
 	}
-	if alias {
+	if opts.alias {
 		frame, _, _ := c.AS.Lookup(codeBase)
 		if err := c.AS.Map(storeAlias, frame, mm.FlagWrite); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if opts.got != 0 {
+		if err := c.AS.Write64(fuzzGOT, opts.got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if opts.native {
+		c.RegisterNative(fuzzNative, &Native{Name: "fuzz", Cost: 5, Fn: fuzzNativeFn})
+	}
 	var err error
-	for i := 0; i < 2 && err == nil; i++ {
+	for i := 0; i < 3 && err == nil; i++ {
 		if mode != modeStep {
 			err = execute(c, false)
 			continue
@@ -521,23 +611,22 @@ func runModes(t *testing.T, code []isa.Inst, alias bool, mode int) blockModes {
 	return o
 }
 
-// FuzzBlockModes runs generated loop programs single-stepped, as blocks
-// without chaining, chained block by block and chained with loop
-// megablocks, and requires the same registers, flags, memory,
-// instruction and cycle counts and fault shape in all four, the same
-// block count in the three block modes, and the same ChainedBlocks in
-// the two chained ones: a megablock charges each block it passes as a
-// followed link would.
+// FuzzBlockModes runs generated programs single-stepped, as blocks
+// without chaining, chained block by block and chained with traces, and
+// requires the same registers, flags, memory, instruction and cycle
+// counts and fault shape in all four, the same block count in the three
+// block modes, and the same ChainedBlocks in the two chained ones: a
+// trace charges each block it passes as a followed link would.
 func FuzzBlockModes(f *testing.F) {
 	f.Add([]byte{0, 7, 1, 2, 3, 4, 10, 0, 9, 1, 6, 2, 6, 3, 1, 0, 0, 2})
 	f.Add([]byte{3, 5, 9, 4, 2, 3, 1, 2, 3, 9, 0, 1, 8, 7, 9, 6, 3, 3, 1, 2, 5, 6, 11, 3, 2, 1, 4, 8})
 	f.Add([]byte{11, 7, 40, 3, 5, 2, 1, 1, 7, 10, 4, 2, 3, 6, 5, 0, 3, 9, 0, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		code, alias := fuzzProgram(data)
-		mega := runModes(t, code, alias, modeMega)
-		step := runModes(t, code, alias, modeStep)
-		blocks := runModes(t, code, alias, modeBlocks)
-		perBlock := runModes(t, code, alias, modePerBlock)
+		code, opts := fuzzProgram(data)
+		mega := runModes(t, code, opts, modeMega)
+		step := runModes(t, code, opts, modeStep)
+		blocks := runModes(t, code, opts, modeBlocks)
+		perBlock := runModes(t, code, opts, modePerBlock)
 		// Single-stepping retires no blocks and nothing chains without
 		// chaining.
 		step.Blocks, step.Chained, blocks.Chained = mega.Blocks, mega.Chained, mega.Chained
@@ -546,7 +635,7 @@ func FuzzBlockModes(f *testing.F) {
 			got  blockModes
 		}{{"single-stepped", step}, {"blocks only", blocks}, {"chained block by block", perBlock}} {
 			if fmt.Sprint(o.got) != fmt.Sprint(mega) {
-				t.Fatalf("%s differs from megablocks:\n%s: %+v\nmegablocks: %+v\ncode: %v", o.name, o.name, o.got, mega, code)
+				t.Fatalf("%s differs from traces:\n%s: %+v\ntraces: %+v\ncode: %v", o.name, o.name, o.got, mega, code)
 			}
 		}
 	})

@@ -84,21 +84,78 @@ package cpu
 // chain-rate metric is therefore the fraction of all block entries that
 // skipped dispatch resolution, whatever boundary they crossed.
 //
-// Loop megablocks. Recording a direct link may close a cycle of at most
-// maxMegaParts valid direct links on one page, each block ending in a
-// JMP/Jcc (a self-loop, or ext4_get_block's two-block extent scan);
-// formMega copies the cycle's records into one list on the link's
-// target, each final branch a kGuard. runMega enters it under the
-// link's triple (blockGen is implied: only a current block is reached)
-// and execBlock runs the cycle in one pass: a guard goes on to the next
-// block while control stays on the recorded path, the chain bound
-// allows another block and — after a store or an MMIO access — the
-// frame's content version is unchanged; otherwise it leaves at the real
-// target, whose link runChain follows. So a store through a W^X alias
-// into the loop is seen at the next block entry, as a link sees it.
-// runMega charges the blocks a pass went through as followed links, so
-// every counter and fault matches per-block chaining; a sampler keeps
-// megablocks off, so samples do too. ADELIE_NOCHAIN=1 turns them off.
+// Traces. runChain records the path it runs: the blocks it executes one
+// at a time, in order, each with the VA it was entered at and, for an
+// exit into a native, the native's call-site link. The path ends at a
+// block that heads a valid trace, at the return to the dispatch loop,
+// after a native that remapped, or when a direct branch other than a
+// CALL reaches a block already on it (a CALL of a function twice is not
+// a loop). formTrace then copies the blocks' records into one list on
+// the path's first block, its trace, up to the first block or direct
+// link that no longer holds. Each block on it is a constituent, and its
+// exit is followed or replaced by a boundary record that goes on at the
+// VA the path went on at:
+//
+//   - a JMP/Jcc becomes a kGuard that keeps the branch's disp and len
+//     and holds its condTaken mask in r2, and a CALL a kCallEdge: the
+//     call, then its kGuard;
+//   - a fall-through cut keeps its record and is followed by a kGuard
+//     of length and mask 0, a link record;
+//   - a RET (a retpoline's push; ret too) becomes a kRetEdge, the
+//     return and then its kLink, and any other indirect exit (CALLR/
+//     CALLM, JMPR/JMPM) keeps its record and is followed by a kLink;
+//   - an exit into a native is followed by a kNative that runs the
+//     native as chainNative does (Cost, Fn, the return pop) and checks
+//     the return.
+//
+// A boundary record holds the constituent it ends in r1 and the
+// recorded VA in imm. A path whose direct branch returns to its first
+// block at its VA ends in a back edge there, so a loop is a trace whose
+// last boundary goes on at its first record: ext4_get_block's two-block
+// extent scan is a two-constituent loop, a wrapped ioctl a straight
+// trace through every wrapper, PLT stub and native of the call. A loop
+// entered from elsewhere on a path ends that path's trace; its own path
+// closes it on the next lap.
+//
+// runChain enters a block's trace instead of the block when the block
+// is entered at the trace's VA, under the address-space generation it
+// was recorded at, with every constituent current (its frame at the
+// content version it was decoded from) and no sampler attached
+// (blockGen is implied: only a current block is reached). execBlock
+// then runs the whole trace in one pass. A boundary goes on to the next
+// constituent while control stays on the recorded path and the chain
+// bound allows another block. A store that took the slow path (the only
+// kind that can bump a frame version: the resident probes decline
+// exec-mapped frames) or an MMIO access disarms the probes, and the
+// next boundary re-checks the constituents. After a native the return
+// is checked as nativeReturn would follow it, and against the
+// native-table epoch, the address-space generation and the
+// constituents, since a native can remap, register natives or rewrite
+// code. The constituent check reads frames only when some frame's
+// version advanced since it last passed (mm.CodeWrites). Any failed
+// check leaves at the real target, exactly where per-block chaining
+// would be, and runChain goes on from that constituent's exit through
+// its links; a failed check after a native resumes as chainNative's
+// return resolution does.
+//
+// Accounting is per-block chaining's. A direct edge on a trace is a
+// link that was valid when the trace formed, and stays valid with it,
+// so runTrace charges the constituents a run went through and their
+// direct edges as followed links when the run ends, from prefix sums
+// over the constituents and the laps of the back edge. An indirect or
+// native edge consults the link a per-block exit would look up, since
+// another path through the block may have rewritten it: on a hit it
+// counts as chained, and an indirect miss replays the dispatch
+// resolution (the TLB lookup, the block-cache hit, the re-recorded
+// link), so a return polymorphic across call sites stays on the trace
+// and every counter, TLB access and later link matches (a native's
+// call-site miss leaves the run before the native). The per-run state
+// lives in CPU.run, and a native saves and restores it, so a native
+// that re-enters the vCPU with a nested Call can run traces, even this
+// one, underneath. A sampler keeps traces off, so samples land where
+// chaining puts them; ADELIE_NOCHAIN=1 records no links and so forms no
+// trace, and under ADELIE_NOINDIRECT=1 a path ends at the first
+// indirect exit, so traces hold direct edges only.
 //
 // Accounting equivalence. A followed link — direct or indirect — skips
 // the successor's TLB lookup. For working sets within TLB capacity that
@@ -116,9 +173,11 @@ package cpu
 // probes (mm.TLB.LoadPage/StorePage) while it is armed: between block
 // boundaries no native, actor or IRQ can run, so the address-space
 // generation cannot change mid-chain and the per-access generation
-// re-check is provably redundant. A declined probe falls back to
-// load64/store64/Push/Pop with identical accounting. Any access that
-// turns out to be MMIO disarms the probes for the rest of the block
+// re-check is provably redundant; a trace disarms them around each
+// native and re-arms them only once the generation is checked. A
+// declined probe falls back to load64/store64/Push/Pop with identical
+// accounting. An access that turns out to be MMIO, and a store that
+// takes the slow path, disarm the probes for the rest of the block
 // (device reads are charged and routed on the slow path), and
 // page-straddling accesses take the slow path as before — every charged
 // cycle, TLB hit and miss is bit-identical in all three modes by
@@ -134,6 +193,8 @@ package cpu
 // the successor frame the same way.
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"adelie/internal/isa"
@@ -203,6 +264,16 @@ func (l *chainLink) empty() bool { return l.sb == nil && l.nat == nil }
 // power of two).
 const entryCacheSlots = 16
 
+// entryLink is a dispatch entry cache slot: a block link without the
+// native fields, which the cache never holds.
+type entryLink struct {
+	va  uint64
+	ver uint64
+	gen uint64
+	ref mm.FrameRef
+	sb  *superblock
+}
+
 // entrySlot maps an entry VA to its dispatch-entry-cache slot. Function
 // entry points are commonly 16-aligned, so fold higher bits in rather
 // than using the low bits alone.
@@ -219,48 +290,134 @@ type superblock struct {
 	// refuse to enter a block from an older native-table epoch.
 	gen uint64
 
+	// ref and ver are the frame the block was decoded from and its
+	// content version then: the block is current while they agree.
+	ref mm.FrameRef
+	ver uint64
+
 	// linkable marks exits eligible for direct trace linking: a direct
 	// branch (CALL/JMP/Jcc) or a fall-through cut. HLT never links.
 	linkable bool
 
 	// indirect marks exits eligible for the monomorphic indirect target
 	// cache: RET or a register/GOT-indirect branch. The dynamic target
-	// must match ilink.va for the link to be followed.
+	// must match links[0].va for the link to be followed.
 	indirect bool
 
 	// links caches up to two resolved successors of a direct exit — a
 	// conditional exit has exactly two targets (taken and fall-through).
+	// An indirect exit's links[0] is its monomorphic target cache: the
+	// last successor it resolved to (one slot, newest target wins).
 	links [2]chainLink
 
-	// ilink is the monomorphic indirect target cache: the last successor
-	// a RET/indirect exit resolved to. One slot, newest target wins.
-	ilink chainLink
+	// trace is the trace headed by this block, if one formed.
+	trace *trace
 
-	// mega is the loop megablock headed by this block, if one formed.
-	mega *megablock
+	// mark is the id of the last path (runChain's) that ran this block
+	// one at a time: a branch to a block marked with the running path's
+	// id may close a loop.
+	mark uint64
 }
 
-// maxMegaParts bounds the blocks one loop megablock fuses.
-const maxMegaParts = 4
+// trace is a path of blocks fused into one record list (see the
+// package comment's "Traces"): the constituents' records, each
+// constituent's exit followed or replaced by its boundary record. It is
+// valid for entry at va while the address-space generation is gen and
+// every constituent is current (its frame at the version it was decoded
+// from).
+type trace struct {
+	insts   []inst
+	parts   []tracePart
+	natives []traceNative
+	va      uint64
+	gen     uint64 // address-space generation when recorded
+	bgen    uint64 // blockGen when recorded: natives re-check it
+	writes  uint64 // mm.CodeWrites when the frames were last current
+	loop    bool   // the last constituent's exit goes back to the first
+	// lapInsts, lapBlocks and lapDirect are the instructions,
+	// constituents and direct edges of one lap of a loop.
+	lapInsts, lapBlocks, lapDirect uint64
+	active                         int // runs in progress: formTrace must not reuse the storage
+}
 
-// megablock is a cycle of direct-linked blocks on one page fused into one
-// record list: each constituent's records, with its final JMP/Jcc turned
-// into a kGuard record that keeps the branch's disp and len and holds
-// the branch's condTaken mask in r2, the constituent's index in parts in
-// r1 and the VA the recorded path goes on at in imm. It is valid for
-// entry at va while the address-space generation is gen and the frame's
-// content version is ver. The per-entry fields are execBlock's state.
-type megablock struct {
-	insts    []inst
-	parts    []*superblock
-	va       uint64
-	gen, ver uint64
-	ref      mm.FrameRef
-	stores   bool // a constituent stores: guards re-check the frame version
-	left     int  // per entry: internal boundaries the chain bound allows
-	base     int  // per entry: index of the running constituent's first record
-	laps     int  // per entry: passes over the whole cycle
-	part     int  // per entry: the constituent a guard left from
+// tracePart is one constituent of a trace. cum and dcum count the
+// instructions and the direct edges before it on the trace.
+type tracePart struct {
+	sb        *superblock
+	start     int32 // index of its first record
+	n         int32 // its instructions
+	cum, dcum uint32
+}
+
+// traceNative is a native a trace runs at a boundary: its call-site
+// link, which the run checks as a followed link would be checked, and
+// the return VA the path went on at.
+type traceNative struct {
+	nat  *Native
+	link *chainLink
+	ret  uint64
+	part int32 // the call site's constituent
+	ind  bool  // the call site's exit is an indirect edge
+}
+
+// current reports whether every constituent of t is current. It reads
+// their frames' versions only when some frame's version has advanced
+// since it last found them current (mm.CodeWrites).
+func (t *trace) current() bool { return mm.CodeWrites() == t.writes || t.recheck() }
+
+// recheck is current's slow path: it reads every frame.
+func (t *trace) recheck() bool {
+	w := mm.CodeWrites()
+	for i := range t.parts {
+		if sb := t.parts[i].sb; sb.ref.Version() != sb.ver {
+			return false
+		}
+	}
+	t.writes = w
+	return true
+}
+
+// pos returns how many instructions, blocks and direct edges a run of t
+// goes through from its start to the start of constituent j in lap lap.
+func (t *trace) pos(j, lap int) (insts, blocks, direct uint64) {
+	p, l := &t.parts[j], uint64(lap)
+	return uint64(p.cum) + l*t.lapInsts, uint64(j) + l*t.lapBlocks, uint64(p.dcum) + l*t.lapDirect
+}
+
+// partAt returns the constituent whose records hold index i.
+func (t *trace) partAt(i int) int {
+	lo, hi := 0, len(t.parts)-1
+	if int(t.parts[hi].start) <= i {
+		return hi // a run that ran to the end, or returned from its last
+	}
+	for lo < hi {
+		if m := (lo + hi + 1) / 2; int(t.parts[m].start) <= i {
+			lo = m
+		} else {
+			hi = m - 1
+		}
+	}
+	return lo
+}
+
+// succ returns the constituent that follows constituent e.
+func (t *trace) succ(e int) *tracePart {
+	if e+1 < len(t.parts) {
+		return &t.parts[e+1]
+	}
+	return &t.parts[0]
+}
+
+// traceRun is the state of one trace run, CPU.run: execBlock's boundary
+// records read and update it, and a native saves and restores it.
+type traceRun struct {
+	t    *trace
+	left int // boundaries the chain bound still allows
+	laps int // back edges taken
+	// part is the constituent whose boundary the run left at, or -1.
+	part int
+	// nat is the native a run ended after, or -1.
+	nat int
 }
 
 // blockChunkBytes is the granularity at which superblock pointer storage
@@ -269,7 +426,7 @@ type megablock struct {
 // the code actually executed, so chunking keeps the cache's footprint
 // proportional to that code while the hit path stays a bounds-free
 // double index instead of a map probe.
-const blockChunkBytes = 512
+const blockChunkBytes = 256
 
 // blockChunk holds the superblocks entered within one chunk's offsets.
 type blockChunk struct {
@@ -366,37 +523,131 @@ func (c *CPU) stepBlock() (bool, error) {
 		return c.Step()
 	}
 	if c.chainOn {
-		c.entry[entrySlot(rip)] = chainLink{va: rip, ver: e.Version(), gen: gen, ref: e.Ref(), sb: sb}
+		c.entry[entrySlot(rip)] = entryLink{va: rip, ver: e.Version(), gen: gen, ref: e.Ref(), sb: sb}
 	}
 	return c.runChain(sb)
 }
 
-// runChain executes sb and then follows chain links block→block —
-// running native call-site links inline — until an exit dispatches
-// (uncached or mismatched indirect target, host return, native→native
-// transfer, invalidated link) or the chain bound is reached. Every block
-// runs through execBlock with the resident memory probes armed, and is
-// charged once after it retires: its instructions, one cycle each, and
-// one Blocks count. A block heading a loop megablock goes through
-// runMega.
+// pathStep is one block of the path runChain is recording: the block,
+// the VA it was entered at and, when its exit went through a native,
+// the native's call-site link.
+type pathStep struct {
+	sb  *superblock
+	va  uint64
+	nat *chainLink
+}
+
+// path is the path runChain is recording (see "Traces"): its blocks are
+// c.path[base:], run under the address-space generation gen.
+type path struct {
+	base int
+	id   uint64 // the mark of the blocks run on it
+	gen  uint64
+	loop bool // it closed a loop back to its first block
+}
+
+// endPath forms p's trace and starts a new path under generation gen.
+func (c *CPU) endPath(p *path, gen uint64) {
+	if len(c.path) > p.base+1 || p.loop {
+		c.formTrace(p)
+	}
+	c.path = c.path[:p.base]
+	c.pathID++
+	p.id, p.gen, p.loop = c.pathID, gen, false
+}
+
+// runChain executes sb, entered at c.RIP, and then follows chain links
+// block→block — running native call-site links inline and a block's
+// trace in its place — until an exit dispatches (uncached or mismatched
+// indirect target, host return, native→native transfer, invalidated
+// link) or the chain bound is reached. The path it ran one block at a
+// time becomes a trace when it ends. The path is kept on c.path above
+// the paths of the runChain calls this one is nested in (a native's
+// Call), and dropped on return.
 func (c *CPU) runChain(sb *superblock) (bool, error) {
+	c.pathID++
+	p := path{base: len(c.path), id: c.pathID, gen: c.AS.Generation()}
+	halted, err := c.chain(sb, &p)
+	c.endPath(&p, 0)
+	if p.base == 0 && c.pathBuf != nil {
+		*c.pathBuf, c.path = c.path[:0], nil
+		pathPool.Put(c.pathBuf)
+		c.pathBuf = nil
+	}
+	return halted, err
+}
+
+// pushStep appends s to c.path. A path's first step fits in c.path1, so
+// a block run alone between two traces takes no buffer; a longer path
+// takes one from pathPool, which the outermost runChain gives back.
+// Machines forked for a few hundred calls record on their first few, so
+// they share the pool's buffers instead of allocating their own.
+func (c *CPU) pushStep(s pathStep) {
+	if len(c.path) == cap(c.path) {
+		switch {
+		case c.path == nil:
+			c.path = c.path1[:0]
+		case c.pathBuf == nil:
+			c.pathBuf = pathPool.Get().(*[]pathStep)
+			c.path = append((*c.pathBuf)[:0], c.path...)
+		}
+	}
+	c.path = append(c.path, s)
+}
+
+// pathPool holds the path buffers of paths longer than one block.
+var pathPool = sync.Pool{New: func() any {
+	s := make([]pathStep, 0, 16) // a wrapped ioctl's path fits
+	return &s
+}}
+
+// chain is runChain's loop. Every block runs through execBlock with the
+// resident memory probes armed, and is charged once after it retires:
+// its instructions, one cycle each, and one Blocks count.
+func (c *CPU) chain(sb *superblock, p *path) (bool, error) {
 	// The address-space generation can only change inside a native
 	// (chainNative refreshes it); hoisting the atomic read out of the
 	// per-transition link validation is therefore exact.
-	asGen := c.AS.Generation()
+	asGen := p.gen
 	for depth := 0; ; depth++ {
 		// Arm the resident probes: no native, actor or IRQ runs between
 		// here and the end of the block, so the address-space generation
 		// cannot change and the per-access re-check is redundant. MMIO
-		// disarms them (see load64/store64).
+		// and slow stores disarm them (see load64/store64).
 		c.memFast = true
 		n, halted, err := 0, false, error(nil)
-		if m := sb.mega; m == nil {
-			n, halted, err = c.execBlock(sb.insts)
+		if t := sb.trace; t != nil && t.va == c.RIP && t.gen == asGen && c.sampler == nil && t.current() {
+			if len(c.path) > p.base {
+				c.endPath(p, asGen) // the path ends where a trace begins
+			}
+			var tn *traceNative
+			n, depth, sb, tn, halted, err = c.runTrace(t, depth)
+			c.memFast = false
+			if tn != nil {
+				// The run ended after a native: the call site is charged,
+				// and the return resolves as chainNative resolves it.
+				if halted || err != nil {
+					return halted, err
+				}
+				nl, _, halted, err := c.nativeReturn(tn.link, tn.ind)
+				if nl == nil {
+					return halted, err
+				}
+				sb = nl.sb
+				if g := c.AS.Generation(); g != asGen {
+					asGen = g
+					c.endPath(p, asGen)
+				}
+				continue
+			}
 		} else {
-			n, depth, sb, halted, err = c.runMega(sb, m, asGen, depth)
+			if c.sampler == nil { // a sampler keeps traces off
+				c.pushStep(pathStep{sb: sb, va: c.RIP})
+				sb.mark = p.id
+			}
+			n, halted, err = c.execBlock(sb.insts)
+			c.memFast = false
 		}
-		c.memFast = false
 		c.Insts += uint64(n)
 		c.Cycles += uint64(n) * CostInst
 		c.Blocks++
@@ -424,8 +675,8 @@ func (c *CPU) runChain(sb *superblock) (bool, error) {
 		var l *chainLink
 		li := -1
 		if indirect {
-			if !sb.ilink.empty() && sb.ilink.va == rip {
-				l = &sb.ilink
+			if l = &sb.links[0]; l.empty() || l.va != rip {
+				l = nil
 			}
 		} else {
 			for i := range sb.links {
@@ -440,18 +691,26 @@ func (c *CPU) runChain(sb *superblock) (bool, error) {
 				// Native call-site link: valid while the native table is
 				// unchanged since it was recorded.
 				if l.gen == c.blockGen {
-					nsb, halted, err := c.chainNative(l, indirect)
-					if nsb == nil {
+					if len(c.path) > p.base {
+						c.path[len(c.path)-1].nat = l
+					}
+					nl, _, halted, err := c.chainNative(l, indirect)
+					if nl == nil {
 						return halted, err
 					}
-					sb = nsb
-					asGen = c.AS.Generation() // the native may have remapped
+					sb = nl.sb
+					if g := c.AS.Generation(); g != asGen {
+						asGen = g // the native remapped
+						c.endPath(p, asGen)
+					}
 					continue
 				}
 			} else if l.sb.gen == c.blockGen && l.gen == asGen && l.ref.Version() == l.ver {
 				c.ChainedBlocks++
 				if indirect {
 					c.IndirectChained++
+				} else if l.sb.mark == p.id {
+					c.closeLoop(p, sb, l.sb, rip)
 				}
 				sb = l.sb
 				continue
@@ -470,20 +729,23 @@ func (c *CPU) runChain(sb *superblock) (bool, error) {
 				// run the native inline — the call, the native and its
 				// return-target block all stay inside the chain.
 				nl := chainLink{va: rip, gen: c.blockGen, nat: nat}
-				if indirect {
-					sb.ilink = nl
-					l = &sb.ilink
-				} else {
-					slot := directSlot(sb, li)
-					sb.links[slot] = nl
-					l = &sb.links[slot]
+				l = &sb.links[0]
+				if !indirect {
+					l = &sb.links[directSlot(sb, li)]
 				}
-				nsb, halted, err := c.chainNative(l, indirect)
-				if nsb == nil {
+				*l = nl
+				if len(c.path) > p.base {
+					c.path[len(c.path)-1].nat = l
+				}
+				rl, _, halted, err := c.chainNative(l, indirect)
+				if rl == nil {
 					return halted, err
 				}
-				sb = nsb
-				asGen = c.AS.Generation() // the native may have remapped
+				sb = rl.sb
+				if g := c.AS.Generation(); g != asGen {
+					asGen = g // the native remapped
+					c.endPath(p, asGen)
+				}
 				continue
 			}
 		}
@@ -496,69 +758,30 @@ func (c *CPU) runChain(sb *superblock) (bool, error) {
 		}
 		nl := chainLink{va: rip, ver: e.Version(), gen: asGen, ref: e.Ref(), sb: nsb}
 		if indirect {
-			sb.ilink = nl // monomorphic: the newest target wins
+			sb.links[0] = nl // monomorphic: the newest target wins
 		} else {
 			sb.links[directSlot(sb, li)] = nl
-			c.formMega(nsb, rip, asGen) // the new link may close a loop
+			if nsb.mark == p.id {
+				c.closeLoop(p, sb, nsb, rip)
+			}
 		}
 		sb = nsb
 	}
 }
 
-// formMega fuses into head's loop megablock the first cycle of at most
-// maxMegaParts valid direct links it finds from head, entered at va, back
-// to head on va's page. runChain calls it when it records a direct link,
-// the last of a cycle's links to be recorded; a re-formation reuses the
-// megablock's storage.
-func (c *CPU) formMega(head *superblock, va, asGen uint64) {
-	var buf [maxMegaParts]*chainLink
-	cycle := c.megaCycle(head, head, va&^mm.PageMask, asGen, buf[:0])
-	if cycle == nil {
+// closeLoop ends p when the direct exit of sb, the path's last block,
+// reaches to, a block on it (marked with its id) — unless the exit is a
+// CALL: a function called twice on one path is not a loop. Back at the path's first block, at
+// its VA, the trace takes the exit as a back edge; anywhere else it ends
+// there, and the path that starts at the block closes the loop on its
+// next lap.
+func (c *CPU) closeLoop(p *path, sb, to *superblock, va uint64) {
+	if sb.insts[len(sb.insts)-1].k == kCALL {
 		return
 	}
-	m := head.mega
-	if m == nil {
-		m = &megablock{}
-		head.mega = m
-	}
-	m.insts, m.parts, m.stores = m.insts[:0], m.parts[:0], false
-	sb := head
-	for i, l := range cycle {
-		for _, in := range sb.insts {
-			m.stores = m.stores || in.k == kSTORE || in.k == kSTRIP || in.k == kXORM || in.k == kPUSH
-		}
-		g := sb.insts[len(sb.insts)-1]
-		g.k, g.r1, g.r2, g.imm = kGuard, isa.Reg(i), isa.Reg(condTaken[g.k]), int64(l.va)
-		m.insts = append(append(m.insts, sb.insts[:len(sb.insts)-1]...), g)
-		m.parts = append(m.parts, sb)
-		sb = l.sb
-	}
-	back := cycle[len(cycle)-1]
-	m.va, m.gen, m.ver, m.ref = va, asGen, back.ver, back.ref
-}
-
-// megaCycle extends path by a depth-first search from sb for valid direct
-// links that stay on page and reach head, returning nil if none does
-// within maxMegaParts links. Every block on the path must end in a JMP or
-// Jcc, the branches a guard can carry.
-func (c *CPU) megaCycle(sb, head *superblock, page, asGen uint64, path []*chainLink) []*chainLink {
-	if k := sb.insts[len(sb.insts)-1].k; len(path) == maxMegaParts || k < kJMP || k > kJAE {
-		return nil
-	}
-	for i := range sb.links {
-		l := &sb.links[i]
-		if l.sb == nil || l.va&^mm.PageMask != page ||
-			l.sb.gen != c.blockGen || l.gen != asGen || l.ref.Version() != l.ver {
-			continue
-		}
-		if l.sb == head {
-			return append(path, l)
-		}
-		if p := c.megaCycle(l.sb, head, page, asGen, append(path, l)); p != nil {
-			return p
-		}
-	}
-	return nil
+	head := &c.path[p.base]
+	p.loop = head.sb == to && head.va == va
+	c.endPath(p, p.gen)
 }
 
 // directSlot picks the links slot a direct exit's new record goes into:
@@ -579,18 +802,24 @@ func directSlot(sb *superblock, li int) int {
 
 // chainNative runs the native call-site link l inline — without
 // returning to the dispatch loop — and resolves the block at the
-// native's return address, chaining into l.ret when it validates and
-// re-recording it otherwise. Accounting is identical to the dispatch
-// path: runNative charges the same cost/sample/pop sequence wherever it
-// is invoked, and the return-target resolution mirrors the block-link
-// miss path. Returns the next block to execute in the chain; a nil
-// block means runChain must return (halted, err) to the dispatch loop
-// (host return, a native→native transfer, a fault, or the single-step
-// fallback).
-func (c *CPU) chainNative(l *chainLink, indirect bool) (*superblock, bool, error) {
+// native's return address (nativeReturn). Accounting is identical to
+// the dispatch path: runNative charges the same cost/sample/pop sequence
+// wherever it is invoked.
+func (c *CPU) chainNative(l *chainLink, indirect bool) (*chainLink, bool, bool, error) {
 	if halted, err := c.runNative(l.nat); halted || err != nil {
-		return nil, halted, err
+		return nil, false, halted, err
 	}
+	return c.nativeReturn(l, indirect)
+}
+
+// nativeReturn resolves the block at the return address of the native
+// link l, which has just run: it chains into l.ret when that validates
+// and re-records it otherwise, mirroring the block-link miss path. It
+// returns the link the block is entered through and whether it was
+// followed rather than recorded; a nil link means runChain must return
+// (halted, err) to the dispatch loop (host return, a native→native
+// transfer, a fault, or the single-step fallback).
+func (c *CPU) nativeReturn(l *chainLink, indirect bool) (*chainLink, bool, bool, error) {
 	rip := c.RIP
 	// Monomorphic return-target cache, full block-link validation.
 	if r := l.ret; r != nil && r.va == rip &&
@@ -599,28 +828,31 @@ func (c *CPU) chainNative(l *chainLink, indirect bool) (*superblock, bool, error
 		if indirect {
 			c.IndirectChained++
 		}
-		return r.sb, false, nil
+		return r, true, false, nil
 	}
 	c.chainMisses++
 	if rip == HostReturn {
-		return nil, true, nil
+		return nil, false, true, nil
 	}
 	if rip >= c.nativeLo && rip < c.nativeHi {
 		if _, native := c.natives[rip]; native {
-			return nil, false, nil // native→native: the dispatch loop runs it
+			return nil, false, false, nil // native→native: the dispatch loop runs it
 		}
 	}
 	gen := c.AS.Generation()
 	nsb, e, ferr := c.fetchBlock()
 	if ferr != nil {
-		return nil, false, c.fault("fetch", ferr)
+		return nil, false, false, c.fault("fetch", ferr)
 	}
 	if nsb == nil {
 		halted, err := c.Step() // unbuildable entry: single-step fallback
-		return nil, halted, err
+		return nil, false, halted, err
 	}
-	l.ret = &chainLink{va: rip, ver: e.Version(), gen: gen, ref: e.Ref(), sb: nsb}
-	return nsb, false, nil
+	if l.ret == nil {
+		l.ret = new(chainLink)
+	}
+	*l.ret = chainLink{va: rip, ver: e.Version(), gen: gen, ref: e.Ref(), sb: nsb}
+	return l.ret, false, false, nil
 }
 
 // fetchBlock returns the superblock entered at c.RIP and its translation,
@@ -667,7 +899,7 @@ func (c *CPU) fetchBlock() (*superblock, mm.Entry, error) {
 	c.blockMisses++
 
 	window := e.CodeWindow(off)
-	sb := &superblock{gen: c.blockGen}
+	sb := &superblock{gen: c.blockGen, ref: e.Ref(), ver: ver}
 	var last isa.Op
 	for o := 0; ; {
 		in, derr := isa.Decode(window[o:])
@@ -709,24 +941,276 @@ func (c *CPU) fetchBlock() (*superblock, mm.Entry, error) {
 	return sb, e, nil
 }
 
-// runMega runs sb, a megablock head, as runChain runs a block: through
-// its megablock m when that is valid for entry here, charging the
-// constituents the pass went through, and on its own otherwise. It
-// returns the count runChain charges for the block the pass ended in,
-// that block's chain depth and the block, and (halted, err) as
-// execBlock.
-func (c *CPU) runMega(sb *superblock, m *megablock, asGen uint64, depth int) (int, int, *superblock, bool, error) {
-	if c.sampler != nil || m.gen != asGen || m.va != c.RIP || m.ref.Version() != m.ver {
-		n, halted, err := c.execBlock(sb.insts)
-		return n, depth, sb, halted, err
+// runTrace runs t, whose head runChain entered at chain depth depth, in
+// one execBlock pass and charges the constituents the run went through
+// before the one it ended in, as runChain charges blocks and followed
+// links. It returns what runChain charges and goes on from: the
+// instructions of that constituent, its chain depth and block, and
+// (halted, err) as execBlock. A run that ended after a native ran has
+// its call site charged too; it returns the call site's depth and the
+// native instead, whose return runChain resolves.
+//
+// The charge is made when the run ends, natives included: the counters
+// only add up, and nothing a native does reads them (a nested Call's
+// instruction budget counts from its own start).
+func (c *CPU) runTrace(t *trace, depth int) (int, int, *superblock, *traceNative, bool, error) {
+	r := &c.run
+	r.t, r.left, r.laps, r.part, r.nat = t, maxChainBlocks-depth, 0, -1, -1
+	t.active++
+	n, halted, err := c.execBlock(t.insts)
+	t.active--
+	r.t = nil // Step and plain blocks run no trace
+	depth = maxChainBlocks - r.left
+	e := r.part
+	if r.nat >= 0 {
+		c.chargeTrace(t, e+1, r.laps) // the call site retired
+		return 0, depth - 1, nil, &t.natives[r.nat], halted, err
 	}
-	m.left, m.base, m.laps, m.part = maxChainBlocks-depth, 0, 0, 0
-	c.mega = m
-	n, halted, err := c.execBlock(m.insts)
-	k, done := uint64(maxChainBlocks-depth-m.left), uint64(m.laps*len(m.insts)+m.base)
-	c.Insts += done
-	c.Cycles += done * CostInst
-	c.Blocks += k
-	c.ChainedBlocks += k
-	return n - m.base, depth + int(k), m.parts[m.part], halted, err
+	if e >= 0 {
+		n = int(t.parts[e].n) // a boundary: the whole constituent ran
+		if sb := t.parts[e].sb; c.RIP == t.va && !t.loop && sb.linkable {
+			// A direct exit back to the head: the path closes a loop.
+			c.chargeTrace(t, e, r.laps)
+			c.loopTrace(t, e)
+			return n, depth, sb, nil, halted, err
+		}
+	} else {
+		i := n - 1 // the record the run ended at
+		e = t.partAt(i)
+		n = i + 1 - int(t.parts[e].start)
+	}
+	c.chargeTrace(t, e, r.laps)
+	return n, depth, t.parts[e].sb, nil, halted, err
+}
+
+// loopTrace forms t again from its first e+1 constituents with the
+// direct exit of the last one as a back edge: a run left there for the
+// head, so the path it recorded was the first lap of a loop.
+func (c *CPU) loopTrace(t *trace, e int) {
+	p := path{base: len(c.path), gen: t.gen, loop: true}
+	for i := range e + 1 {
+		va := t.va
+		if i > 0 { // where the boundary before it went on
+			if b := &t.insts[t.parts[i].start-1]; b.k == kNative {
+				va = t.natives[b.disp].ret
+			} else {
+				va = uint64(b.imm)
+			}
+		}
+		c.pushStep(pathStep{sb: t.parts[i].sb, va: va})
+	}
+	for _, tn := range t.natives {
+		if int(tn.part) <= e {
+			c.path[p.base+int(tn.part)].nat = tn.link
+		}
+	}
+	c.formTrace(&p)
+	c.path = c.path[:p.base]
+}
+
+// chargeTrace charges the constituents a run of t went through before
+// constituent j in lap lap (j == len(t.parts), after a native at a
+// loop's last constituent, is the next lap's start), and the direct
+// edges between them, as runChain charges blocks and followed links.
+// Indirect and native edges are charged where they are crossed.
+func (c *CPU) chargeTrace(t *trace, j, lap int) {
+	if j == len(t.parts) {
+		j, lap = 0, lap+1 // the same place, if the trace loops
+	}
+	insts, blocks, direct := t.pos(j, lap)
+	c.Insts += insts
+	c.Cycles += insts * CostInst
+	c.Blocks += blocks
+	c.ChainedBlocks += direct
+}
+
+// traceLink crosses the indirect edge out of constituent e of the
+// running trace to va as runChain would cross it: through the block's
+// monomorphic cache when that holds va, and otherwise through the
+// dispatch resolution, whose TLB lookup and block-cache hit it replays
+// before re-recording the cache. The trace's checks have shown that va
+// translates to the recorded block.
+func (c *CPU) traceLink(e int, va uint64) {
+	t := c.run.t
+	sb := t.parts[e].sb
+	// With the trace current, a link to the recorded block at va under
+	// the trace's generation is one runChain would follow.
+	succ := t.succ(e).sb
+	if l := &sb.links[0]; l.va == va && l.sb == succ && l.gen == t.gen {
+		c.ChainedBlocks++
+		c.IndirectChained++
+		return
+	}
+	c.chainMisses++
+	en, hit, _ := c.TLB.Entry(va, mm.AccessExec)
+	if !hit {
+		c.Cycles += CostTLBMiss
+	}
+	c.blockHits++
+	l := &sb.links[0] // field by field: a whole-struct store is a typedmemmove
+	l.va, l.ver, l.gen, l.ref, l.sb, l.nat, l.ret = va, en.Version(), t.gen, en.Ref(), succ, nil, nil
+}
+
+// traceNative runs the k-th native of the running trace at constituent
+// e's boundary, as chainNative runs it, with c.RIP at the native. It
+// reports whether the run goes on at the return address; if not, the
+// run ends at e's boundary (another path rewrote the call site's link,
+// so runChain would miss it) or, after the native ran, with c.run.nat
+// set and (halted, err) as runNative returned them.
+func (c *CPU) traceNative(e, k int) (bool, bool, error) {
+	r := &c.run
+	t := r.t
+	tn := &t.natives[k]
+	if l := tn.link; l.va != c.RIP || l.nat != tn.nat || l.gen != t.bgen {
+		r.part = e
+		return false, false, nil
+	}
+	left, laps := r.left-1, r.laps
+	c.memFast = false // as between blocks: the native may remap
+	halted, err := c.runNative(tn.nat)
+	// A nested Call may have run traces: restore this run's state, field
+	// by field (a whole-struct store is a typedmemmove).
+	r.left, r.laps, r.part, r.nat = left, laps, e, k
+	if r.t != t {
+		r.t = t
+	}
+	// The return chains as nativeReturn would chain it: to the recorded
+	// block, through a link under the trace's generation.
+	if rl := tn.link.ret; halted || err != nil || c.RIP != tn.ret || rl == nil || rl.va != tn.ret ||
+		rl.gen != t.gen || rl.sb != t.succ(e).sb || c.AS.Generation() != t.gen ||
+		c.blockGen != t.bgen || c.sampler != nil || !t.current() {
+		return false, halted, err
+	}
+	r.part, r.nat = -1, -1
+	c.ChainedBlocks++
+	if tn.ind {
+		c.IndirectChained++
+	}
+	c.memFast = true
+	return true, false, nil
+}
+
+// formTrace fuses p, a path that just ended, into a trace on its first
+// block (see "Traces"). The trace ends before the first block that is
+// no longer current or the first direct or native edge whose link no
+// longer holds. A path of one block without a back edge forms nothing;
+// neither does one whose first block heads a running trace.
+func (c *CPU) formTrace(p *path) {
+	steps := c.path[p.base:]
+	n, loop := len(steps), p.loop
+	if n < 2 && !loop || c.sampler != nil || p.gen != c.AS.Generation() {
+		return
+	}
+	t := steps[0].sb.trace
+	if t != nil && t.active > 0 {
+		return
+	}
+	w := mm.CodeWrites()
+	for i := range n {
+		if sb := steps[i].sb; sb.gen != c.blockGen || sb.ref.Version() != sb.ver {
+			n, loop = i, false
+			break
+		}
+	}
+	for i := range n {
+		next := i + 1
+		if next == n {
+			if next = 0; !loop {
+				break
+			}
+		}
+		if !c.edgeHolds(&steps[i], &steps[next]) {
+			n, loop = i+1, false
+			break
+		}
+	}
+	if n < 2 && !loop {
+		return
+	}
+	steps = steps[:n]
+	nrec, nnat := 0, 0
+	for i := range steps {
+		s := &steps[i]
+		nrec += len(s.sb.insts)
+		if i < n-1 || loop {
+			if k := s.sb.insts[len(s.sb.insts)-1].k; s.nat != nil {
+				nrec, nnat = nrec+1, nnat+1
+			} else if k != kRET && k != kCALL && (s.sb.indirect || k < kJMP || k > kJAE) {
+				nrec++ // a link record: the others fuse with their branch
+			}
+		}
+	}
+	if t == nil {
+		t = &trace{}
+		steps[0].sb.trace = t
+	}
+	t.insts = slices.Grow(t.insts[:0], nrec)
+	t.parts = slices.Grow(t.parts[:0], n)
+	t.natives = slices.Grow(t.natives[:0], nnat)
+	t.va, t.gen, t.bgen, t.writes, t.loop = steps[0].va, p.gen, c.blockGen, w, loop
+	total, direct := 0, 0
+	for i := range steps {
+		s := &steps[i]
+		recs := s.sb.insts
+		t.parts = append(t.parts, tracePart{sb: s.sb, start: int32(len(t.insts)), n: int32(len(recs)),
+			cum: uint32(total), dcum: uint32(direct)})
+		total += len(recs)
+		if i == n-1 && !loop {
+			t.insts = append(t.insts, recs...) // the trace's end
+			break
+		}
+		next := i + 1
+		if next == n {
+			next = 0 // the back edge
+		}
+		succ := steps[next].va
+		last := recs[len(recs)-1]
+		t.insts = append(t.insts, recs[:len(recs)-1]...)
+		switch {
+		case s.nat != nil:
+			t.insts = append(t.insts, last, inst{k: kNative, imm: int64(s.nat.va), r1: isa.Reg(i), disp: int32(len(t.natives))})
+			t.natives = append(t.natives, traceNative{nat: s.nat.nat, link: s.nat, ret: succ, part: int32(i), ind: s.sb.indirect})
+		case last.k == kRET:
+			last.k, last.r1, last.imm, last.disp = kRetEdge, isa.Reg(i), int64(succ), int32(next)
+			t.insts = append(t.insts, last)
+		case s.sb.indirect:
+			t.insts = append(t.insts, last, inst{k: kLink, imm: int64(succ), r1: isa.Reg(i), disp: int32(next)})
+		case last.k == kCALL:
+			direct++
+			last.k, last.r1, last.imm = kCallEdge, isa.Reg(i), int64(succ)
+			t.insts = append(t.insts, last)
+		case last.k >= kJMP && last.k <= kJAE:
+			direct++
+			last.k, last.r1, last.r2, last.imm = kGuard, isa.Reg(i), isa.Reg(condTaken[last.k]), int64(succ)
+			t.insts = append(t.insts, last)
+		default:
+			direct++
+			t.insts = append(t.insts, last, inst{k: kGuard, imm: int64(succ), r1: isa.Reg(i)})
+		}
+	}
+	t.lapInsts, t.lapBlocks, t.lapDirect = 0, 0, 0
+	if loop {
+		t.lapInsts, t.lapBlocks, t.lapDirect = uint64(total), uint64(n), uint64(direct)
+	}
+}
+
+// edgeHolds reports whether the edge the path took from s to next can go
+// on a trace: an indirect edge always can (a trace crosses it as a link
+// would be looked up), a native edge while its link is current, and a
+// direct edge while the link it was followed or recorded through is
+// valid.
+func (c *CPU) edgeHolds(s, next *pathStep) bool {
+	if l := s.nat; l != nil {
+		return l.nat != nil && l.gen == c.blockGen
+	}
+	if s.sb.indirect {
+		return true
+	}
+	for i := range s.sb.links {
+		if l := &s.sb.links[i]; l.va == next.va && l.sb == next.sb &&
+			l.gen == c.AS.Generation() && l.ref.Version() == l.ver {
+			return true
+		}
+	}
+	return false
 }

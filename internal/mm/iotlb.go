@@ -139,7 +139,7 @@ func (c *IOTLB) WriteBytesForce(va uint64, b []byte) error {
 		}
 		n := copy(fd.data[va&PageMask:], b)
 		if fd.exec.Load() {
-			fd.ver.Add(1)
+			fd.bump()
 		}
 		va += uint64(n)
 		b = b[n:]

@@ -166,6 +166,9 @@ func (s *frameSlot) private(ctr *atomic.Int64) *frameData {
 	}
 	nfd := &frameData{data: fd.data}
 	nfd.ver.Store(fd.ver.Load() + 1)
+	if fd.exec.Load() {
+		codeWrites.Add(1) // only exec-mapped frames hold decoded code
+	}
 	nfd.exec.Store(fd.exec.Load())
 	nfd.refs.Store(1)
 	s.fd.Store(nfd)
@@ -241,6 +244,9 @@ func (p *PhysMem) Alloc() FrameID {
 			// entries in this machine can never validate against it.
 			nf := &frameData{}
 			nf.ver.Store(f.ver.Load() + 1)
+			if f.exec.Load() {
+				codeWrites.Add(1) // only exec-mapped frames hold decoded code
+			}
 			nf.refs.Store(1)
 			s.fd.Store(nf)
 			f.refs.Add(-1)
@@ -250,7 +256,11 @@ func (p *PhysMem) Alloc() FrameID {
 		f.data = [PageSize]byte{}
 		// A recycled frame may carry decoded blocks from its previous
 		// life; invalidate them and reset exec.
-		f.ver.Add(1)
+		if f.exec.Load() {
+			f.bump()
+		} else {
+			f.ver.Add(1)
+		}
 		f.exec.Store(false)
 		return id
 	}
@@ -432,8 +442,25 @@ func (p *PhysMem) FrameVersion(id FrameID) uint64 { return p.frame(id).ver.Load(
 // frames pay the version bump; plain data frames keep writes free.
 func (p *PhysMem) NoteWrite(id FrameID) {
 	if f := p.frame(id); f.exec.Load() {
-		f.ver.Add(1)
+		f.bump()
 	}
+}
+
+// codeWrites counts the frame content-version bumps of the whole
+// process (see FrameVersion).
+var codeWrites atomic.Uint64
+
+// CodeWrites returns how many times any frame's content version has
+// advanced in this process. A reader that sees the same count twice
+// knows that no version it watches advanced in between: the machine it
+// runs is the only writer of its own frames' versions, and it bumps the
+// count with the version.
+func CodeWrites() uint64 { return codeWrites.Load() }
+
+// bump advances f's content version.
+func (f *frameData) bump() {
+	f.ver.Add(1)
+	codeWrites.Add(1)
 }
 
 // MarkExec flags a frame as reachable through an executable mapping,
@@ -879,7 +906,7 @@ func (r FrameRef) Version() uint64 {
 // instruction caches watch exec-mapped frames; see PhysMem.NoteWrite).
 func (e Entry) NoteWrite() {
 	if fd := e.rec(); fd != nil && fd.exec.Load() {
-		fd.ver.Add(1)
+		fd.bump()
 	}
 }
 

@@ -110,6 +110,10 @@ func (t *TLB) Entry(va uint64, access Access) (Entry, bool, error) {
 	return s.e, hit, nil
 }
 
+// Current reports whether no shootdown has happened since the TLB's last
+// Entry call: the precondition of the resident probes below.
+func (t *TLB) Current() bool { return t.gen == t.as.Generation() }
+
 // LoadPage is the word-granularity resident load probe: one L1 lookup
 // plus MMIO and straddle screening, sized to stay under the compiler's
 // inlining budget so the CPU's block execute loop pays no call per

@@ -270,6 +270,13 @@ func TestStepAllocBudget(t *testing.T) {
 	}
 	step() // warm-up: the first unmap fills the spare lists
 	const steps, maxBytes, maxObjects = 8, 160, 7
+	// MemStats counts the whole process. Restarting the world after
+	// ReadMemStats may wake an idle P and start an OS thread for it, and
+	// the runtime allocates the thread's M and g0 stack inside the window
+	// (a memory profile of a failing run showed runtime.allocm under
+	// startTheWorld). With one P, as testing.AllocsPerRun runs, there is
+	// no idle P to wake.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < steps; i++ {

@@ -78,33 +78,49 @@ func TestRegistryForkPoolEquivalent(t *testing.T) {
 	}
 }
 
-// TestSweepForkParallelMatchesSerial: the two sweep modes must render
-// byte-identical tables point for point — the same check CI's sweep
-// gate runs from benchtool.
+// TestSweepForkParallelMatchesSerial: the two sweep modes must give
+// equal tables point for point, in their typed cells and rendered byte
+// for byte: the check CI's sweep gate runs from benchtool, with the
+// gate's fig9 and server ranges.
 func TestSweepForkParallelMatchesSerial(t *testing.T) {
-	e, ok := Experiments.Lookup("fig5b")
-	if !ok {
-		t.Fatal("fig5b not registered")
-	}
-	values := []int64{50, 100, 150, 200}
-	sweep := func(parallel bool) string {
-		pts, err := RunSweep(e, e.Params(true), "ops", values, parallel, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		for _, pt := range pts {
-			if pt.Table == nil {
-				t.Fatalf("missing point %d", pt.Value)
+	for _, c := range []struct {
+		name   string
+		values []int64
+	}{
+		{"fig5b", []int64{50, 100, 150, 200}},
+		{"fig9", []int64{25, 50, 75, 100}},
+		{"server", []int64{20, 40, 60}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, ok := Experiments.Lookup(c.name)
+			if !ok {
+				t.Fatalf("%s not registered", c.name)
 			}
-			pt.Table.Fprint(&buf)
-		}
-		return buf.String()
-	}
-	serial := sweep(false)
-	parallel := sweep(true)
-	if serial != parallel {
-		t.Fatalf("parallel sweep output diverges from serial:\n%s\n---\n%s", serial, parallel)
+			sweep := func(parallel bool) ([]*Table, string) {
+				pts, err := RunSweep(e, e.Params(true), "ops", c.values, parallel, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var tabs []*Table
+				var buf bytes.Buffer
+				for _, pt := range pts {
+					if pt.Table == nil {
+						t.Fatalf("missing point %d", pt.Value)
+					}
+					tabs = append(tabs, pt.Table)
+					pt.Table.Fprint(&buf)
+				}
+				return tabs, buf.String()
+			}
+			serialTabs, serial := sweep(false)
+			parallelTabs, parallel := sweep(true)
+			if !reflect.DeepEqual(serialTabs, parallelTabs) {
+				t.Errorf("parallel sweep cells diverge from serial:\n%+v\n---\n%+v", serialTabs, parallelTabs)
+			}
+			if serial != parallel {
+				t.Fatalf("parallel sweep output diverges from serial:\n%s\n---\n%s", serial, parallel)
+			}
+		})
 	}
 }
 
