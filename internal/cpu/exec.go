@@ -114,10 +114,9 @@ func decoded(in isa.Inst) inst {
 //
 // b may be the records of c.run's trace, whose boundary records end one
 // constituent block each and go on to the next (see runTrace). The
-// count returned then runs from the start of the records last entered
-// (the trace's or, after its back edge, the loop's), c.run.part names
-// the constituent a boundary left at, and c.run.nat the native a run
-// ended after.
+// count returned then indexes those records, c.run.part names the
+// constituent a boundary left at, and c.run.nat the native a run ended
+// after.
 func (c *CPU) execBlock(b []inst) (int, bool, error) {
 	rip := c.RIP
 lap:
@@ -381,12 +380,12 @@ lap:
 		// Trace boundaries (see superblock.go's "Traces"). A kGuard is
 		// a constituent's final JMP/Jcc or, with length and mask 0, a
 		// link record after its exit; a kCallEdge is a final CALL and
-		// then its kGuard. The run goes on at the next
-		// constituent while the target is the recorded one, the chain
-		// bound allows another block and, once a slow store or an MMIO
-		// access disarmed the probes, every frame is current; otherwise
-		// it leaves at the target, and runTrace charges the constituent
-		// in r1 and hands its exit back to runChain.
+		// then its kGuard. The run goes on at the next constituent while
+		// the target is the recorded one, the chain bound allows another
+		// block and, once a slow store or an MMIO access disarmed the
+		// probes, every constituent is current; otherwise it leaves at
+		// the target, and runTrace charges the constituent in r1 and
+		// hands its exit back to runChain.
 		case kCallEdge:
 			ret := next
 			next += uint64(int64(in.disp))
@@ -450,8 +449,7 @@ lap:
 				return i, false, nil
 			}
 			// The hit path of traceLink: disp holds the next constituent.
-			if t := r.t; t.parts[in.r1].sb.links[0].va != next ||
-				t.parts[in.r1].sb.links[0].sb != t.parts[in.disp].sb || t.parts[in.r1].sb.links[0].gen != t.gen {
+			if t := r.t; !linked(&t.parts[in.r1].sb.links[0], next, t.parts[in.disp].sb, t.gen) {
 				c.traceLink(int(in.r1), next)
 			} else {
 				c.ChainedBlocks++

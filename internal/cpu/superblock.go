@@ -1024,31 +1024,30 @@ func (c *CPU) chargeTrace(t *trace, j, lap int) {
 	c.ChainedBlocks += direct
 }
 
+// linked reports whether l is a link runChain would follow to sb at va
+// under generation gen, given that sb is current (a trace's check).
+func linked(l *chainLink, va uint64, sb *superblock, gen uint64) bool {
+	return l.va == va && l.sb == sb && l.gen == gen
+}
+
 // traceLink crosses the indirect edge out of constituent e of the
-// running trace to va as runChain would cross it: through the block's
-// monomorphic cache when that holds va, and otherwise through the
-// dispatch resolution, whose TLB lookup and block-cache hit it replays
-// before re-recording the cache. The trace's checks have shown that va
-// translates to the recorded block.
+// running trace to va where runChain would miss: the block's monomorphic
+// cache does not hold va (execBlock has checked), so it replays the
+// dispatch resolution's TLB lookup and block-cache hit and re-records
+// the cache. The trace's checks have shown that va translates to the
+// recorded block.
 func (c *CPU) traceLink(e int, va uint64) {
 	t := c.run.t
-	sb := t.parts[e].sb
-	// With the trace current, a link to the recorded block at va under
-	// the trace's generation is one runChain would follow.
-	succ := t.succ(e).sb
-	if l := &sb.links[0]; l.va == va && l.sb == succ && l.gen == t.gen {
-		c.ChainedBlocks++
-		c.IndirectChained++
-		return
-	}
 	c.chainMisses++
+	// The translation cannot fail: va was mapped executable under the
+	// trace's generation, which is still current.
 	en, hit, _ := c.TLB.Entry(va, mm.AccessExec)
 	if !hit {
 		c.Cycles += CostTLBMiss
 	}
 	c.blockHits++
-	l := &sb.links[0] // field by field: a whole-struct store is a typedmemmove
-	l.va, l.ver, l.gen, l.ref, l.sb, l.nat, l.ret = va, en.Version(), t.gen, en.Ref(), succ, nil, nil
+	l := &t.parts[e].sb.links[0] // field by field: a whole-struct store is a typedmemmove
+	l.va, l.ver, l.gen, l.ref, l.sb, l.nat, l.ret = va, en.Version(), t.gen, en.Ref(), t.succ(e).sb, nil, nil
 }
 
 // traceNative runs the k-th native of the running trace at constituent
