@@ -410,22 +410,27 @@ func TestHalt(t *testing.T) {
 // per-instruction dispatch (an 83-instruction body), and the two-block
 // loop of ext4_get_block's extent scan (shape=scan, see scanLoop: a
 // 3-instruction load-compare block whose JB is never taken, then an
-// 8-instruction block that branches back). Two loop-free shapes measure
-// the transitions of a wrapped driver call: shape=straight is 16
+// 8-instruction block that branches back). shape=extents is that scan
+// as ext4_get_block runs it, a few trips a call: each Call passes 1..8
+// trips in turn in its first argument. Two loop-free shapes measure the
+// transitions of a wrapped driver call: shape=straight is 16
 // direct-linked 4-instruction blocks per Call, and shape=calls is 8
 // CALL/RET pairs into a 3-instruction function (17 blocks per Call).
 // Each sub-benchmark reports ns/inst and the blocks retired per trip (a
-// loop trip, or a Call for the loop-free shapes); the difference
-// between the pairs=1 and pairs=40 ns/inst is the cost of a block
-// transition.
+// loop trip, or a Call for shape=extents and the loop-free shapes); the
+// difference between the pairs=1 and pairs=40 ns/inst is the cost of a
+// block transition.
 func BenchmarkBlockDispatch(b *testing.B) {
 	for _, sh := range dispatchShapes(1000) {
 		b.Run(sh.name, func(b *testing.B) {
 			c := machine(b, sh.code)
 			b.ReportAllocs()
 			insts, blocks := c.Insts, c.Blocks
-			for b.Loop() {
+			for i := 0; b.Loop(); i++ {
 				c.Regs[isa.RSP] = stackTop
+				if sh.args != nil {
+					c.Regs[isa.ArgRegs[0]] = sh.args[i%len(sh.args)]
+				}
 				if _, err := c.Call(codeBase); err != nil {
 					b.Fatal(err)
 				}
@@ -437,11 +442,13 @@ func BenchmarkBlockDispatch(b *testing.B) {
 }
 
 // dispatchShape is one of BenchmarkBlockDispatch's programs, running
-// trips loop trips (or 1 for a loop-free shape) per Call.
+// trips loop trips (or 1 for a loop-free shape) per Call. The Calls
+// pass args, if set, in turn as their first argument.
 type dispatchShape struct {
 	name  string
 	code  []isa.Inst
 	trips int64
+	args  []uint64
 }
 
 // dispatchShapes returns BenchmarkBlockDispatch's programs, the loops
@@ -461,9 +468,14 @@ func dispatchShapes(iters int64) []dispatchShape {
 		back := -int32(len(encode(body...)) + 5) // JNE to the body start
 		code := append([]isa.Inst{{Op: isa.OpMOVI, R1: isa.RCX, Imm: iters}}, body...)
 		code = append(code, isa.Inst{Op: isa.OpJNE, Disp: back}, isa.Inst{Op: isa.OpRET})
-		shapes = append(shapes, dispatchShape{fmt.Sprintf("pairs=%d", pairs), code, iters})
+		shapes = append(shapes, dispatchShape{name: fmt.Sprintf("pairs=%d", pairs), code: code, trips: iters})
 	}
-	shapes = append(shapes, dispatchShape{"shape=scan", scanLoop(iters), iters})
+	shapes = append(shapes, dispatchShape{name: "shape=scan", code: scanLoop(iters), trips: iters})
+	// shape=extents: the scan's trips come from the first argument (the
+	// branches are relative, so the shorter first instruction moves none).
+	extents := scanLoop(0)
+	extents[0] = isa.Inst{Op: isa.OpMOV, R1: isa.RCX, R2: isa.ArgRegs[0]}
+	shapes = append(shapes, dispatchShape{name: "shape=extents", code: extents, trips: 1, args: []uint64{1, 2, 3, 4, 5, 6, 7, 8}})
 	// shape=straight: each block's JMP goes to the next instruction.
 	var straight []isa.Inst
 	for i := range 16 {
@@ -476,7 +488,7 @@ func dispatchShapes(iters int64) []dispatchShape {
 			straight[len(straight)-1] = isa.Inst{Op: isa.OpRET}
 		}
 	}
-	shapes = append(shapes, dispatchShape{"shape=straight", straight, 1})
+	shapes = append(shapes, dispatchShape{name: "shape=straight", code: straight, trips: 1})
 	// shape=calls: 8 CALLs of f, then RET; f adds, xors and returns.
 	a := newAsm()
 	for range 8 {
@@ -487,5 +499,5 @@ func dispatchShapes(iters int64) []dispatchShape {
 	a.ins(isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 3},
 		isa.Inst{Op: isa.OpXOR, R1: isa.RBX, R2: isa.RAX},
 		isa.Inst{Op: isa.OpRET})
-	return append(shapes, dispatchShape{"shape=calls", a.build(), 1})
+	return append(shapes, dispatchShape{name: "shape=calls", code: a.build(), trips: 1})
 }

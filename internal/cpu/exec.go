@@ -62,6 +62,7 @@ const (
 	kLink     // no opcode: a trace's indirect boundary
 	kRetEdge  // no opcode: a trace constituent's final RET and its kLink
 	kNative   // no opcode: a trace boundary that runs a native
+	kLoop     // no opcode: a loop's back edge, a final JMP/Jcc or a link record
 )
 
 // kinds maps every AK64 opcode byte to its executor kind; bytes that are
@@ -114,9 +115,9 @@ func decoded(in isa.Inst) inst {
 //
 // b may be the records of c.run's trace, whose boundary records end one
 // constituent block each and go on to the next (see runTrace). The
-// count returned then indexes those records, c.run.part names the
-// constituent a boundary left at, and c.run.nat the native a run ended
-// after.
+// count returned then indexes those records — from the loop's first
+// record once a back edge was taken —, c.run.part names the constituent
+// a boundary left at, and c.run.nat the native a run ended after.
 func (c *CPU) execBlock(b []inst) (int, bool, error) {
 	rip := c.RIP
 lap:
@@ -414,10 +415,27 @@ lap:
 			}
 			r.left--
 			c.memFast = true
-			if i+1 == len(b) {
-				r.laps, rip = r.laps+1, next
-				goto lap // the back edge
+		// A loop's back edge, from the exit of its last constituent: as a
+		// kGuard whose recorded VA is the loop's first constituent's. The
+		// exit's other direction goes on to the next record, the tail's
+		// link record, or ends the trace.
+		case kLoop:
+			if uint8(in.r2)>>(c.flags&7)&1 != 0 {
+				next += uint64(int64(in.disp))
 			}
+			if next != uint64(in.imm) {
+				break
+			}
+			r := &c.run
+			if r.left == 0 || !c.memFast && !r.t.current() {
+				c.RIP, r.part = next, int(in.r1)
+				return i, false, nil
+			}
+			r.left--
+			r.laps++
+			c.memFast = true
+			rip, b = next, r.t.loop
+			goto lap
 		// An indirect exit's boundary: as a link record, and the edge is
 		// crossed as runChain crosses it (traceLink). A kRetEdge is a
 		// final RET and then its kLink.
@@ -457,10 +475,6 @@ lap:
 			}
 			r.left--
 			c.memFast = true
-			if i+1 == len(b) {
-				r.laps, rip = r.laps+1, next
-				goto lap // the back edge
-			}
 		// A native's boundary: as a link record, then the native runs
 		// (traceNative) and the run goes on at its return address.
 		case kNative:
@@ -471,12 +485,9 @@ lap:
 			}
 			c.RIP = next
 			if ok, halted, err := c.traceNative(int(in.r1), int(in.disp)); !ok {
-				return 0, halted, err
+				return i, halted, err
 			}
-			if next = c.RIP; i+1 == len(b) {
-				r.laps, rip = r.laps+1, next
-				goto lap // the back edge
-			}
+			next = c.RIP
 		}
 		rip = next
 	}

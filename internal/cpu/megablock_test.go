@@ -10,9 +10,9 @@ import (
 )
 
 // Loop-trace tests: a hot loop of linked blocks runs as one executor
-// pass, a trace whose last guard goes back to its first record, and
-// every counter, sample and fault shape is what per-block chaining
-// gives. The tests keep the name of the loop megablocks that traces replaced.
+// pass, a trace with a back edge from the loop's last block to its
+// first, and every counter, sample and fault shape is what per-block
+// chaining gives. The tests keep the name of the loop megablocks that traces replaced.
 // See superblock.go.
 
 // asm assembles AK64 code with labels for branch targets. Encoded lengths
@@ -87,12 +87,10 @@ func traceAt(t *testing.T, c *CPU, va uint64) (*trace, bool) {
 	return tr, tr.gen == c.AS.Generation() && tr.va == va && tr.current()
 }
 
-// scanHead is the VA of the scan loop's B block: the first run's path
-// starts there, after the B→A miss, and closes the loop when it reaches
-// B again, so B heads the loop trace.
-func scanHead() uint64 {
-	return codeBase + uint64(len(encode(scanLoop(0)[:6]...)))
-}
+// The scan loop's trace is its Call's, on codeBase: the first run's
+// path runs the prologue with A, then B, then A entered at the loop's
+// VA, whose exit back to B closes the loop (constituent 2 back to 1),
+// and ends when B's other exit leaves the loop.
 
 // TestMegablockRunsScanLoop: the scan loop fuses into one loop trace and
 // retires exactly the blocks, instructions and cycles of block execution
@@ -106,9 +104,9 @@ func TestMegablockRunsScanLoop(t *testing.T) {
 		run(t, c)
 		run(t, plain)
 	}
-	m, ok := traceAt(t, c, scanHead())
-	if !ok || len(m.parts) != 2 {
-		t.Fatalf("scan loop trace = %+v, valid %v; want a valid two-block loop trace", m, ok)
+	m, ok := traceAt(t, c, codeBase)
+	if !ok || len(m.parts) != 3 || m.back != 1 {
+		t.Fatalf("scan loop trace = %+v, valid %v; want a valid three-block trace looping back to B", m, ok)
 	}
 	if c.Insts != plain.Insts || c.Cycles != plain.Cycles || c.Blocks != plain.Blocks {
 		t.Fatalf("loop trace run = (%d insts, %d cycles, %d blocks), blocks only (%d, %d, %d)",
@@ -160,7 +158,7 @@ func TestMegablockSampler(t *testing.T) {
 	var plain *CPU
 	chainOff(t, func() { plain = machine(t, scanLoop(40)) })
 	got, want := sample(c), sample(plain)
-	if _, ok := traceAt(t, c, scanHead()); !ok {
+	if _, ok := traceAt(t, c, codeBase); !ok {
 		t.Fatal("no loop trace formed; the test exercised nothing")
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -177,7 +175,7 @@ func TestMegablockDroppedAfterAliasWrite(t *testing.T) {
 	c := machine(t, code)
 	run(t, c)
 	run(t, c)
-	if _, ok := traceAt(t, c, scanHead()); !ok {
+	if _, ok := traceAt(t, c, codeBase); !ok {
 		t.Fatal("no loop trace before the write")
 	}
 	frame, _, _ := c.AS.Lookup(codeBase)
@@ -190,7 +188,7 @@ func TestMegablockDroppedAfterAliasWrite(t *testing.T) {
 	if err := c.AS.WriteBytes(addi, encode(isa.Inst{Op: isa.OpADDI, R1: isa.RAX, Imm: 16})); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := traceAt(t, c, scanHead()); ok {
+	if _, ok := traceAt(t, c, codeBase); ok {
 		t.Fatal("loop trace still valid after an alias write to its frame")
 	}
 	if got := run(t, c); got != 16 {
@@ -205,17 +203,17 @@ const storeAlias = dataBase + 4*mm.PageSize
 
 // TestMegablockStoreToOwnFrame: once the loop has fused, a store by
 // constituent A into constituent B's bytes through a writable alias ends
-// the pass at A's guard, so B runs its new bytes in the same trip, as
-// per-block execution does.
+// the pass at A's back edge, so B runs its new bytes in the same trip,
+// as per-block execution does.
 func TestMegablockStoreToOwnFrame(t *testing.T) {
 	fullMode(t)
 	// A: store rcx at r9; r9 += a page; je out (never taken)
 	// B: movabs r10, imm; rax += r10; rcx--; jne A
-	// r9 starts in the first data page at the imm's offset, so the
-	// fifth and last trip writes 1 into B's imm and B adds it.
+	// rcx holds the trips. r9 starts in the first data page at the
+	// imm's offset, so a run of 3 trips writes data and one of 5 writes
+	// 1 into B's imm on its last trip, and B adds it.
 	a := newAsm()
-	a.ins(isa.Inst{Op: isa.OpMOVI, R1: isa.RCX, Imm: 5},
-		isa.Inst{Op: isa.OpMOVI, R1: isa.RAX, Imm: 0},
+	a.ins(isa.Inst{Op: isa.OpMOVI, R1: isa.RAX, Imm: 0},
 		isa.Inst{Op: isa.OpMOVABS, R1: isa.R9}) // set below
 	a.label("A")
 	a.ins(isa.Inst{Op: isa.OpSTORE, R1: isa.RCX, R2: isa.R9},
@@ -231,19 +229,29 @@ func TestMegablockStoreToOwnFrame(t *testing.T) {
 	a.label("out")
 	a.ins(isa.Inst{Op: isa.OpRET})
 	code := a.build()
-	code[2].Imm = int64(dataBase + uint64(imm))
+	code[1].Imm = int64(dataBase + uint64(imm))
 	c := machine(t, code)
 	frame, _, _ := c.AS.Lookup(codeBase)
 	if err := c.AS.Map(storeAlias, frame, mm.FlagWrite); err != nil {
 		t.Fatal(err)
 	}
+	c.Regs[isa.RCX] = 3
+	if got := run(t, c); got != 0 {
+		t.Fatalf("3-trip run = %d, want 0", got)
+	}
+	if tr, ok := traceAt(t, c, codeBase); !ok || tr.back != 1 {
+		t.Fatalf("no loop trace after the 3-trip run: %+v, valid %v", tr, ok)
+	}
+	chained := c.ChainedBlocks
+	c.Regs[isa.RCX] = 5
 	if got := run(t, c); got != 1 {
 		t.Fatalf("self-modifying loop = %d, want 1 (a stale constituent ran)", got)
 	}
-	// The cycle's last link is recorded on trip 2; the loop trace then
-	// passes from trip 3's A to trip 5's A, where the store ends it.
-	if c.ChainedBlocks != 5 {
-		t.Fatalf("%d blocks chained, want the 5 of the loop trace's pass", c.ChainedBlocks)
+	// The entry and the 8 edges from trip 1's A to trip 5's A chain; at
+	// trip 5's back edge B is stale, and its new block and the return
+	// resolve through the dispatch path.
+	if got := c.ChainedBlocks - chained; got != 9 {
+		t.Fatalf("%d blocks chained, want the 9 of the trace's pass", got)
 	}
 }
 
@@ -264,7 +272,7 @@ func TestMegablockDroppedAfterRemap(t *testing.T) {
 	if err := c.AS.UnmapRegion(codeBase, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := traceAt(t, c, newBase+scanHead()-codeBase); ok {
+	if _, ok := traceAt(t, c, newBase); ok {
 		t.Fatal("loop trace valid across a generation bump")
 	}
 	for i := 0; i < 2; i++ {
@@ -276,7 +284,7 @@ func TestMegablockDroppedAfterRemap(t *testing.T) {
 			t.Fatalf("moved loop retired %d instructions, want %d", c.Insts-insts, perRun)
 		}
 	}
-	if _, ok := traceAt(t, c, newBase+scanHead()-codeBase); !ok {
+	if _, ok := traceAt(t, c, newBase); !ok {
 		t.Fatal("loop did not fuse again at its new base")
 	}
 	var pf *mm.PageFault
@@ -293,7 +301,7 @@ func TestMegablockDroppedAfterRegisterNative(t *testing.T) {
 	c := machine(t, code)
 	run(t, c)
 	run(t, c)
-	if _, ok := traceAt(t, c, scanHead()); !ok {
+	if _, ok := traceAt(t, c, codeBase); !ok {
 		t.Fatal("no loop trace before RegisterNative")
 	}
 	// A native at B's ADD returns 777 to the loop's caller.
@@ -304,7 +312,7 @@ func TestMegablockDroppedAfterRegisterNative(t *testing.T) {
 			return nil
 		},
 	})
-	if _, ok := traceAt(t, c, scanHead()); ok {
+	if _, ok := traceAt(t, c, codeBase); ok {
 		t.Fatal("loop trace survived a native-table change")
 	}
 	// The native pops its return address: the loop reached it by falling
@@ -394,8 +402,9 @@ func fuzzNativeFn(c *CPU) error {
 // storeAlias of the code, where it patches the immediate of a MOVABS the
 // next trip loads (and faults past it), a divide whose divisor counts
 // down to a fault, calls into a generated function — direct, through a
-// GOT slot on the data page, or through a push; ret stub — and a call of
-// a native that returns to its caller or past it (fuzzNativeFn).
+// GOT slot on the data page, or through a push; ret stub — with a loop
+// of r14 trips in its middle, and a call of a native that returns to its
+// caller or past it (fuzzNativeFn).
 func fuzzProgram(data []byte) ([]isa.Inst, fuzzOpts) {
 	g := fuzzGen(data)
 	scratch := []isa.Reg{isa.RAX, isa.RSI, isa.R8, isa.R11}
@@ -503,6 +512,17 @@ func fuzzProgram(data []byte) ([]isa.Inst, fuzzOpts) {
 	if calls > 0 {
 		a.label("fn")
 		ops(a, 1+int(g.next()%3))
+		if shape&64 != 0 { // a loop of r14 trips, which runModes sets per run
+			a.ins(isa.Inst{Op: isa.OpMOV, R1: isa.R13, R2: isa.R14})
+			if g.next()&1 != 0 {
+				a.br(isa.OpJMP, "fnloop") // the loop's head starts a block
+			}
+			a.label("fnloop")
+			ops(a, int(g.next()%3))
+			a.ins(isa.Inst{Op: isa.OpSUBI, R1: isa.R13, Imm: 1}, isa.Inst{Op: isa.OpCMPI, R1: isa.R13, Imm: 0})
+			a.br(isa.OpJNE, "fnloop")
+			ops(a, 1+int(g.next()%2))
+		}
 		a.ins(isa.Inst{Op: isa.OpRET})
 		a.label("stub")
 		stub = len(a.code)
@@ -549,7 +569,8 @@ const (
 )
 
 // runModes runs code three times (cold, as traces form, and through
-// them) in one mode.
+// them) in one mode, with r14 set to 1, 3 and 2: the trips of fn's loop,
+// so that a trace recorded on one trip forms again with its back edge.
 func runModes(t *testing.T, code []isa.Inst, opts fuzzOpts, mode int) blockModes {
 	t.Helper()
 	wasChain, wasIndirect := SetChaining(mode >= modeMega), SetIndirect(true)
@@ -575,6 +596,7 @@ func runModes(t *testing.T, code []isa.Inst, opts fuzzOpts, mode int) blockModes
 	}
 	var err error
 	for i := 0; i < 3 && err == nil; i++ {
+		c.Regs[isa.R14] = []uint64{1, 3, 2}[i]
 		if mode != modeStep {
 			err = execute(c, false)
 			continue

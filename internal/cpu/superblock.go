@@ -87,14 +87,18 @@ package cpu
 // Traces. runChain records the path it runs: the blocks it executes one
 // at a time, in order, each with the VA it was entered at and, for an
 // exit into a native, the native's call-site link. The path ends at a
-// block that heads a valid trace, at the return to the dispatch loop,
-// after a native that remapped, or when a direct branch other than a
-// CALL reaches a block already on it (a CALL of a function twice is not
-// a loop). formTrace then copies the blocks' records into one list on
-// the path's first block, its trace, up to the first block or direct
-// link that no longer holds. Each block on it is a constituent, and its
-// exit is followed or replaced by a boundary record that goes on at the
-// VA the path went on at:
+// block that heads a valid trace, at the return to the dispatch loop, or
+// after a native that remapped. A direct branch other than a CALL (a
+// CALL of a function twice is not a loop) that reaches a block already
+// on the path, k, from its last block, e, closes a loop: the path keeps
+// the branch as its back edge and records nothing while later laps run
+// k..e again. A lap that leaves the loop anywhere but at e's exit ends
+// the path; e's exit by its other direction goes on recording, the
+// loop's tail, and a second loop ends the path. formTrace then copies
+// the blocks' records into one list on the path's first block, its
+// trace, up to the first block or direct link that no longer holds. Each
+// block on it is a constituent, and its exit is followed or replaced by
+// a boundary record that goes on at the VA the path went on at:
 //
 //   - a JMP/Jcc becomes a kGuard that keeps the branch's disp and len
 //     and holds its condTaken mask in r2, and a CALL a kCallEdge: the
@@ -106,16 +110,23 @@ package cpu
 //     CALLM, JMPR/JMPM) keeps its record and is followed by a kLink;
 //   - an exit into a native is followed by a kNative that runs the
 //     native as chainNative does (Cost, Fn, the return pop) and checks
-//     the return.
+//     the return;
+//   - the exit of a loop's last constituent e becomes a kLoop, a kGuard
+//     whose recorded VA is k's: that target goes back to k's records,
+//     one more lap, and the other goes on to the tail's link record or,
+//     without a tail, ends the trace.
 //
 // A boundary record holds the constituent it ends in r1 and the
-// recorded VA in imm. A path whose direct branch returns to its first
-// block at its VA ends in a back edge there, so a loop is a trace whose
-// last boundary goes on at its first record: ext4_get_block's two-block
-// extent scan is a two-constituent loop, a wrapped ioctl a straight
-// trace through every wrapper, PLT stub and native of the call. A loop
-// entered from elsewhere on a path ends that path's trace; its own path
-// closes it on the next lap.
+// recorded VA in imm. A trace is thus a straight path with at most one
+// back edge, and a driver call that loops in its middle is one trace:
+// ext4_get_block's entry, PLT stub, native, extent-scan laps and return,
+// as a wrapped ioctl's every wrapper, PLT stub and native. A run leaves
+// a loop early only by an exit of k..e-1. A trace recorded on a call
+// that took one trip goes straight through its loop. When a run of a
+// trace without a back edge leaves constituent e by a direct exit for
+// the VA of a constituent k <= e, and e has a link there, loopTrace
+// forms it again with that back edge, keeping e+1... as the tail; a
+// trace with a back edge never forms again that way.
 //
 // runChain enters a block's trace instead of the block when the block
 // is entered at the trace's VA, under the address-space generation it
@@ -142,7 +153,10 @@ package cpu
 // link that was valid when the trace formed, and stays valid with it,
 // so runTrace charges the constituents a run went through and their
 // direct edges as followed links when the run ends, from prefix sums
-// over the constituents and the laps of the back edge. An indirect or
+// over the constituents and the laps of the back edge: up to constituent
+// j >= k after some laps a run has gone through cum[j] plus laps times
+// k..e's instructions (and blocks and direct edges, the back edge
+// counted). An indirect or
 // native edge consults the link a per-block exit would look up, since
 // another path through the block may have rewritten it: on a hit it
 // counts as chained, and an indirect miss replays the dispatch
@@ -333,17 +347,24 @@ type trace struct {
 	gen     uint64 // address-space generation when recorded
 	bgen    uint64 // blockGen when recorded: natives re-check it
 	writes  uint64 // mm.CodeWrites when the frames were last current
-	loop    bool   // the last constituent's exit goes back to the first
+	// back is the constituent a loop's back edge goes to, or -1: the
+	// exit of the loop's last constituent, a kLoop record, goes back to
+	// back's records or on to the next constituent, the loop's tail.
+	// loop is insts from back's first record on.
+	back int
+	loop []inst
 	// lapInsts, lapBlocks and lapDirect are the instructions,
-	// constituents and direct edges of one lap of a loop.
+	// constituents and direct edges of one lap of the loop.
 	lapInsts, lapBlocks, lapDirect uint64
 	active                         int // runs in progress: formTrace must not reuse the storage
 }
 
-// tracePart is one constituent of a trace. cum and dcum count the
-// instructions and the direct edges before it on the trace.
+// tracePart is one constituent of a trace, entered at va. cum and dcum
+// count the instructions and the direct edges before it on the trace,
+// the back edge not included.
 type tracePart struct {
 	sb        *superblock
+	va        uint64
 	start     int32 // index of its first record
 	n         int32 // its instructions
 	cum, dcum uint32
@@ -378,7 +399,8 @@ func (t *trace) recheck() bool {
 }
 
 // pos returns how many instructions, blocks and direct edges a run of t
-// goes through from its start to the start of constituent j in lap lap.
+// goes through from its start to the start of constituent j after lap
+// back edges (none before the loop's first constituent).
 func (t *trace) pos(j, lap int) (insts, blocks, direct uint64) {
 	p, l := &t.parts[j], uint64(lap)
 	return uint64(p.cum) + l*t.lapInsts, uint64(j) + l*t.lapBlocks, uint64(p.dcum) + l*t.lapDirect
@@ -398,14 +420,6 @@ func (t *trace) partAt(i int) int {
 		}
 	}
 	return lo
-}
-
-// succ returns the constituent that follows constituent e.
-func (t *trace) succ(e int) *tracePart {
-	if e+1 < len(t.parts) {
-		return &t.parts[e+1]
-	}
-	return &t.parts[0]
 }
 
 // traceRun is the state of one trace run, CPU.run: execBlock's boundary
@@ -543,17 +557,21 @@ type path struct {
 	base int
 	id   uint64 // the mark of the blocks run on it
 	gen  uint64
-	loop bool // it closed a loop back to its first block
+	// back and end are the steps (from base) of the loop it closed, its
+	// back edge going from end to back, or -1. lap is the step the
+	// running lap expects next, or -1 when the path records: before the
+	// loop closed, or past it, on its tail.
+	back, end, lap int
 }
 
 // endPath forms p's trace and starts a new path under generation gen.
 func (c *CPU) endPath(p *path, gen uint64) {
-	if len(c.path) > p.base+1 || p.loop {
+	if len(c.path) > p.base+1 || p.back >= 0 {
 		c.formTrace(p)
 	}
 	c.path = c.path[:p.base]
 	c.pathID++
-	p.id, p.gen, p.loop = c.pathID, gen, false
+	p.id, p.gen, p.back, p.lap = c.pathID, gen, -1, -1
 }
 
 // runChain executes sb, entered at c.RIP, and then follows chain links
@@ -566,7 +584,7 @@ func (c *CPU) endPath(p *path, gen uint64) {
 // Call), and dropped on return.
 func (c *CPU) runChain(sb *superblock) (bool, error) {
 	c.pathID++
-	p := path{base: len(c.path), id: c.pathID, gen: c.AS.Generation()}
+	p := path{base: len(c.path), id: c.pathID, gen: c.AS.Generation(), back: -1, lap: -1}
 	halted, err := c.chain(sb, &p)
 	c.endPath(&p, 0)
 	if p.base == 0 && c.pathBuf != nil {
@@ -642,8 +660,7 @@ func (c *CPU) chain(sb *superblock, p *path) (bool, error) {
 			}
 		} else {
 			if c.sampler == nil { // a sampler keeps traces off
-				c.pushStep(pathStep{sb: sb, va: c.RIP})
-				sb.mark = p.id
+				c.record(p, sb)
 			}
 			n, halted, err = c.execBlock(sb.insts)
 			c.memFast = false
@@ -691,9 +708,7 @@ func (c *CPU) chain(sb *superblock, p *path) (bool, error) {
 				// Native call-site link: valid while the native table is
 				// unchanged since it was recorded.
 				if l.gen == c.blockGen {
-					if len(c.path) > p.base {
-						c.path[len(c.path)-1].nat = l
-					}
+					c.pathNative(p, l)
 					nl, _, halted, err := c.chainNative(l, indirect)
 					if nl == nil {
 						return halted, err
@@ -731,12 +746,10 @@ func (c *CPU) chain(sb *superblock, p *path) (bool, error) {
 				nl := chainLink{va: rip, gen: c.blockGen, nat: nat}
 				l = &sb.links[0]
 				if !indirect {
-					l = &sb.links[directSlot(sb, li)]
+					l = &sb.links[directSlot(sb, li, asGen)]
 				}
 				*l = nl
-				if len(c.path) > p.base {
-					c.path[len(c.path)-1].nat = l
-				}
+				c.pathNative(p, l)
 				rl, _, halted, err := c.chainNative(l, indirect)
 				if rl == nil {
 					return halted, err
@@ -760,7 +773,7 @@ func (c *CPU) chain(sb *superblock, p *path) (bool, error) {
 		if indirect {
 			sb.links[0] = nl // monomorphic: the newest target wins
 		} else {
-			sb.links[directSlot(sb, li)] = nl
+			sb.links[directSlot(sb, li, asGen)] = nl
 			if nsb.mark == p.id {
 				c.closeLoop(p, sb, nsb, rip)
 			}
@@ -769,31 +782,75 @@ func (c *CPU) chain(sb *superblock, p *path) (bool, error) {
 	}
 }
 
-// closeLoop ends p when the direct exit of sb, the path's last block,
-// reaches to, a block on it (marked with its id) — unless the exit is a
-// CALL: a function called twice on one path is not a loop. Back at the path's first block, at
-// its VA, the trace takes the exit as a back edge; anywhere else it ends
-// there, and the path that starts at the block closes the loop on its
-// next lap.
+// record adds sb, entered at c.RIP, to p. While p laps the loop it
+// closed, a block the lap expects is not added again and any other ends
+// the path, except after the loop's last block: a block other than the
+// loop's first there is the exit's other direction, and the path records
+// on from it, the loop's tail.
+func (c *CPU) record(p *path, sb *superblock) {
+	if j := p.lap; j >= 0 {
+		if j > p.end {
+			j = p.back // the back edge, or the tail
+		}
+		if s := &c.path[p.base+j]; s.sb == sb && s.va == c.RIP {
+			p.lap = j + 1
+			return
+		}
+		if p.lap > p.end {
+			p.lap = -1
+		} else {
+			c.endPath(p, p.gen)
+		}
+	}
+	c.pushStep(pathStep{sb: sb, va: c.RIP})
+	sb.mark = p.id
+}
+
+// pathNative notes on p that the exit of the block just run went
+// through the native link l. On a lap, that must be the native the
+// block's exit went through on the first.
+func (c *CPU) pathNative(p *path, l *chainLink) {
+	switch {
+	case len(c.path) == p.base:
+	case p.lap < 0:
+		c.path[len(c.path)-1].nat = l
+	case c.path[p.base+p.lap-1].nat != l:
+		c.endPath(p, p.gen)
+	}
+}
+
+// closeLoop acts on the direct exit of sb, the path's last block, to
+// to, a block on it (marked with its id), entered at va — unless the
+// exit is a CALL (a function called twice on one path is not a loop) or
+// the path is on a lap. A path without a loop records the exit as its
+// back edge and laps on; a path past its loop ends there.
 func (c *CPU) closeLoop(p *path, sb, to *superblock, va uint64) {
-	if sb.insts[len(sb.insts)-1].k == kCALL {
+	if sb.insts[len(sb.insts)-1].k == kCALL || p.lap >= 0 {
 		return
 	}
-	head := &c.path[p.base]
-	p.loop = head.sb == to && head.va == va
+	if steps := c.path[p.base:]; p.back < 0 {
+		for k := range steps {
+			if steps[k].sb == to && steps[k].va == va {
+				p.back, p.end, p.lap = k, len(steps)-1, k
+				return
+			}
+		}
+	}
 	c.endPath(p, p.gen)
 }
 
 // directSlot picks the links slot a direct exit's new record goes into:
 // the stale slot already keyed by this target (refresh in place), a free
-// slot, or — with both slots live with other targets — slot 1 (evict the
-// newer).
-func directSlot(sb *superblock, li int) int {
+// slot, a block link recorded under an address-space generation other
+// than gen, which no exit can follow again (a remap that moved the block
+// leaves both its links keyed by the old VAs), or — with both slots live
+// with other targets — slot 1 (evict the newer).
+func directSlot(sb *superblock, li int, gen uint64) int {
 	if li >= 0 {
 		return li
 	}
 	for i := range sb.links {
-		if sb.links[i].empty() {
+		if l := &sb.links[i]; l.empty() || l.sb != nil && l.gen != gen {
 			return i
 		}
 	}
@@ -957,66 +1014,63 @@ func (c *CPU) runTrace(t *trace, depth int) (int, int, *superblock, *traceNative
 	r := &c.run
 	r.t, r.left, r.laps, r.part, r.nat = t, maxChainBlocks-depth, 0, -1, -1
 	t.active++
-	n, halted, err := c.execBlock(t.insts)
+	i, halted, err := c.execBlock(t.insts)
 	t.active--
 	r.t = nil // Step and plain blocks run no trace
+	if r.laps > 0 {
+		i += len(t.insts) - len(t.loop) // counted from the loop's first record
+	}
 	depth = maxChainBlocks - r.left
 	e := r.part
 	if r.nat >= 0 {
 		c.chargeTrace(t, e+1, r.laps) // the call site retired
 		return 0, depth - 1, nil, &t.natives[r.nat], halted, err
 	}
-	if e >= 0 {
-		n = int(t.parts[e].n) // a boundary: the whole constituent ran
-		if sb := t.parts[e].sb; c.RIP == t.va && !t.loop && sb.linkable {
-			// A direct exit back to the head: the path closes a loop.
-			c.chargeTrace(t, e, r.laps)
+	if e >= 0 { // left at boundary record i: the whole constituent ran
+		c.chargeTrace(t, e, r.laps)
+		n, sb := int(t.parts[e].n), t.parts[e].sb
+		if g := &t.insts[i]; g.k == kGuard && c.RIP != uint64(g.imm) && t.back < 0 {
 			c.loopTrace(t, e)
-			return n, depth, sb, nil, halted, err
 		}
-	} else {
-		i := n - 1 // the record the run ended at
-		e = t.partAt(i)
-		n = i + 1 - int(t.parts[e].start)
+		return n, depth, sb, nil, halted, err
 	}
+	i-- // the record the run ended at
+	e = t.partAt(i)
 	c.chargeTrace(t, e, r.laps)
-	return n, depth, t.parts[e].sb, nil, halted, err
+	return i + 1 - int(t.parts[e].start), depth, t.parts[e].sb, nil, halted, err
 }
 
-// loopTrace forms t again from its first e+1 constituents with the
-// direct exit of the last one as a back edge: a run left there for the
-// head, so the path it recorded was the first lap of a loop.
+// loopTrace forms t again with a back edge from constituent e, whose
+// direct exit a run of t just left for c.RIP, when that is the VA of a
+// constituent k <= e: the path t was recorded on took one trip of a
+// loop. The constituents after e stay on, the loop's tail. It waits
+// until e's exit has a link to k, which runChain records on the first
+// such exit.
 func (c *CPU) loopTrace(t *trace, e int) {
-	p := path{base: len(c.path), gen: t.gen, loop: true}
-	for i := range e + 1 {
-		va := t.va
-		if i > 0 { // where the boundary before it went on
-			if b := &t.insts[t.parts[i].start-1]; b.k == kNative {
-				va = t.natives[b.disp].ret
-			} else {
-				va = uint64(b.imm)
+	for k := range e + 1 {
+		if to := &t.parts[k]; to.va == c.RIP {
+			if !c.edgeHolds(&pathStep{sb: t.parts[e].sb}, &pathStep{sb: to.sb, va: to.va}) {
+				return
 			}
+			p := path{base: len(c.path), gen: t.gen, back: k, end: e, lap: -1}
+			for i := range t.parts {
+				c.pushStep(pathStep{sb: t.parts[i].sb, va: t.parts[i].va})
+			}
+			for _, tn := range t.natives {
+				c.path[p.base+int(tn.part)].nat = tn.link
+			}
+			c.formTrace(&p)
+			c.path = c.path[:p.base]
+			return
 		}
-		c.pushStep(pathStep{sb: t.parts[i].sb, va: va})
 	}
-	for _, tn := range t.natives {
-		if int(tn.part) <= e {
-			c.path[p.base+int(tn.part)].nat = tn.link
-		}
-	}
-	c.formTrace(&p)
-	c.path = c.path[:p.base]
 }
 
 // chargeTrace charges the constituents a run of t went through before
-// constituent j in lap lap (j == len(t.parts), after a native at a
-// loop's last constituent, is the next lap's start), and the direct
-// edges between them, as runChain charges blocks and followed links.
-// Indirect and native edges are charged where they are crossed.
+// constituent j after lap back edges, and the direct edges between them,
+// as runChain charges blocks and followed links. Indirect and native
+// edges are charged where they are crossed.
 func (c *CPU) chargeTrace(t *trace, j, lap int) {
-	if j == len(t.parts) {
-		j, lap = 0, lap+1 // the same place, if the trace loops
-	}
 	insts, blocks, direct := t.pos(j, lap)
 	c.Insts += insts
 	c.Cycles += insts * CostInst
@@ -1047,7 +1101,7 @@ func (c *CPU) traceLink(e int, va uint64) {
 	}
 	c.blockHits++
 	l := &t.parts[e].sb.links[0] // field by field: a whole-struct store is a typedmemmove
-	l.va, l.ver, l.gen, l.ref, l.sb, l.nat, l.ret = va, en.Version(), t.gen, en.Ref(), t.succ(e).sb, nil, nil
+	l.va, l.ver, l.gen, l.ref, l.sb, l.nat, l.ret = va, en.Version(), t.gen, en.Ref(), t.parts[e+1].sb, nil, nil
 }
 
 // traceNative runs the k-th native of the running trace at constituent
@@ -1076,7 +1130,7 @@ func (c *CPU) traceNative(e, k int) (bool, bool, error) {
 	// The return chains as nativeReturn would chain it: to the recorded
 	// block, through a link under the trace's generation.
 	if rl := tn.link.ret; halted || err != nil || c.RIP != tn.ret || rl == nil || rl.va != tn.ret ||
-		rl.gen != t.gen || rl.sb != t.succ(e).sb || c.AS.Generation() != t.gen ||
+		rl.gen != t.gen || rl.sb != t.parts[e+1].sb || c.AS.Generation() != t.gen ||
 		c.blockGen != t.bgen || c.sampler != nil || !t.current() {
 		return false, halted, err
 	}
@@ -1091,13 +1145,15 @@ func (c *CPU) traceNative(e, k int) (bool, bool, error) {
 
 // formTrace fuses p, a path that just ended, into a trace on its first
 // block (see "Traces"). The trace ends before the first block that is
-// no longer current or the first direct or native edge whose link no
-// longer holds. A path of one block without a back edge forms nothing;
-// neither does one whose first block heads a running trace.
+// no longer current or after the first whose direct or native edge on
+// the path no longer holds; a loop whose back edge no longer holds, or
+// that the cut reaches, ends after its last block without the back
+// edge. A path of one block without a back edge forms nothing; neither
+// does one whose first block heads a running trace.
 func (c *CPU) formTrace(p *path) {
 	steps := c.path[p.base:]
-	n, loop := len(steps), p.loop
-	if n < 2 && !loop || c.sampler != nil || p.gen != c.AS.Generation() {
+	n, back, end := len(steps), p.back, p.end
+	if n < 2 && back < 0 || c.sampler != nil || p.gen != c.AS.Generation() {
 		return
 	}
 	t := steps[0].sb.trace
@@ -1107,23 +1163,24 @@ func (c *CPU) formTrace(p *path) {
 	w := mm.CodeWrites()
 	for i := range n {
 		if sb := steps[i].sb; sb.gen != c.blockGen || sb.ref.Version() != sb.ver {
-			n, loop = i, false
+			n = i
 			break
 		}
 	}
 	for i := range n {
-		next := i + 1
-		if next == n {
-			if next = 0; !loop {
-				break
-			}
+		if i == end && back >= 0 && !c.edgeHolds(&steps[i], &steps[back]) {
+			n, back = i+1, -1
+			break
 		}
-		if !c.edgeHolds(&steps[i], &steps[next]) {
-			n, loop = i+1, false
+		if i+1 < n && !c.edgeHolds(&steps[i], &steps[i+1]) {
+			n = i + 1
 			break
 		}
 	}
-	if n < 2 && !loop {
+	if back < 0 || end >= n {
+		back, end = -1, -1
+	}
+	if n < 2 && back < 0 {
 		return
 	}
 	steps = steps[:n]
@@ -1131,12 +1188,20 @@ func (c *CPU) formTrace(p *path) {
 	for i := range steps {
 		s := &steps[i]
 		nrec += len(s.sb.insts)
-		if i < n-1 || loop {
-			if k := s.sb.insts[len(s.sb.insts)-1].k; s.nat != nil {
-				nrec, nnat = nrec+1, nnat+1
-			} else if k != kRET && k != kCALL && (s.sb.indirect || k < kJMP || k > kJAE) {
-				nrec++ // a link record: the others fuse with their branch
+		k := s.sb.insts[len(s.sb.insts)-1].k
+		switch {
+		case i == end:
+			if k < kJMP || k > kJAE {
+				nrec++ // a cut's kLoop
 			}
+			if i < n-1 {
+				nrec++ // the tail's link record
+			}
+		case i == n-1:
+		case s.nat != nil:
+			nrec, nnat = nrec+1, nnat+1
+		case k != kRET && k != kCALL && (s.sb.indirect || k < kJMP || k > kJAE):
+			nrec++ // a link record: the others fuse with their branch
 		}
 	}
 	if t == nil {
@@ -1146,34 +1211,44 @@ func (c *CPU) formTrace(p *path) {
 	t.insts = slices.Grow(t.insts[:0], nrec)
 	t.parts = slices.Grow(t.parts[:0], n)
 	t.natives = slices.Grow(t.natives[:0], nnat)
-	t.va, t.gen, t.bgen, t.writes, t.loop = steps[0].va, p.gen, c.blockGen, w, loop
+	t.va, t.gen, t.bgen, t.writes, t.back = steps[0].va, p.gen, c.blockGen, w, back
 	total, direct := 0, 0
 	for i := range steps {
 		s := &steps[i]
 		recs := s.sb.insts
-		t.parts = append(t.parts, tracePart{sb: s.sb, start: int32(len(t.insts)), n: int32(len(recs)),
+		t.parts = append(t.parts, tracePart{sb: s.sb, va: s.va, start: int32(len(t.insts)), n: int32(len(recs)),
 			cum: uint32(total), dcum: uint32(direct)})
 		total += len(recs)
-		if i == n-1 && !loop {
+		if i == n-1 && i != end {
 			t.insts = append(t.insts, recs...) // the trace's end
 			break
 		}
-		next := i + 1
-		if next == n {
-			next = 0 // the back edge
-		}
-		succ := steps[next].va
 		last := recs[len(recs)-1]
 		t.insts = append(t.insts, recs[:len(recs)-1]...)
+		if i == end {
+			// The back edge, which the laps count, then the tail's link.
+			if to := int64(steps[back].va); last.k >= kJMP && last.k <= kJAE {
+				last.k, last.r1, last.r2, last.imm = kLoop, isa.Reg(i), isa.Reg(condTaken[last.k]), to
+				t.insts = append(t.insts, last)
+			} else {
+				t.insts = append(t.insts, last, inst{k: kLoop, imm: to, r1: isa.Reg(i)})
+			}
+			if i < n-1 {
+				direct++
+				t.insts = append(t.insts, inst{k: kGuard, imm: int64(steps[i+1].va), r1: isa.Reg(i)})
+			}
+			continue
+		}
+		succ := steps[i+1].va
 		switch {
 		case s.nat != nil:
 			t.insts = append(t.insts, last, inst{k: kNative, imm: int64(s.nat.va), r1: isa.Reg(i), disp: int32(len(t.natives))})
 			t.natives = append(t.natives, traceNative{nat: s.nat.nat, link: s.nat, ret: succ, part: int32(i), ind: s.sb.indirect})
 		case last.k == kRET:
-			last.k, last.r1, last.imm, last.disp = kRetEdge, isa.Reg(i), int64(succ), int32(next)
+			last.k, last.r1, last.imm, last.disp = kRetEdge, isa.Reg(i), int64(succ), int32(i+1)
 			t.insts = append(t.insts, last)
 		case s.sb.indirect:
-			t.insts = append(t.insts, last, inst{k: kLink, imm: int64(succ), r1: isa.Reg(i), disp: int32(next)})
+			t.insts = append(t.insts, last, inst{k: kLink, imm: int64(succ), r1: isa.Reg(i), disp: int32(i + 1)})
 		case last.k == kCALL:
 			direct++
 			last.k, last.r1, last.imm = kCallEdge, isa.Reg(i), int64(succ)
@@ -1187,9 +1262,13 @@ func (c *CPU) formTrace(p *path) {
 			t.insts = append(t.insts, last, inst{k: kGuard, imm: int64(succ), r1: isa.Reg(i)})
 		}
 	}
-	t.lapInsts, t.lapBlocks, t.lapDirect = 0, 0, 0
-	if loop {
-		t.lapInsts, t.lapBlocks, t.lapDirect = uint64(total), uint64(n), uint64(direct)
+	t.loop, t.lapInsts, t.lapBlocks, t.lapDirect = nil, 0, 0, 0
+	if back >= 0 {
+		k, e := &t.parts[back], &t.parts[end]
+		t.loop = t.insts[k.start:]
+		t.lapInsts = uint64(e.cum-k.cum) + uint64(e.n)
+		t.lapBlocks = uint64(end - back + 1)
+		t.lapDirect = uint64(e.dcum-k.dcum) + 1
 	}
 }
 
