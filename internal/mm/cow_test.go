@@ -2,6 +2,7 @@ package mm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"runtime"
@@ -729,20 +730,22 @@ func runBase(seed, n int) uint64 {
 }
 
 // ptModel is the expected state of one address space: its live
-// translations and the VAs it must not map (bases it moved away from
-// and the guard pages around its run).
+// translations, the VAs it must not map (bases it moved away from and
+// the guard pages around its run) and the first word of every frame it
+// allocated or inherited.
 type ptModel struct {
-	as   *AddressSpace
-	live map[uint64]mapping
-	gone map[uint64]bool
-	base uint64 // the run's current base
+	as    *AddressSpace
+	live  map[uint64]mapping
+	gone  map[uint64]bool
+	words map[FrameID]uint64
+	base  uint64 // the run's current base
 }
 
 // newRunModel maps a run of runPages writable pages at runBase(seed, 0)
 // plus one static page that never moves.
 func newRunModel(t *testing.T, seed int) *ptModel {
 	t.Helper()
-	m := &ptModel{as: NewAddressSpace(NewPhysMem()), live: map[uint64]mapping{}, gone: map[uint64]bool{}}
+	m := &ptModel{as: NewAddressSpace(NewPhysMem()), live: map[uint64]mapping{}, gone: map[uint64]bool{}, words: map[FrameID]uint64{}}
 	m.base = runBase(seed, 0)
 	for _, r := range []struct {
 		va uint64
@@ -754,6 +757,7 @@ func newRunModel(t *testing.T, seed int) *ptModel {
 		}
 		for i, f := range frames {
 			m.live[r.va+uint64(i)*PageSize] = mapping{f, FlagWrite, true}
+			m.words[f] = 0
 		}
 	}
 	return m
@@ -762,7 +766,7 @@ func newRunModel(t *testing.T, seed int) *ptModel {
 // fork forks the model's address space and copies the model.
 func (m *ptModel) fork() *ptModel {
 	as := m.as.Fork(m.as.Phys().Fork())
-	return &ptModel{as: as, live: maps.Clone(m.live), gone: maps.Clone(m.gone), base: m.base}
+	return &ptModel{as: as, live: maps.Clone(m.live), gone: maps.Clone(m.gone), words: maps.Clone(m.words), base: m.base}
 }
 
 // move remaps the run at base (Lookup + Map per page, then UnmapRegion of
@@ -797,7 +801,18 @@ func (m *ptModel) mapPage(t *testing.T, va uint64) {
 		t.Fatal(err)
 	}
 	m.live[va] = mapping{f, FlagWrite, true}
+	m.words[f] = 0
 	m.checkOwnedPath(t, va)
+}
+
+// write stores v into the first word of the frame mapped at va, through
+// the copy-on-write path every direct frame write takes. An unmapped va
+// writes nothing.
+func (m *ptModel) write(va, v uint64) {
+	if e, ok := m.live[va]; ok {
+		binary.LittleEndian.PutUint64(m.as.Phys().WritableFrame(e.frame), v)
+		m.words[e.frame] = v
+	}
 }
 
 // unmapPage unmaps va and checks the frame Unmap returns against the
@@ -874,6 +889,11 @@ func (m *ptModel) check(t *testing.T, who string) (tree, spares map[*table]bool)
 	}
 	if got := m.as.MappedPages(); got != len(m.live) {
 		t.Errorf("%s: MappedPages %d, want %d", who, got, len(m.live))
+	}
+	for f, want := range m.words {
+		if got := binary.LittleEndian.Uint64(m.as.Phys().Frame(f)); got != want {
+			t.Errorf("%s: frame %d holds %#x, want %#x", who, f, got, want)
+		}
 	}
 	tree, spares = map[*table]bool{}, map[*table]bool{}
 	var leaves int
@@ -1054,29 +1074,34 @@ func fuzzVA(b byte) uint64 {
 		v>>3&3<<(PageShift+levelBits) | v&7<<PageShift
 }
 
-// FuzzPageTableOps decodes its input into Map, Unmap, Protect, move and
-// Fork operations on a family of address spaces forked from one
-// template, two bytes an op. The first byte picks the op (mod 5), the
-// family member (high nibble) and Protect's flags; the second picks the
-// page. After every op each member is checked against its model, and
-// the family against the sharing invariants (checkFamily): the model
-// says what must hold, the checker looks at the tables themselves.
+// FuzzPageTableOps decodes its input into Map, Unmap, Protect, move,
+// Fork, write and Release operations on a family of address spaces
+// forked from one template, two bytes an op. The first byte picks the
+// op (mod 7), the family member (high nibble) and Protect's flags; the
+// second picks the page. After every op each member is checked against
+// its model, frame contents included, and the family against the
+// sharing invariants (checkFamily): the model says what must hold, the
+// checker looks at the tables themselves. A released member's dead
+// frame records go to the pool the survivors' allocations and
+// copy-on-write detaches take from, so a record pooled while a live
+// member still maps it shows as that member's frame changing under it.
 func FuzzPageTableOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxOps, maxFamily = 64, 4
 		family := []*ptModel{newRunModel(t, 0)}
 		ms := map[string]*ptModel{"m0": family[0]}
 		defer func() {
-			for _, m := range family[1:] {
+			for _, m := range family {
 				m.as.Phys().Release()
 			}
 		}()
-		moves := 0
+		moves, born, stores := 0, 1, uint64(0)
 		for n := 0; n < maxOps && len(data) >= 2; n++ {
 			sel, va := data[0], fuzzVA(data[1])
 			data = data[2:]
-			m := family[int(sel>>4)%len(family)]
-			switch sel % 5 {
+			i := int(sel>>4) % len(family)
+			m := family[i]
+			switch sel % 7 {
 			case 0:
 				if _, ok := m.live[va]; !ok {
 					m.mapPage(t, va)
@@ -1086,15 +1111,25 @@ func FuzzPageTableOps(f *testing.F) {
 			case 1:
 				m.unmapPage(t, va)
 			case 2:
-				m.protect(t, va, []PageFlags{0, FlagWrite, FlagExec}[sel/5%3])
+				m.protect(t, va, []PageFlags{0, FlagWrite, FlagExec}[sel/7%3])
 			case 3:
 				moves++
 				m.move(t, runBase(0, moves))
 			case 4:
 				if len(family) < maxFamily {
 					c := m.fork()
-					ms[fmt.Sprint("m", len(family))] = c
+					ms[fmt.Sprint("m", born)] = c
+					born++
 					family = append(family, c)
+				}
+			case 5:
+				stores++
+				m.write(va, stores)
+			case 6:
+				if len(family) > 1 {
+					m.as.Phys().Release()
+					family = slices.Delete(family, i, i+1)
+					maps.DeleteFunc(ms, func(_ string, v *ptModel) bool { return v == m })
 				}
 			}
 			checkFamily(t, ms)

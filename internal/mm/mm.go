@@ -123,6 +123,17 @@ func (e *PageFault) Error() string {
 // a private copy (see frameSlot.private). Content never changes under a
 // sharer's feet: a shared record is immutable until the last-but-one
 // reference detaches.
+//
+// A record whose last reference dies goes to deadFrames, and the next
+// record any machine needs is taken from there (takeFrame). That is safe
+// because a record is pooled only when refs reaches 0, and a live
+// machine never holds a dead record: its slots, TLB entries and decoded
+// code refer only to records its own chunks reference. Stale references
+// can survive in a released machine, or in a cache that has not yet
+// revalidated against a slot whose record was swapped, and both compare
+// versions: a reused record's version moves past its own earlier values
+// and past the record it replaces in a slot, so no stale FrameRef can
+// ever validate against it.
 type frameData struct {
 	data [PageSize]byte
 	ver  atomic.Uint64 // content version (see NoteWrite)
@@ -164,17 +175,49 @@ func (s *frameSlot) private(ctr *atomic.Int64) *frameData {
 	if fd.refs.Load() == 1 {
 		return fd
 	}
-	nfd := &frameData{data: fd.data}
-	nfd.ver.Store(fd.ver.Load() + 1)
+	nfd := takeFrame(fd.ver.Load() + 1)
+	nfd.data = fd.data
 	if fd.exec.Load() {
 		codeWrites.Add(1) // only exec-mapped frames hold decoded code
+		nfd.exec.Store(true)
 	}
-	nfd.exec.Store(fd.exec.Load())
-	nfd.refs.Store(1)
 	s.fd.Store(nfd)
-	fd.refs.Add(-1)
+	fd.unref()
 	ctr.Add(1)
 	return nfd
+}
+
+// deadFrames holds frame records whose last reference died, for
+// takeFrame to reuse: allocation, not execution, sets the throughput of
+// fork-heavy runs, and most of what they allocate is frame records.
+var deadFrames sync.Pool
+
+// takeFrame returns a private record (refs == 1, exec clear) whose
+// version is at least floor: a reused dead record, or a new one. A
+// reused record keeps its old bytes — the caller zeroes or overwrites
+// them — and its version moves past every value it held before, so
+// references left over from its earlier lives never validate.
+func takeFrame(floor uint64) *frameData {
+	fd, _ := deadFrames.Get().(*frameData)
+	if fd == nil {
+		fd = &frameData{}
+	} else {
+		floor = max(floor, fd.ver.Load()+1)
+		fd.exec.Store(false)
+	}
+	fd.ver.Store(floor)
+	fd.refs.Store(1)
+	return fd
+}
+
+// unref drops one slot's reference on the record and pools the record
+// if that was the last one.
+func (f *frameData) unref() bool {
+	if f.refs.Add(-1) != 0 {
+		return false
+	}
+	deadFrames.Put(f)
+	return true
 }
 
 // chunkFrames is the number of frame slots per chunk: the unit a fork
@@ -221,9 +264,11 @@ func NewPhysMem() *PhysMem {
 	return p
 }
 
+// newFrameData returns a zeroed private record for a slot that had
+// none.
 func newFrameData() *frameData {
-	fd := &frameData{}
-	fd.refs.Store(1)
+	fd := takeFrame(0)
+	fd.data = [PageSize]byte{}
 	return fd
 }
 
@@ -242,14 +287,13 @@ func (p *PhysMem) Alloc() FrameID {
 			// sibling machine: detach instead of zeroing in place. The
 			// fresh record continues the version sequence so stale cache
 			// entries in this machine can never validate against it.
-			nf := &frameData{}
-			nf.ver.Store(f.ver.Load() + 1)
+			nf := takeFrame(f.ver.Load() + 1)
+			nf.data = [PageSize]byte{}
 			if f.exec.Load() {
 				codeWrites.Add(1) // only exec-mapped frames hold decoded code
 			}
-			nf.refs.Store(1)
 			s.fd.Store(nf)
-			f.refs.Add(-1)
+			f.unref()
 			p.detaches.Add(1)
 			return id
 		}
@@ -357,7 +401,8 @@ func (p *PhysMem) ownChunk(ci int) *slotChunk {
 }
 
 // unref drops one machine's reference on the chunk. It returns the
-// number of frame records whose last reference died with the chunk.
+// number of frame records whose last reference died with the chunk;
+// those go to deadFrames.
 func (c *slotChunk) unref() int64 {
 	if c.refs.Add(-1) != 0 {
 		return 0
@@ -368,7 +413,7 @@ func (c *slotChunk) unref() int64 {
 		if fd == nil {
 			break
 		}
-		if fd.refs.Add(-1) == 0 {
+		if fd.unref() {
 			dead++
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"adelie/internal/bus"
@@ -17,6 +18,9 @@ import (
 // address space). Take the snapshot right after boot + driver load,
 // before any measurement.
 func (m *Machine) Snapshot() error {
+	if m.released {
+		return errReleased
+	}
 	if m.frozen {
 		return nil
 	}
@@ -50,6 +54,9 @@ func (m *Machine) Frozen() bool { return m.frozen }
 // the re-randomizer first asks for it. Only the bus and its devices,
 // which the engine ticks every round, are cloned here.
 func (m *Machine) Fork() (*Machine, error) {
+	if m.released {
+		return nil, errReleased
+	}
 	if !m.frozen {
 		return nil, fmt.Errorf("sim: fork: machine is not a snapshot (call Snapshot first)")
 	}
@@ -91,7 +98,19 @@ func (m *Machine) Fork() (*Machine, error) {
 
 // Release drops the machine's copy-on-write references on its physical
 // frames (fork teardown) and returns the number of frame records whose
-// last reference died here. The machine must not be used afterwards.
+// last reference died here. A frozen template may be released while its
+// forks run: they hold their own references.
+//
+// Dead records are recycled: the next machine to allocate or detach a
+// frame, in any goroutine, may take one and write it. A record dies
+// only when its last reference does, so a live machine never holds a
+// dead one; only the released machine's TLBs and decoded code still
+// point at its records. Run, Call, Fork and Snapshot therefore fail on
+// a released machine instead of writing into another machine's frames,
+// and a second Release panics.
 func (m *Machine) Release() int64 {
+	m.released = true
 	return m.K.AS.Phys().Release()
 }
+
+var errReleased = errors.New("sim: machine was released")

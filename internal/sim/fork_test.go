@@ -41,6 +41,52 @@ func TestSnapshotFreezesMachine(t *testing.T) {
 	}
 }
 
+// TestReleasedMachineRefusesUse: a released machine's frame records may
+// already serve another machine, so every entry point that would run or
+// copy it fails. A fork taken before its template's release runs on.
+func TestReleasedMachineRefusesUse(t *testing.T) {
+	op := func(c *cpu.CPU) (uint64, error) { return 0, nil }
+	m := newMachine(t)
+	loadDummy(t, m, false)
+	m.Release()
+	if err := m.Snapshot(); err == nil {
+		t.Fatal("released machine accepted Snapshot")
+	}
+	if _, err := m.Run(sim.RunConfig{Ops: 1, Workers: 1}, op); err == nil {
+		t.Fatal("released machine accepted Run")
+	}
+	if _, err := m.Call("dummy_ioctl", 0); err == nil {
+		t.Fatal("released machine accepted Call")
+	}
+
+	tmpl := newMachine(t)
+	loadDummy(t, tmpl, false)
+	if err := tmpl.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := tmpl.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl.Release()
+	if _, err := tmpl.Fork(); err == nil {
+		t.Fatal("released template accepted Fork")
+	}
+	if _, err := f.Call("dummy_ioctl", 0); err != nil {
+		t.Fatalf("fork of a released template: %v", err)
+	}
+	if err := f.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	f.Release()
+	if _, err := f.Fork(); err == nil {
+		t.Fatal("released fork accepted Fork")
+	}
+	if _, err := f.Run(sim.RunConfig{Ops: 1, Workers: 1}, op); err == nil {
+		t.Fatal("released fork accepted Run")
+	}
+}
+
 func TestForkRunMatchesColdBoot(t *testing.T) {
 	// A fork must produce bit-identical results to a cold-booted machine
 	// of the same configuration — the fork-determinism contract the

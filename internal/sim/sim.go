@@ -59,7 +59,8 @@ type Machine struct {
 	Peer *devices.NIC // load-generator adapter ("nic1")
 	XHCI *devices.XHCI
 
-	frozen bool // set by Snapshot: machine is a fork template, refuses Run/Call
+	frozen   bool // set by Snapshot: machine is a fork template, refuses Run/Call
+	released bool // set by Release: its frames may be another machine's now
 
 	tracer *obs.Tracer   // default event tracer for Run (AttachObs)
 	prof   *obs.Profiler // installed sampling profiler, if any (AttachObs)
@@ -136,6 +137,9 @@ func (m *Machine) LoadDriver(name string, o drivers.BuildOpts) (*kernel.Module, 
 
 // Call invokes an exported driver symbol on vCPU 0.
 func (m *Machine) Call(sym string, args ...uint64) (uint64, error) {
+	if m.released {
+		return 0, errReleased
+	}
 	if m.frozen {
 		return 0, fmt.Errorf("sim: machine is a frozen snapshot template; Fork it to run")
 	}
@@ -338,6 +342,9 @@ func (m *Machine) Engine() *engine.Engine {
 // the execution and queueing model and internal/cpu's superblock.go for
 // the link-invalidation contract.
 func (m *Machine) Run(cfg RunConfig, op OpFunc) (RunResult, error) {
+	if m.released {
+		return RunResult{}, errReleased
+	}
 	if m.frozen {
 		return RunResult{}, fmt.Errorf("sim: machine is a frozen snapshot template; Fork it to run")
 	}

@@ -230,6 +230,7 @@ func mechanismAblation(seed int64, ops int) ([]MechanismRow, error) {
 				_, err := c.Call(va, 0)
 				return 0, err
 			})
+		m.Release()
 		if err != nil {
 			return nil, err
 		}

@@ -152,6 +152,7 @@ func dd(seed int64, cfg Config, blockKB, ops int) (DDRow, error) {
 	if err != nil {
 		return DDRow{}, err
 	}
+	defer m.Release()
 	getBlock, err := callVA(m, "ext4_get_block")
 	if err != nil {
 		return DDRow{}, err
@@ -248,6 +249,7 @@ func sysbench(seed int64, cfg Config, mode string, ops int) (SysbenchRow, error)
 	if err != nil {
 		return SysbenchRow{}, err
 	}
+	defer m.Release()
 	getBlock, err := callVA(m, "ext4_get_block")
 	if err != nil {
 		return SysbenchRow{}, err
@@ -352,6 +354,7 @@ func kernbench(seed int64, cfg Config, concurrency, jobs int) (KernbenchRow, err
 	if err != nil {
 		return KernbenchRow{}, err
 	}
+	defer m.Release()
 	getBlock, err := callVA(m, "ext4_get_block")
 	if err != nil {
 		return KernbenchRow{}, err

@@ -58,6 +58,7 @@ func nvmeDirectRead(seed int64, period RerandPeriod, vanilla bool, ops int) (NVM
 	if err != nil {
 		return NVMeRow{}, err
 	}
+	defer m.Release()
 	if err := m.InitNVMe(); err != nil {
 		return NVMeRow{}, err
 	}
@@ -189,6 +190,7 @@ func oltp(seed int64, period RerandPeriod, vanilla bool, concurrency, txs int) (
 	if err != nil {
 		return OLTPRow{}, err
 	}
+	defer m.Release()
 	if err := m.InitNVMe(); err != nil {
 		return OLTPRow{}, err
 	}
@@ -355,6 +357,7 @@ func apache(seed int64, period RerandPeriod, vanilla bool, blockBytes, concurren
 	if err != nil {
 		return ApacheRow{}, err
 	}
+	defer m.Release()
 	if err := m.InitNVMe(); err != nil {
 		return ApacheRow{}, err
 	}
@@ -536,6 +539,7 @@ func ioctl(seed int64, name string, cfg Config, ops int) (IoctlRow, error) {
 	if err != nil {
 		return IoctlRow{}, err
 	}
+	defer m.Release()
 	va, err := callVA(m, "dummy_ioctl")
 	if err != nil {
 		return IoctlRow{}, err

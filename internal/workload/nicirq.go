@@ -47,6 +47,7 @@ func nicCoalesce(seed int64, maxFrames int, delayUs float64, ops int) (CoalesceR
 	if err != nil {
 		return row, sim.RunResult{}, err
 	}
+	defer m.Release()
 	// A small ring makes overruns reachable: a coalescing policy that
 	// defers the drain past 8 pending frames fills every slot and the
 	// wire starts dropping.

@@ -38,44 +38,45 @@ const seedServer int64 = 1103
 const serverAppCost = 40_000
 
 // serverRun executes one queue-count configuration and returns the row
-// plus the raw RunResult and machine (for determinism audits).
-func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRow, sim.RunResult, *sim.Machine, error) {
+// plus the raw RunResult (for determinism audits).
+func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRow, sim.RunResult, error) {
 	row := ServerRow{Queues: queues}
 	m, err := newMachineQ(CfgRerandStack, seed, queues, "e1000emq", "nvme", "nvmeirq")
 	if err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
+	defer m.Release()
 	const ringLen = 64
 	if _, err := m.InitNICMQ("e1000emq", ringLen, queues); err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	if err := m.InitNVMe(); err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	// Storage path on completion interrupts, the vector pinned to the
 	// last RX queue's vCPU so the NVMe ISR shares a lane with NIC work.
 	if err := m.InitNVMeIRQ(queues - 1); err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	m.NVMe.Preload(9, []byte("server block"))
 	readVA, err := callVA(m, "nvme_read")
 	if err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	xmitVA, err := callVA(m, "e1000emq_xmit")
 	if err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	ncpu := m.K.NumCPUs()
 	bufs := make([]uint64, ncpu)
 	for i := range bufs {
 		if bufs[i], err = m.K.Kmalloc(2048); err != nil {
-			return row, sim.RunResult{}, nil, err
+			return row, sim.RunResult{}, err
 		}
 	}
 	// Warm the controller cache so reads measure the DRAM-hit path.
 	if _, err := m.K.CPU(0).Call(readVA, bufs[0], 9, 512); err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	// Load generator: one request frame every 10 µs of virtual time.
 	// The rotating first byte walks the RSS hash across the RX queues,
@@ -107,7 +108,7 @@ func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRo
 		lanes = ncpu
 	}
 	if lanes > ringLen {
-		return row, sim.RunResult{}, nil, fmt.Errorf("workload: %d lanes cannot stripe a %d-slot TX ring", lanes, ringLen)
+		return row, sim.RunResult{}, fmt.Errorf("workload: %d lanes cannot stripe a %d-slot TX ring", lanes, ringLen)
 	}
 	frames := make([]uint64, ncpu)
 	lats := make([][]uint64, ncpu)
@@ -138,7 +139,7 @@ func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRo
 		Actors: []engine.Actor{loadgen},
 	}, op)
 	if err != nil {
-		return row, sim.RunResult{}, nil, err
+		return row, sim.RunResult{}, err
 	}
 	var all []uint64
 	for _, l := range lats {
@@ -158,7 +159,7 @@ func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRo
 	row.IRQs = res.IRQs
 	row.IRQVCPUs = res.IRQVCPUs()
 	row.Responses = m.Peer.RxFrames
-	return row, res, m, nil
+	return row, res, nil
 }
 
 // ServerSweep runs the server scenario across queue counts 1, 2, 4, …
@@ -166,7 +167,7 @@ func serverRun(seed int64, queues, workers, ops int, periodUs float64) (ServerRo
 func ServerSweep(seed int64, maxQueues, workers, ops int, periodUs float64) ([]ServerRow, error) {
 	var rows []ServerRow
 	for q := 1; q <= maxQueues; q *= 2 {
-		r, _, _, err := serverRun(seed, q, workers, ops, periodUs)
+		r, _, err := serverRun(seed, q, workers, ops, periodUs)
 		if err != nil {
 			return nil, fmt.Errorf("workload: server queues=%d: %w", q, err)
 		}

@@ -27,7 +27,7 @@ func serverTestRun(t *testing.T, queues, workers, ops int) (ServerRow, sim.RunRe
 		res sim.RunResult
 		err error
 	)
-	trace := tracedISR(t, func() { row, res, _, err = serverRun(seedServer, queues, workers, ops, 1000) })
+	trace := tracedISR(t, func() { row, res, err = serverRun(seedServer, queues, workers, ops, 1000) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,9 @@ func TestServerRoundAllocBudget(t *testing.T) {
 	defer DisableForkPool()
 	allocs := func(ops int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			_, _, m, err := serverRun(seedServer, 2, 2, ops, 1000)
-			if err != nil {
+			if _, _, err := serverRun(seedServer, 2, 2, ops, 1000); err != nil {
 				t.Fatal(err)
 			}
-			m.Release()
 		})
 	}
 	a500, a1000 := allocs(500), allocs(1000)
@@ -196,11 +194,7 @@ func TestServerForksConcurrentMatchSerial(t *testing.T) {
 			wg.Add(1)
 			go func(o *out) {
 				defer wg.Done()
-				var m *sim.Machine
-				o.row, o.res, m, o.err = serverRun(seedServer, 2, 2, 400, 1000)
-				if o.err == nil {
-					m.Release()
-				}
+				o.row, o.res, o.err = serverRun(seedServer, 2, 2, 400, 1000)
 			}(&outs[g])
 		}
 		wg.Wait()

@@ -187,6 +187,43 @@ func TestForkPoolTemplatesReused(t *testing.T) {
 	m2.Release()
 }
 
+// TestForkPoolReleasesEveryFork runs every registered experiment with
+// the fork pool on, then releases each template as DisableForkPool
+// does: every frame record of a template must die with it, as many as a
+// cold-booted twin of its shape reports. An experiment that leaks a fork
+// keeps the records that fork shares alive, and the recycling of frame
+// records never reaches them.
+func TestForkPoolReleasesEveryFork(t *testing.T) {
+	EnableForkPool()
+	for _, e := range Experiments.All() {
+		if _, err := e.Run(e.Params(true)); err != nil {
+			DisableForkPool()
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+	}
+	forkPool.mu.Lock()
+	tmpl := forkPool.tmpl
+	forkPool.tmpl = map[poolKey]*poolEntry{}
+	forkPool.mu.Unlock()
+	DisableForkPool()
+	if len(tmpl) == 0 {
+		t.Fatal("no experiment forked from the pool")
+	}
+	for key, e := range tmpl {
+		if e.m == nil {
+			continue
+		}
+		twin, err := bootMachineQ(key.cfg, key.seed, key.queues, strings.Split(key.drivers, ",")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := twin.Release()
+		if got := e.m.Release(); got != want {
+			t.Errorf("%+v: template release freed %d frame records, want %d: a fork was never released", key, got, want)
+		}
+	}
+}
+
 // TestForkPoolConcurrentOneKey: eight goroutines ask the pool for the
 // same not-yet-booted key at once, and each runs Fig. 9's ioctl loop on
 // its fork while the others fork. The key boots once, and every fork's
