@@ -63,6 +63,7 @@ const (
 	kRetEdge  // no opcode: a trace constituent's final RET and its kLink
 	kNative   // no opcode: a trace boundary that runs a native
 	kLoop     // no opcode: a loop's back edge, a final JMP/Jcc or a link record
+	kCross    // no record: execSlow's step that crosses a kLink's edge (traceLink)
 )
 
 // kinds maps every AK64 opcode byte to its executor kind; bytes that are
@@ -107,11 +108,23 @@ func decoded(in isa.Inst) inst {
 // faulting instruction on a fault and at the next instruction (or branch
 // target) otherwise.
 //
-// With c.memFast armed (inside a block) loads and stores first take the
-// TLB's resident word probes (mm.TLB.LoadPage/StorePage, inlined: no call
-// on a hit). A declined probe counts nothing and falls back to
-// load64/store64/Push/Pop, whose full path re-probes and accounts exactly
-// as an unarmed access does.
+// Its loop makes no call: every load64, store64, Push, Pop, fault, trace
+// re-check, traceLink and native is in execSlow, which the loop reaches
+// from one place. With nothing live across a call in the loop, the
+// compiler keeps rip, next and the record index in registers instead of
+// storing them to the stack before every dispatch, and the dispatch
+// (load the record, compute next, jump through the table) fits in two
+// cache lines wherever the linker places it. TestExecBlockLoopMakesNoCall
+// holds the loop to this.
+//
+// Loads and stores first take the TLB's resident word probes
+// (mm.TLB.LoadPage/StorePage, inlined), whenever load64 and store64
+// would: with c.memFast armed (inside a block) or the TLB current. A
+// declined probe counts nothing, and execSlow goes on from the step that
+// declined through load64/store64/Push/Pop, whose full path re-probes and
+// accounts exactly as an unarmed access does: a composite record whose
+// first probe hit (a CALLM's GOT load, a kCallEdge's push, a kRetEdge's
+// pop) is not probed again.
 //
 // b may be the records of c.run's trace, whose boundary records end one
 // constituent block each and go on to the next (see runTrace). The
@@ -124,9 +137,10 @@ lap:
 	for i := range b {
 		in := &b[i]
 		next := rip + uint64(in.len)
+		var from kind // the step execSlow starts at, if not in's first
 		switch in.k {
-		case kBad:
-			return i + 1, false, c.faultAt(rip, "unimplemented opcode", nil)
+		case kBad, kXORM, kNative:
+			goto slow
 		case kNOP:
 		case kHLT:
 			c.RIP = next
@@ -151,7 +165,7 @@ lap:
 			c.Regs[in.r1] *= c.Regs[in.r2]
 		case kUDIV:
 			if c.Regs[in.r2] == 0 {
-				return i + 1, false, c.faultAt(rip, "divide by zero", nil)
+				goto slow // divide by zero
 			}
 			c.Regs[in.r1] /= c.Regs[in.r2]
 		case kADDI:
@@ -176,92 +190,64 @@ lap:
 
 		case kLOAD:
 			addr := c.Regs[in.r2] + uint64(int64(in.disp))
-			if c.memFast {
+			if c.memFast || c.TLB.Current() {
 				if p, ok := c.TLB.LoadPage(addr); ok {
 					c.Regs[in.r1] = binary.LittleEndian.Uint64(p[addr&mm.PageMask:])
 					break
 				}
 			}
-			v, err := c.load64(addr)
-			if err != nil {
-				return i + 1, false, c.faultAt(rip, "load", err)
-			}
-			c.Regs[in.r1] = v
+			goto slow
 		case kSTORE:
 			addr := c.Regs[in.r2] + uint64(int64(in.disp))
-			if c.memFast {
+			if c.memFast || c.TLB.Current() {
 				if p, ok := c.TLB.StorePage(addr); ok {
 					binary.LittleEndian.PutUint64(p[addr&mm.PageMask:], c.Regs[in.r1])
 					break
 				}
 			}
-			if err := c.store64(addr, c.Regs[in.r1]); err != nil {
-				return i + 1, false, c.faultAt(rip, "store", err)
-			}
+			goto slow
 		case kLDRIP:
 			addr := next + uint64(int64(in.disp))
-			if c.memFast {
+			if c.memFast || c.TLB.Current() {
 				if p, ok := c.TLB.LoadPage(addr); ok {
 					c.Regs[in.r1] = binary.LittleEndian.Uint64(p[addr&mm.PageMask:])
 					break
 				}
 			}
-			v, err := c.load64(addr)
-			if err != nil {
-				return i + 1, false, c.faultAt(rip, "rip-relative load", err)
-			}
-			c.Regs[in.r1] = v
+			goto slow
 		case kSTRIP:
 			addr := next + uint64(int64(in.disp))
-			if c.memFast {
+			if c.memFast || c.TLB.Current() {
 				if p, ok := c.TLB.StorePage(addr); ok {
 					binary.LittleEndian.PutUint64(p[addr&mm.PageMask:], c.Regs[in.r1])
 					break
 				}
 			}
-			if err := c.store64(addr, c.Regs[in.r1]); err != nil {
-				return i + 1, false, c.faultAt(rip, "rip-relative store", err)
-			}
-		case kXORM:
-			addr := c.Regs[in.r2] + uint64(int64(in.disp))
-			v, err := c.load64(addr)
-			if err != nil {
-				return i + 1, false, c.faultAt(rip, "xor-mem load", err)
-			}
-			if err := c.store64(addr, v^c.Regs[in.r1]); err != nil {
-				return i + 1, false, c.faultAt(rip, "xor-mem store", err)
-			}
+			goto slow
 		case kPUSH:
 			// As Push: the value is read before RSP moves (PUSH RSP
-			// pushes the old value) and RSP stays moved on a fault.
-			v := c.Regs[in.r1]
-			c.Regs[isa.RSP] -= 8
-			sp := c.Regs[isa.RSP]
-			if c.memFast {
+			// pushes the old value).
+			sp := c.Regs[isa.RSP] - 8
+			if c.memFast || c.TLB.Current() {
 				if p, ok := c.TLB.StorePage(sp); ok {
-					binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], v)
+					binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], c.Regs[in.r1])
+					c.Regs[isa.RSP] = sp
 					break
 				}
 			}
-			if err := c.store64(sp, v); err != nil {
-				return i + 1, false, c.faultAt(rip, "push", err)
-			}
+			goto slow
 		case kPOP:
 			// As Pop: RSP moves before the value lands in R1, so POP RSP
 			// ends with the popped value.
 			sp := c.Regs[isa.RSP]
-			if c.memFast {
+			if c.memFast || c.TLB.Current() {
 				if p, ok := c.TLB.LoadPage(sp); ok {
 					c.Regs[isa.RSP] = sp + 8
 					c.Regs[in.r1] = binary.LittleEndian.Uint64(p[sp&mm.PageMask:])
 					break
 				}
 			}
-			v, err := c.Pop()
-			if err != nil {
-				return i + 1, false, c.faultAt(rip, "pop", err)
-			}
-			c.Regs[in.r1] = v
+			goto slow
 
 		// Control transfers end their block; each leaves the target in
 		// next.
@@ -273,21 +259,19 @@ lap:
 			ret := next
 			next += uint64(int64(in.disp))
 			sp := c.Regs[isa.RSP] - 8
-			if c.memFast {
+			if c.memFast || c.TLB.Current() {
 				if p, ok := c.TLB.StorePage(sp); ok {
 					binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], ret)
 					c.Regs[isa.RSP] = sp
 					break
 				}
 			}
-			if err := c.Push(ret); err != nil {
-				return i + 1, false, c.faultAt(rip, "call", err)
-			}
+			goto slow
 		case kCALLR:
 			// The target register is read after the push, as CALLR RSP
 			// needs.
 			sp := c.Regs[isa.RSP] - 8
-			if c.memFast {
+			if c.memFast || c.TLB.Current() {
 				if p, ok := c.TLB.StorePage(sp); ok {
 					binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], next)
 					c.Regs[isa.RSP] = sp
@@ -295,42 +279,26 @@ lap:
 					break
 				}
 			}
-			if err := c.Push(next); err != nil {
-				return i + 1, false, c.faultAt(rip, "call", err)
-			}
-			next = c.Regs[in.r1]
+			goto slow
 		case kCALLM:
-			// The GOT load is charged once, by the probe or by load64;
-			// the push then takes its own probe.
-			got, target, hit := next+uint64(int64(in.disp)), uint64(0), false
-			if c.memFast {
-				var p []byte
-				if p, hit = c.TLB.LoadPage(got); hit {
-					target = binary.LittleEndian.Uint64(p[got&mm.PageMask:])
-				}
+			// The GOT load is charged once: a push that declines after
+			// the GOT probe hit goes on as a CALL to the loaded target.
+			if !c.memFast && !c.TLB.Current() {
+				goto slow
 			}
-			if !hit {
-				v, err := c.load64(got)
-				if err != nil {
-					return i + 1, false, c.faultAt(rip, "got-indirect call", err)
-				}
-				target = v
+			got := next + uint64(int64(in.disp))
+			p, ok := c.TLB.LoadPage(got)
+			if !ok {
+				goto slow
 			}
-			sp := c.Regs[isa.RSP] - 8
-			hit = false
-			if c.memFast {
-				var p []byte
-				if p, hit = c.TLB.StorePage(sp); hit {
-					binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], next)
-					c.Regs[isa.RSP] = sp
-				}
+			ret, sp := next, c.Regs[isa.RSP]-8
+			next = binary.LittleEndian.Uint64(p[got&mm.PageMask:])
+			if p, ok = c.TLB.StorePage(sp); !ok {
+				from = kCALL
+				goto slow
 			}
-			if !hit {
-				if err := c.Push(next); err != nil {
-					return i + 1, false, c.faultAt(rip, "call", err)
-				}
-			}
-			next = target
+			binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], ret)
+			c.Regs[isa.RSP] = sp
 
 		// An indirect jump or return to HostReturn ends the Call.
 		case kJMPR:
@@ -339,44 +307,30 @@ lap:
 				return i + 1, true, nil
 			}
 		case kJMPM:
-			got, hit := next+uint64(int64(in.disp)), false
-			if c.memFast {
-				var p []byte
-				if p, hit = c.TLB.LoadPage(got); hit {
-					next = binary.LittleEndian.Uint64(p[got&mm.PageMask:])
+			got := next + uint64(int64(in.disp))
+			if c.memFast || c.TLB.Current() {
+				if p, ok := c.TLB.LoadPage(got); ok {
+					if next = binary.LittleEndian.Uint64(p[got&mm.PageMask:]); next == HostReturn {
+						c.RIP = next
+						return i + 1, true, nil
+					}
+					break
 				}
 			}
-			if !hit {
-				v, err := c.load64(got)
-				if err != nil {
-					return i + 1, false, c.faultAt(rip, "got-indirect jmp", err)
-				}
-				next = v
-			}
-			if next == HostReturn {
-				c.RIP = next
-				return i + 1, true, nil
-			}
+			goto slow
 		case kRET:
-			sp, hit := c.Regs[isa.RSP], false
-			if c.memFast {
-				var p []byte
-				if p, hit = c.TLB.LoadPage(sp); hit {
+			sp := c.Regs[isa.RSP]
+			if c.memFast || c.TLB.Current() {
+				if p, ok := c.TLB.LoadPage(sp); ok {
 					c.Regs[isa.RSP] = sp + 8
-					next = binary.LittleEndian.Uint64(p[sp&mm.PageMask:])
+					if next = binary.LittleEndian.Uint64(p[sp&mm.PageMask:]); next == HostReturn {
+						c.RIP = next
+						return i + 1, true, nil
+					}
+					break
 				}
 			}
-			if !hit {
-				v, err := c.Pop()
-				if err != nil {
-					return i + 1, false, c.faultAt(rip, "ret", err)
-				}
-				next = v
-			}
-			if next == HostReturn {
-				c.RIP = next
-				return i + 1, true, nil
-			}
+			goto slow
 
 		// Trace boundaries (see superblock.go's "Traces"). A kGuard is
 		// a constituent's final JMP/Jcc or, with length and mask 0, a
@@ -386,32 +340,35 @@ lap:
 		// block and, once a slow store or an MMIO access disarmed the
 		// probes, every constituent is current; otherwise it leaves at
 		// the target, and runTrace charges the constituent in r1 and
-		// hands its exit back to runChain.
+		// hands its exit back to runChain. A disarmed run whose frames
+		// some code write may have changed since the trace last found
+		// them current re-checks them in execSlow.
 		case kCallEdge:
 			ret := next
 			next += uint64(int64(in.disp))
-			sp, hit := c.Regs[isa.RSP]-8, false
-			if c.memFast {
-				var p []byte
-				if p, hit = c.TLB.StorePage(sp); hit {
-					binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], ret)
-					c.Regs[isa.RSP] = sp
-				}
+			if !c.memFast && !c.TLB.Current() {
+				goto slow
 			}
-			if !hit {
-				if err := c.Push(ret); err != nil {
-					return i + 1, false, c.faultAt(rip, "call", err)
-				}
+			sp := c.Regs[isa.RSP] - 8
+			p, ok := c.TLB.StorePage(sp)
+			if !ok {
+				goto slow
 			}
+			binary.LittleEndian.PutUint64(p[sp&mm.PageMask:], ret)
+			c.Regs[isa.RSP] = sp
 			fallthrough // its mask is 0: the guard takes no branch
 		case kGuard:
 			if uint8(in.r2)>>(c.flags&7)&1 != 0 {
 				next += uint64(int64(in.disp))
 			}
 			r := &c.run
-			if next != uint64(in.imm) || r.left == 0 || !c.memFast && !r.t.current() {
+			if next != uint64(in.imm) || r.left == 0 {
 				c.RIP, r.part = next, int(in.r1)
 				return i, false, nil
+			}
+			if !c.memFast && mm.CodeWrites() != r.t.writes {
+				from = kGuard
+				goto slow
 			}
 			r.left--
 			c.memFast = true
@@ -427,9 +384,12 @@ lap:
 				break
 			}
 			r := &c.run
-			if r.left == 0 || !c.memFast && !r.t.current() {
+			if r.left == 0 {
 				c.RIP, r.part = next, int(in.r1)
 				return i, false, nil
+			}
+			if !c.memFast && mm.CodeWrites() != r.t.writes {
+				goto slow
 			}
 			r.left--
 			r.laps++
@@ -437,62 +397,255 @@ lap:
 			rip, b = next, r.t.loop
 			goto lap
 		// An indirect exit's boundary: as a link record, and the edge is
-		// crossed as runChain crosses it (traceLink). A kRetEdge is a
-		// final RET and then its kLink.
+		// crossed as runChain crosses it: counted here on the hit path
+		// of traceLink, replayed by traceLink otherwise. A kRetEdge is a
+		// final RET and then its kLink. A kNative is a native's
+		// boundary: as a link record, then the native runs (execSlow)
+		// and the run goes on at its return address.
 		case kRetEdge:
-			sp, hit := c.Regs[isa.RSP], false
-			if c.memFast {
-				var p []byte
-				if p, hit = c.TLB.LoadPage(sp); hit {
-					c.Regs[isa.RSP] = sp + 8
-					next = binary.LittleEndian.Uint64(p[sp&mm.PageMask:])
-				}
+			if !c.memFast && !c.TLB.Current() {
+				goto slow
 			}
-			if !hit {
-				v, err := c.Pop()
-				if err != nil {
-					return i + 1, false, c.faultAt(rip, "ret", err)
-				}
-				next = v
+			sp := c.Regs[isa.RSP]
+			p, ok := c.TLB.LoadPage(sp)
+			if !ok {
+				goto slow
 			}
-			if next == HostReturn {
+			c.Regs[isa.RSP] = sp + 8
+			if next = binary.LittleEndian.Uint64(p[sp&mm.PageMask:]); next == HostReturn {
 				c.RIP = next
 				return i + 1, true, nil
 			}
 			fallthrough
 		case kLink:
 			r := &c.run
-			if next != uint64(in.imm) || r.left == 0 || !c.memFast && !r.t.current() {
-				c.RIP, r.part = next, int(in.r1)
-				return i, false, nil
-			}
-			// The hit path of traceLink: disp holds the next constituent.
-			if t := r.t; !linked(&t.parts[in.r1].sb.links[0], next, t.parts[in.disp].sb, t.gen) {
-				c.traceLink(int(in.r1), next)
-			} else {
-				c.ChainedBlocks++
-				c.IndirectChained++
-			}
-			r.left--
-			c.memFast = true
-		// A native's boundary: as a link record, then the native runs
-		// (traceNative) and the run goes on at its return address.
-		case kNative:
-			r := &c.run
 			if next != uint64(in.imm) || r.left == 0 {
 				c.RIP, r.part = next, int(in.r1)
 				return i, false, nil
 			}
-			c.RIP = next
-			if ok, halted, err := c.traceNative(int(in.r1), int(in.disp)); !ok {
-				return i, halted, err
+			t := r.t
+			if !c.memFast && mm.CodeWrites() != t.writes {
+				from = kLink
+				goto slow
 			}
-			next = c.RIP
+			if !linked(&t.parts[in.r1].sb.links[0], next, t.parts[in.disp].sb, t.gen) {
+				from = kCross
+				goto slow
+			}
+			c.ChainedBlocks++
+			c.IndirectChained++
+			r.left--
+			c.memFast = true
 		}
 		rip = next
+		continue
+	slow:
+		n, to, halted, err := c.execSlow(in, from, i, rip, next)
+		if n >= 0 {
+			return n, halted, err
+		}
+		if rip = to; n == slowLap {
+			b = c.run.t.loop
+			goto lap
+		}
 	}
 	c.RIP = rip
 	return len(b), false, nil
+}
+
+// execSlow's outcomes besides execBlock's return values.
+const (
+	slowOn  = -1 // the record retired: the run goes on at the VA returned
+	slowLap = -2 // a back edge was taken: the run goes on at the VA returned, the loop's first record
+)
+
+// execSlow runs record i of execBlock's records, in, at rip, from the
+// step execBlock's loop could not take without a call: from its start
+// (from == kBad), or from the step after a probe that hit — kCALL for a
+// CALLM whose GOT probe hit, kGuard for a kCallEdge whose push hit, kLink
+// for a kRetEdge whose pop hit —, or, with kCross, from a kLink's edge
+// crossing once the loop has checked everything else. next holds in's fall-through VA or,
+// once the loop resolved it, its target: a direct branch's, a CALL's, a
+// guard's or the loaded GOT entry. It returns slowOn or slowLap and the
+// VA the run goes on at, or execBlock's return values.
+func (c *CPU) execSlow(in *inst, from kind, i int, rip, next uint64) (int, uint64, bool, error) {
+	k := in.k
+	if from != kBad {
+		k = from
+	}
+	switch k {
+	case kBad:
+		return i + 1, 0, false, c.faultAt(rip, "unimplemented opcode", nil)
+	case kUDIV:
+		return i + 1, 0, false, c.faultAt(rip, "divide by zero", nil)
+	case kLOAD:
+		v, err := c.load64(c.Regs[in.r2] + uint64(int64(in.disp)))
+		if err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "load", err)
+		}
+		c.Regs[in.r1] = v
+	case kSTORE:
+		if err := c.store64(c.Regs[in.r2]+uint64(int64(in.disp)), c.Regs[in.r1]); err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "store", err)
+		}
+	case kLDRIP:
+		v, err := c.load64(next + uint64(int64(in.disp)))
+		if err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "rip-relative load", err)
+		}
+		c.Regs[in.r1] = v
+	case kSTRIP:
+		if err := c.store64(next+uint64(int64(in.disp)), c.Regs[in.r1]); err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "rip-relative store", err)
+		}
+	case kXORM:
+		addr := c.Regs[in.r2] + uint64(int64(in.disp))
+		v, err := c.load64(addr)
+		if err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "xor-mem load", err)
+		}
+		if err := c.store64(addr, v^c.Regs[in.r1]); err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "xor-mem store", err)
+		}
+	case kPUSH:
+		// RSP stays moved on a fault.
+		v := c.Regs[in.r1]
+		c.Regs[isa.RSP] -= 8
+		if err := c.store64(c.Regs[isa.RSP], v); err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "push", err)
+		}
+	case kPOP:
+		v, err := c.Pop()
+		if err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "pop", err)
+		}
+		c.Regs[in.r1] = v
+	case kCALL:
+		if err := c.Push(rip + uint64(in.len)); err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "call", err)
+		}
+	case kCALLR:
+		if err := c.Push(next); err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "call", err)
+		}
+		next = c.Regs[in.r1]
+	case kCALLM:
+		v, err := c.load64(next + uint64(int64(in.disp)))
+		if err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "got-indirect call", err)
+		}
+		if err := c.Push(next); err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "call", err)
+		}
+		next = v
+	case kJMPM:
+		v, err := c.load64(next + uint64(int64(in.disp)))
+		if err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "got-indirect jmp", err)
+		}
+		if next = v; next == HostReturn {
+			c.RIP = next
+			return i + 1, 0, true, nil
+		}
+	case kRET:
+		v, err := c.Pop()
+		if err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "ret", err)
+		}
+		if next = v; next == HostReturn {
+			c.RIP = next
+			return i + 1, 0, true, nil
+		}
+
+	case kCallEdge:
+		if err := c.Push(rip + uint64(in.len)); err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "call", err)
+		}
+		fallthrough
+	case kGuard:
+		r := &c.run
+		if next != uint64(in.imm) || r.left == 0 || !c.memFast && !r.t.current() {
+			c.RIP, r.part = next, int(in.r1)
+			return i, 0, false, nil
+		}
+		r.left--
+		c.memFast = true
+	case kLoop: // the loop has checked the target and the chain bound
+		r := &c.run
+		if !r.t.current() {
+			c.RIP, r.part = next, int(in.r1)
+			return i, 0, false, nil
+		}
+		r.left--
+		r.laps++
+		c.memFast = true
+		return slowLap, next, false, nil
+	case kRetEdge:
+		v, err := c.Pop()
+		if err != nil {
+			return i + 1, 0, false, c.faultAt(rip, "ret", err)
+		}
+		if next = v; next == HostReturn {
+			c.RIP = next
+			return i + 1, 0, true, nil
+		}
+		fallthrough
+	case kLink:
+		r := &c.run
+		if next != uint64(in.imm) || r.left == 0 || !c.memFast && !r.t.current() {
+			c.RIP, r.part = next, int(in.r1)
+			return i, 0, false, nil
+		}
+		if t := r.t; !linked(&t.parts[in.r1].sb.links[0], next, t.parts[in.disp].sb, t.gen) {
+			c.traceLink(int(in.r1), next)
+		} else {
+			c.ChainedBlocks++
+			c.IndirectChained++
+		}
+		r.left--
+		c.memFast = true
+	case kCross: // the loop has checked the edge, whose link runChain would miss
+		c.traceLink(int(in.r1), next)
+		c.run.left--
+		c.memFast = true
+	// A native's boundary runs the native as chainNative runs it, with
+	// c.RIP at the native. The run ends at the boundary, as at a link
+	// record, if the native's call-site link is not the one recorded
+	// (another path rewrote it, so runChain would miss it), and after
+	// the native, with c.run.nat set, if its return does not chain.
+	case kNative:
+		r, e, n := &c.run, int(in.r1), int(in.disp)
+		t := r.t
+		tn := &t.natives[n]
+		if l := tn.link; next != uint64(in.imm) || r.left == 0 || l.va != next || l.nat != tn.nat || l.gen != t.bgen {
+			c.RIP, r.part = next, e
+			return i, 0, false, nil
+		}
+		left, laps := r.left-1, r.laps
+		c.RIP, c.memFast = next, false // as between blocks: the native may remap
+		halted, err := c.runNative(tn.nat)
+		// A nested Call may have run traces: restore this run's state,
+		// field by field (a whole-struct store is a typedmemmove).
+		r.left, r.laps, r.part, r.nat = left, laps, e, n
+		if r.t != t {
+			r.t = t
+		}
+		// The return chains as nativeReturn would chain it: to the
+		// recorded block, through a link under the trace's generation.
+		if rl := tn.link.ret; halted || err != nil || c.RIP != tn.ret || rl == nil || rl.va != tn.ret ||
+			rl.gen != t.gen || rl.sb != t.parts[e+1].sb || c.AS.Generation() != t.gen ||
+			c.blockGen != t.bgen || c.sampler != nil || !t.current() {
+			return i, 0, halted, err
+		}
+		r.part, r.nat = -1, -1
+		c.ChainedBlocks++
+		if tn.ind {
+			c.IndirectChained++
+		}
+		c.memFast = true
+		next = c.RIP
+	}
+	return slowOn, next, false, nil
 }
 
 // faultAt syncs c.RIP to the faulting instruction at rip and returns its

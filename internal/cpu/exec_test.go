@@ -3,6 +3,9 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
@@ -237,4 +240,63 @@ func TestStepMatchesBlock(t *testing.T) {
 			t.Errorf("kind %d has no case", k)
 		}
 	}
+}
+
+// TestExecBlockLoopMakesNoCall: execBlock's loop calls execSlow, from one
+// place, and otherwise only helpers the compiler inlines, so no value in
+// the loop lives across a call and the dispatch keeps rip, next and the
+// record index in registers. A conversion is not a call.
+func TestExecBlockLoopMakesNoCall(t *testing.T) {
+	allowed := map[string]bool{
+		"c.TLB.LoadPage": true, "c.TLB.StorePage": true, "c.TLB.Current": true,
+		"c.setFlags": true, "b2u": true, "linked": true, "mm.CodeWrites": true,
+		"binary.LittleEndian.Uint64": true, "binary.LittleEndian.PutUint64": true,
+		"uint64": true, "int64": true, "uint8": true, "int": true,
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "exec.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loop *ast.RangeStmt
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "execBlock" {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if r, ok := n.(*ast.RangeStmt); ok && loop == nil {
+					loop = r
+				}
+				return loop == nil
+			})
+		}
+	}
+	if loop == nil {
+		t.Fatal("no range loop in execBlock")
+	}
+	slow := 0
+	ast.Inspect(loop.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		switch name := exprName(call.Fun); {
+		case name == "c.execSlow":
+			slow++
+		case !allowed[name]:
+			t.Errorf("execBlock's loop calls %s", name)
+		}
+		return true
+	})
+	if slow != 1 {
+		t.Errorf("execBlock's loop calls execSlow from %d places, want 1", slow)
+	}
+}
+
+// exprName renders an identifier or a selector chain such as c.TLB.Current.
+func exprName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprName(e.X) + "." + e.Sel.Name
+	}
+	return fmt.Sprintf("%T", e)
 }

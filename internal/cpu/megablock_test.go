@@ -366,10 +366,12 @@ func (g *fuzzGen) next() byte {
 
 // Where fuzz programs keep their GOT slot and native: a word on the
 // first data page past the operations' slots, and a VA on the code page
-// past the program.
+// past the program. fuzzStraddle is the word across the first data
+// page's end.
 const (
-	fuzzGOT    = dataBase + 0x800
-	fuzzNative = codeBase + 0x900
+	fuzzGOT      = dataBase + 0x800
+	fuzzNative   = codeBase + 0x900
+	fuzzStraddle = dataBase + mm.PageSize - 4
 )
 
 // fuzzOpts is what a fuzz program needs set up besides its code.
@@ -404,15 +406,19 @@ func fuzzNativeFn(c *CPU) error {
 // down to a fault, calls into a generated function — direct, through a
 // GOT slot on the data page, or through a push; ret stub — with a loop
 // of r14 trips in its middle, and a call of a native that returns to its
-// caller or past it (fuzzNativeFn).
+// caller or past it (fuzzNativeFn). With the straddle shape its loads
+// and stores go through r15 to the three words around the end of the
+// first data page, one of which straddles it: the resident probe
+// declines there, so the slow path runs in the middle of a trace.
 func fuzzProgram(data []byte) ([]isa.Inst, fuzzOpts) {
 	g := fuzzGen(data)
 	scratch := []isa.Reg{isa.RAX, isa.RSI, isa.R8, isa.R11}
+	straddle := false
 	ops := func(a *asm, n int) {
 		for range n {
 			r, r2 := scratch[g.next()%4], scratch[g.next()%4]
 			imm, slot := int64(int8(g.next())), int32(g.next()%32)*8
-			switch g.next() % 14 {
+			switch sel := g.next() % 14; sel {
 			case 0:
 				a.ins(isa.Inst{Op: isa.OpADDI, R1: r, Imm: imm})
 			case 1:
@@ -431,10 +437,15 @@ func fuzzProgram(data []byte) ([]isa.Inst, fuzzOpts) {
 				a.ins(isa.Inst{Op: isa.OpXOR, R1: r, R2: r2})
 			case 8:
 				a.ins(isa.Inst{Op: isa.OpIMUL, R1: r, R2: r2})
-			case 9:
-				a.ins(isa.Inst{Op: isa.OpLOAD, R1: r, R2: isa.RBX, Disp: slot})
-			case 10:
-				a.ins(isa.Inst{Op: isa.OpSTORE, R1: r, R2: isa.RBX, Disp: slot})
+			case 9, 10:
+				op, base := isa.OpLOAD, isa.RBX
+				if sel == 10 {
+					op = isa.OpSTORE
+				}
+				if straddle { // the word before fuzzStraddle's, across the page end, or after
+					base, slot = isa.R15, slot%24-8
+				}
+				a.ins(isa.Inst{Op: op, R1: r, R2: base, Disp: slot})
 			case 11:
 				a.ins(isa.Inst{Op: isa.OpPUSH, R1: r}, isa.Inst{Op: isa.OpPOP, R1: r2})
 			case 12:
@@ -445,10 +456,13 @@ func fuzzProgram(data []byte) ([]isa.Inst, fuzzOpts) {
 		}
 	}
 	shape := g.next()
-	alias := shape&8 != 0
+	alias, straddle := shape&8 != 0, shape&128 != 0
 	var opts fuzzOpts
 	calls, nativeAt, gotAt := 0, -1, []int(nil)
 	a := newAsm()
+	if straddle {
+		a.ins(isa.Inst{Op: isa.OpMOVABS, R1: isa.R15, Imm: int64(fuzzStraddle)})
+	}
 	a.ins(isa.Inst{Op: isa.OpMOVI, R1: isa.RCX, Imm: 1 + int64(g.next()%8)},
 		isa.Inst{Op: isa.OpMOVABS, R1: isa.RBX, Imm: int64(dataBase)},
 		isa.Inst{Op: isa.OpMOVI, R1: isa.RAX, Imm: int64(g.next())},
@@ -617,7 +631,7 @@ func runModes(t *testing.T, code []isa.Inst, opts fuzzOpts, mode int) blockModes
 	}
 	o := blockModes{Regs: c.Regs, Flags: c.flags, RIP: c.RIP, Insts: c.Insts, Cycles: c.Cycles,
 		Blocks: c.Blocks, Chained: c.ChainedBlocks}
-	for _, base := range []uint64{dataBase, codeBase, stackTop - 256} {
+	for _, base := range []uint64{dataBase, fuzzStraddle - 124, codeBase, stackTop - 256} {
 		for off := uint64(0); off < 256; off += 8 {
 			v, _ := c.AS.Read64(base + off)
 			o.Mem = append(o.Mem, v)

@@ -1104,45 +1104,6 @@ func (c *CPU) traceLink(e int, va uint64) {
 	l.va, l.ver, l.gen, l.ref, l.sb, l.nat, l.ret = va, en.Version(), t.gen, en.Ref(), t.parts[e+1].sb, nil, nil
 }
 
-// traceNative runs the k-th native of the running trace at constituent
-// e's boundary, as chainNative runs it, with c.RIP at the native. It
-// reports whether the run goes on at the return address; if not, the
-// run ends at e's boundary (another path rewrote the call site's link,
-// so runChain would miss it) or, after the native ran, with c.run.nat
-// set and (halted, err) as runNative returned them.
-func (c *CPU) traceNative(e, k int) (bool, bool, error) {
-	r := &c.run
-	t := r.t
-	tn := &t.natives[k]
-	if l := tn.link; l.va != c.RIP || l.nat != tn.nat || l.gen != t.bgen {
-		r.part = e
-		return false, false, nil
-	}
-	left, laps := r.left-1, r.laps
-	c.memFast = false // as between blocks: the native may remap
-	halted, err := c.runNative(tn.nat)
-	// A nested Call may have run traces: restore this run's state, field
-	// by field (a whole-struct store is a typedmemmove).
-	r.left, r.laps, r.part, r.nat = left, laps, e, k
-	if r.t != t {
-		r.t = t
-	}
-	// The return chains as nativeReturn would chain it: to the recorded
-	// block, through a link under the trace's generation.
-	if rl := tn.link.ret; halted || err != nil || c.RIP != tn.ret || rl == nil || rl.va != tn.ret ||
-		rl.gen != t.gen || rl.sb != t.parts[e+1].sb || c.AS.Generation() != t.gen ||
-		c.blockGen != t.bgen || c.sampler != nil || !t.current() {
-		return false, halted, err
-	}
-	r.part, r.nat = -1, -1
-	c.ChainedBlocks++
-	if tn.ind {
-		c.IndirectChained++
-	}
-	c.memFast = true
-	return true, false, nil
-}
-
 // formTrace fuses p, a path that just ended, into a trace on its first
 // block (see "Traces"). The trace ends before the first block that is
 // no longer current or after the first whose direct or native edge on

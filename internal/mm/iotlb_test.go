@@ -26,6 +26,7 @@ const (
 
 func ioFixture(t *testing.T) (*AddressSpace, *recordingMMIO) {
 	t.Helper()
+	seedDeadFrames()
 	as := NewAddressSpace(NewPhysMem())
 	for _, p := range []struct {
 		va    uint64
@@ -105,9 +106,33 @@ func mapOp(name string, f func(as *AddressSpace) error) ioOp {
 	return ioOp{name, func(as *AddressSpace, _ *IOTLB) (any, error) { return nil, f(as) }}
 }
 
+// seedDeadFrames puts dirty records at high, distinct content versions
+// in the dead-frame pool, as a process that released other machines
+// leaves it. A fixture built after it draws some of them, so a test
+// that compares two fixtures' absolute versions fails on every run, not
+// only when earlier tests, GC or the race detector's pool drops happen
+// to leave the two fixtures different records.
+func seedDeadFrames() {
+	for i := range 8 {
+		fd := &frameData{}
+		for j := range fd.data {
+			fd.data[j] = 0xDB ^ byte(i+j)
+		}
+		fd.ver.Store(1<<40 + uint64(i)<<20)
+		fd.exec.Store(true)
+		deadFrames.Put(fd)
+	}
+}
+
+// ioVersions holds a fixture's frame versions as first seen: a fresh
+// record's version depends on the dead records the pool held, so a
+// fixture's versions compare as deltas from its own.
+type ioVersions map[FrameID]uint64
+
 // snapshot captures everything an access could have changed: every
-// fixture page's bytes and content version, and the MMIO handler.
-func ioSnapshot(t *testing.T, as *AddressSpace, dev *recordingMMIO) any {
+// fixture page's bytes and content version (as a delta from base), and
+// the MMIO handler.
+func ioSnapshot(t *testing.T, as *AddressSpace, dev *recordingMMIO, base ioVersions) any {
 	t.Helper()
 	var pages [][]byte
 	var vers []uint64
@@ -118,7 +143,11 @@ func ioSnapshot(t *testing.T, as *AddressSpace, dev *recordingMMIO) any {
 			continue
 		}
 		pages = append(pages, append([]byte(nil), as.Phys().Frame(f)...))
-		vers = append(vers, as.Phys().FrameVersion(f))
+		v := as.Phys().FrameVersion(f)
+		if _, seen := base[f]; !seen {
+			base[f] = v
+		}
+		vers = append(vers, v-base[f])
 	}
 	return []any{pages, vers, *dev, as.Phys().COWDetaches()}
 }
@@ -177,6 +206,9 @@ func TestIOTLBMatchesAddressSpace(t *testing.T) {
 	}
 	want, wdev := ioFixture(t)
 	got, gdev := ioFixture(t)
+	wbase, gbase := ioVersions{}, ioVersions{}
+	ioSnapshot(t, want, wdev, wbase)
+	ioSnapshot(t, got, gdev, gbase)
 	c := NewIOTLB(got)
 	for _, op := range ops {
 		wv, werr := op.run(want, nil)
@@ -184,7 +216,7 @@ func TestIOTLBMatchesAddressSpace(t *testing.T) {
 		if !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(werr, gerr) {
 			t.Fatalf("%s: AddressSpace gives (%v, %v), IOTLB (%v, %v)", op.name, wv, werr, gv, gerr)
 		}
-		if w, g := ioSnapshot(t, want, wdev), ioSnapshot(t, got, gdev); !reflect.DeepEqual(w, g) {
+		if w, g := ioSnapshot(t, want, wdev, wbase), ioSnapshot(t, got, gdev, gbase); !reflect.DeepEqual(w, g) {
 			t.Fatalf("%s: memory differs after the access", op.name)
 		}
 	}
@@ -244,6 +276,7 @@ func TestIOTLBWriteDetachesSharedParentFrame(t *testing.T) {
 	// cache detaches exactly as WritableFrame does and never writes the
 	// shared record in place.
 	p1, f1, p2, f2, c := sharedParents(t)
+	code1, code2 := p1.Phys().FrameVersion(frameAt(t, p1, ioCode)), p2.Phys().FrameVersion(frameAt(t, p2, ioCode))
 	before, err := f1.ReadBytes(ioData, 2*PageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -278,8 +311,10 @@ func TestIOTLBWriteDetachesSharedParentFrame(t *testing.T) {
 	if f1.Phys().COWDetaches() != 0 {
 		t.Fatal("the parent's detach was counted on the fork")
 	}
-	if v1, v2 := p1.Phys().FrameVersion(frameAt(t, p1, ioCode)), p2.Phys().FrameVersion(frameAt(t, p2, ioCode)); v1 != v2 {
-		t.Fatalf("exec frame version %d through the cache, %d through WritableFrame", v1, v2)
+	// The detach's record comes from the dead-frame pool, so the
+	// versions compare as "moved past the shared record's", not by value.
+	if v1, v2 := p1.Phys().FrameVersion(frameAt(t, p1, ioCode)), p2.Phys().FrameVersion(frameAt(t, p2, ioCode)); v1 <= code1 || v2 <= code2 {
+		t.Fatalf("exec frame version %d -> %d through the cache, %d -> %d through WritableFrame", code1, v1, code2, v2)
 	}
 }
 
